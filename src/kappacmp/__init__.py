@@ -34,10 +34,12 @@ from .errors import (
 )
 from .inference import (
     BetaPrior,
+    BootstrapTables,
     ConfidenceConfig,
     ConfidenceInterval,
     FiellerCoefficients,
     KappaCovariance,
+    PosteriorDraws,
     Priors,
     TestResult,
     bayesian_ci,

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .data_model import (
+    CELL_NAMES,
     PairedCounts,
     apply_continuity_correction,
     counts_from_records,
@@ -16,9 +17,13 @@ from .data_model import (
 )
 from .errors import KappaCmpError
 from .inference import (
+    BAYES_STREAM,
+    BOOTSTRAP_STREAM,
     BetaPrior,
+    BootstrapTables,
     ConfidenceConfig,
     ConfidenceInterval,
+    PosteriorDraws,
     Priors,
     TestResult,
     bayesian_ci,
@@ -41,6 +46,7 @@ from .kappa_core import (
     kappa_pair,
     render_curve,
 )
+from .numerics import RandomStream
 from .sample_size import SampleSizePlan, plan_iteration
 from .simulation import (
     METHOD_TARGETS,
@@ -56,14 +62,14 @@ DEFAULT_OUT = "results_kappa.txt"
 DEFAULT_C_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 _ANALYZE_METHODS = {
-    "wald-diff": lambda counts, c, config, stream=None: wald_diff_ci(counts, c, config),
-    "boot-diff": lambda counts, c, config, stream=None: bootstrap_ci(counts, c, "difference", config),
-    "bayes-diff": lambda counts, c, config, stream=None: bayesian_ci(counts, c, "difference", config),
-    "wald-ratio": lambda counts, c, config, stream=None: wald_ratio_ci(counts, c, config),
-    "log-ratio": lambda counts, c, config, stream=None: log_ratio_ci(counts, c, config),
-    "fieller-ratio": lambda counts, c, config, stream=None: fieller_ratio_ci(counts, c, config),
-    "boot-ratio": lambda counts, c, config, stream=None: bootstrap_ci(counts, c, "ratio", config),
-    "bayes-ratio": lambda counts, c, config, stream=None: bayesian_ci(counts, c, "ratio", config),
+    "wald-diff": lambda counts, c, config, tables, draws: wald_diff_ci(counts, c, config),
+    "boot-diff": lambda counts, c, config, tables, draws: bootstrap_ci(counts, c, "difference", config, tables),
+    "bayes-diff": lambda counts, c, config, tables, draws: bayesian_ci(counts, c, "difference", config, draws),
+    "wald-ratio": lambda counts, c, config, tables, draws: wald_ratio_ci(counts, c, config),
+    "log-ratio": lambda counts, c, config, tables, draws: log_ratio_ci(counts, c, config),
+    "fieller-ratio": lambda counts, c, config, tables, draws: fieller_ratio_ci(counts, c, config),
+    "boot-ratio": lambda counts, c, config, tables, draws: bootstrap_ci(counts, c, "ratio", config, tables),
+    "bayes-ratio": lambda counts, c, config, tables, draws: bayesian_ci(counts, c, "ratio", config, draws),
 }
 
 
@@ -158,6 +164,11 @@ def build_analysis_report(counts: PairedCounts, cs=None, methods=None,
         if c_prime is not None and 0.0 < c_prime < 1.0:
             cs.append(round(c_prime, 4))
         cs.sort()
+    # one bootstrap set and one posterior serve every c and target; both
+    # draw nothing until a resampling method asks
+    tables = BootstrapTables(working, RandomStream(config.seed, BOOTSTRAP_STREAM))
+    draws = PosteriorDraws(working, config.priors, config.bayes_m,
+                           RandomStream(config.seed, BAYES_STREAM))
     rows = []
     for c in cs:
         kp = kappa_pair(accuracy, c)
@@ -171,7 +182,7 @@ def build_analysis_report(counts: PairedCounts, cs=None, methods=None,
         errors = {}
         for method in methods:
             try:
-                ci = _ANALYZE_METHODS[method](working, c, config)
+                ci = _ANALYZE_METHODS[method](working, c, config, tables, draws)
                 intervals[method] = mark_corrected(ci) if apply else ci
             except KappaCmpError as exc:
                 errors[method] = str(exc)
@@ -319,9 +330,7 @@ def render_machine(report: AnalysisReport) -> str:
             value = f"{value:.17g}"
         lines.append(f"{key}={value}")
 
-    for name, value in zip(
-            ("s11", "s10", "s01", "s00", "r11", "r10", "r01", "r00"),
-            report.counts.cells()):
+    for name, value in zip(CELL_NAMES, report.counts.cells()):
         put(f"input.{name}", value)
     put("input.n", report.counts.n)
     put("conf", report.conf)
@@ -444,9 +453,8 @@ def _add_common_options(sub, with_counts=True):
                      help="posterior draws (default 10000)")
     sub.add_argument("--prior", type=_parse_prior, default=Priors(),
                      help="Beta prior 'a,b' for all five parameters, or 10 values")
+    # neither flag: apply +0.5 when the sample-size rule says so
     group = sub.add_mutually_exclusive_group()
-    group.add_argument("--auto-correct", action="store_true", default=True,
-                       help="apply +0.5 when the sample-size rule says so (default)")
     group.add_argument("--correct", action="store_true",
                        help="always apply the +0.5 continuity correction")
     group.add_argument("--no-correct", action="store_true",

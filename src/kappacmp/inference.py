@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property
 
 from .data_model import PairedCounts
 from .errors import (
@@ -33,7 +34,7 @@ from .kappa_core import (
     accuracy_from_counts,
     kappa_pair,
 )
-from .numerics import RandomStream, empirical_quantile, normal_cdf, normal_quantile, sample_beta, sample_multinomial
+from .numerics import RandomStream, normal_cdf, normal_quantile, sample_beta, sample_multinomial, sorted_quantile
 
 __all__ = [
     "BetaPrior",
@@ -50,6 +51,8 @@ __all__ = [
     "log_ratio_ci",
     "fieller_ratio_ci",
     "fieller_interval",
+    "BootstrapTables",
+    "PosteriorDraws",
     "bootstrap_ci",
     "bayesian_ci",
     "invert_ratio_ci",
@@ -109,9 +112,9 @@ class ConfidenceConfig:
     def alpha(self) -> float:
         return 1.0 - self.conf
 
-    @property
+    @cached_property
     def z(self) -> float:
-        """Two-sided critical value z_{1-alpha/2}."""
+        """Two-sided critical value z_{1-alpha/2} (computed once per config)."""
         return normal_quantile(1.0 - self.alpha / 2.0)
 
 
@@ -338,42 +341,89 @@ def fieller_ratio_ci(counts: PairedCounts, c: float,
                               lower=lo, upper=hi, point=kp.theta)
 
 
-def _replicate_kappas(counts: PairedCounts, c: float, b: int, stream: RandomStream,
-                      need_ratio: bool) -> tuple[list[tuple[float, float]], int]:
-    """Draw B estimable bootstrap replicates of (kappa1, kappa2).
+def _kappa_pairs(accuracies, c: float) -> list:
+    """(kappa1, kappa2) at ``c`` of each c-free (se1, sp1, se2, sp2, p) tuple.
+
+    The arithmetic of weighted_kappa without its argument checks, so the
+    values are bit-identical to kappa_pair. A None entry, or one whose
+    denominator is not positive (where kappa_pair raises
+    DegenerateKappaError), gives None.
+    """
+    pairs = []
+    for acc in accuracies:
+        if acc is None:
+            pairs.append(None)
+            continue
+        se1, sp1, se2, sp2, p = acc
+        q = 1.0 - p
+        q1 = p * se1 + q * (1.0 - sp1)
+        q2 = p * se2 + q * (1.0 - sp2)
+        den1 = p * (1.0 - q1) * c + q * q1 * (1.0 - c)
+        den2 = p * (1.0 - q2) * c + q * q2 * (1.0 - c)
+        if den1 <= 0.0 or den2 <= 0.0:
+            pairs.append(None)
+        else:
+            pairs.append((p * q * (se1 + sp1 - 1.0) / den1,
+                          p * q * (se2 + sp2 - 1.0) / den2))
+    return pairs
+
+
+class BootstrapTables:
+    """Bootstrap resamples of one table, shared by every c and target.
 
     Resamples the 8-cell table from a multinomial with the observed
-    proportions (distributionally identical to resampling subjects).
-    Non-estimable replicates are redrawn up to a 10*B total draw budget.
+    proportions (distributionally identical to resampling subjects), at
+    size round(n): n + 4 on a continuity-corrected table. Tables are drawn
+    from ``stream`` only when first asked for, in stream order, and each
+    keeps only its c-free accuracies (se1, sp1, se2, sp2, p), or None when
+    a stratum is empty. The kappa pairs of the latest c are memoised, so
+    the difference and the ratio at one c share a pass.
     """
-    n = int(round(counts.n))
-    cells = counts.cells()
-    probs = [cell / counts.n for cell in cells]
-    pairs: list[tuple[float, float]] = []
-    draws = 0
-    budget = _BOOTSTRAP_DRAW_FACTOR * b
-    while len(pairs) < b and draws < budget:
-        draws += 1
-        sample = sample_multinomial(probs, n, stream)
-        rep = PairedCounts(*sample)
-        try:
-            acc = accuracy_from_counts(rep)
-            kp = kappa_pair(acc, c)
-        except (NonEstimableError, DegenerateKappaError):
-            continue
-        if need_ratio and kp.kappa2 == 0.0:
-            continue
-        pairs.append((kp.kappa1, kp.kappa2))
-    if len(pairs) < b:
-        raise BootstrapFailedError(
-            f"only {len(pairs)} of {b} replicates were estimable within {budget} draws")
-    return pairs, draws - b
+
+    __slots__ = ("counts", "size", "probs", "_stream", "_accuracies", "_c", "_pairs")
+
+    def __init__(self, counts: PairedCounts, stream: RandomStream):
+        if counts.n <= 0:
+            raise NonEstimableError("cannot resample an empty table")
+        self.counts = counts
+        self.size = int(round(counts.n))
+        self.probs = [cell / counts.n for cell in counts.cells()]
+        self._stream = stream
+        self._accuracies: list = []
+        self._c: float | None = None
+        self._pairs: list = []
+
+    def kappa_pairs(self, c: float, count: int) -> list:
+        """Kappa pairs at ``c`` of at least the first ``count`` tables (None: not estimable)."""
+        accuracies = self._accuracies
+        while len(accuracies) < count:
+            table = PairedCounts(*sample_multinomial(self.probs, self.size, self._stream))
+            try:
+                acc = accuracy_from_counts(table)
+            except NonEstimableError:
+                accuracies.append(None)
+            else:
+                accuracies.append((acc.se1, acc.sp1, acc.se2, acc.sp2, acc.p))
+        if c != self._c:
+            self._c, self._pairs = c, []
+        pairs = self._pairs
+        if len(pairs) < count:
+            pairs.extend(_kappa_pairs(accuracies[len(pairs):count], c))
+        return pairs
 
 
 def bootstrap_ci(counts: PairedCounts, c: float, target: str,
                  config: ConfidenceConfig | None = None,
-                 stream: RandomStream | None = None) -> ConfidenceInterval:
+                 tables: BootstrapTables | None = None) -> ConfidenceInterval:
     """Bias-corrected bootstrap interval for the difference or the ratio.
+
+    ``tables`` are the resamples of ``counts``; by default fresh ones are
+    drawn from (config.seed, BOOTSTRAP_STREAM). The bootstrap walks them
+    from the first, skips those not estimable at ``c`` and, for the ratio,
+    those with kappa2 = 0, and stops once B are accepted; it fails when
+    _BOOTSTRAP_DRAW_FACTOR * B tables give fewer. One BootstrapTables can
+    serve every c and target of a table, with the same intervals as fresh
+    tables for each call.
 
     The bias correction shifts the percentile levels by z0 = Phi^-1(A/B)
     where A counts replicate statistics below the plug-in estimate; A is
@@ -387,23 +437,44 @@ def bootstrap_ci(counts: PairedCounts, c: float, target: str,
     _, kp, _ = _analysis(counts, c)
     need_ratio = target == "ratio"
     point = kp.theta if need_ratio else kp.delta
-    if stream is None:
-        stream = RandomStream(config.seed, BOOTSTRAP_STREAM)
+    if tables is None:
+        tables = BootstrapTables(counts, RandomStream(config.seed, BOOTSTRAP_STREAM))
+    elif tables.counts != counts:
+        raise DomainError("the bootstrap tables were drawn from another table")
     b = config.bootstrap_b
-    pairs, _ = _replicate_kappas(counts, c, b, stream, need_ratio)
-    if need_ratio:
-        stats = [k1 / k2 for k1, k2 in pairs]
-    else:
-        stats = [k1 - k2 for k1, k2 in pairs]
-    a_count = sum(1 for v in stats if v < point)
-    a_count = min(max(a_count, 1), b - 1)
-    z0 = normal_quantile(a_count / b)
-    alpha1 = normal_cdf(2.0 * z0 - config.z)
-    alpha2 = normal_cdf(2.0 * z0 + config.z)
+    budget = _BOOTSTRAP_DRAW_FACTOR * b  # read per call, so a patched factor applies
+    stats: list[float] = []
+    scanned = 0
+    while len(stats) < b and scanned < budget:
+        end = min(scanned + b - len(stats), budget)
+        for pair in tables.kappa_pairs(c, end)[scanned:end]:
+            if pair is None:
+                continue
+            k1, k2 = pair
+            if not need_ratio:
+                stats.append(k1 - k2)
+            elif k2 != 0.0:
+                stats.append(k1 / k2)
+        scanned = end
+    if len(stats) < b:
+        raise BootstrapFailedError(
+            f"only {len(stats)} of {b} replicates were estimable within {budget} draws")
+    stats.sort()
+    lower, upper = _bias_corrected_bounds(stats, point, config.z)
     return ConfidenceInterval(target=target, method="bootstrap-bc",
-                              lower=empirical_quantile(stats, alpha1),
-                              upper=empirical_quantile(stats, alpha2),
-                              point=point)
+                              lower=lower, upper=upper, point=point)
+
+
+def _bias_corrected_bounds(stats: list[float], point: float, z: float) -> tuple[float, float]:
+    """BC percentile bounds from replicate statistics in ascending order.
+
+    A counts the statistics strictly below ``point``: ties are not counted.
+    """
+    b = len(stats)
+    a_count = min(max(bisect_left(stats, point), 1), b - 1)
+    z0 = normal_quantile(a_count / b)
+    return (sorted_quantile(stats, normal_cdf(2.0 * z0 - z)),
+            sorted_quantile(stats, normal_cdf(2.0 * z0 + z)))
 
 
 def _posterior_params(counts: PairedCounts, priors: Priors):
@@ -417,66 +488,81 @@ def _posterior_params(counts: PairedCounts, priors: Priors):
     )
 
 
-def _draw_posterior(counts: PairedCounts, priors: Priors, m: int,
-                    stream: RandomStream) -> tuple[tuple[float, ...], ...]:
-    params = _posterior_params(counts, priors)
-    draws = []
-    for _ in range(m):
-        draws.append(tuple(sample_beta(a, b, stream) for a, b in params))
-    return tuple(draws)
+class PosteriorDraws:
+    """M posterior draws of (Se1, Sp1, Se2, Sp2, p), shared by every c and target.
 
+    The five proportions have independent conjugate Beta posteriors. The M
+    tuples are drawn from ``stream`` on first use; the kappa pairs of the
+    latest c are memoised, so the difference and the ratio at one c share
+    a pass.
+    """
 
-@lru_cache(maxsize=2)
-def _cached_posterior_draws(counts: PairedCounts, priors: Priors, m: int,
-                            seed: int, stream_tag: int):
-    return _draw_posterior(counts, priors, m, RandomStream(seed, stream_tag))
+    __slots__ = ("counts", "priors", "m", "_stream", "_draws", "_c", "_pairs")
+
+    def __init__(self, counts: PairedCounts, priors: Priors, m: int, stream: RandomStream):
+        self.counts = counts
+        self.priors = priors
+        self.m = m
+        self._stream = stream
+        self._draws: list | None = None
+        self._c: float | None = None
+        self._pairs: list = []
+
+    def kappa_pairs(self, c: float) -> list:
+        """Kappa pairs at ``c`` of the M draws (None: a denominator is not positive)."""
+        if self._draws is None:
+            params = _posterior_params(self.counts, self.priors)
+            stream = self._stream
+            self._draws = [tuple(sample_beta(a, b, stream) for a, b in params)
+                           for _ in range(self.m)]
+        if c != self._c:
+            self._c, self._pairs = c, _kappa_pairs(self._draws, c)
+        return self._pairs
 
 
 def bayesian_ci(counts: PairedCounts, c: float, target: str,
                 config: ConfidenceConfig | None = None,
-                stream: RandomStream | None = None) -> ConfidenceInterval:
+                draws: PosteriorDraws | None = None) -> ConfidenceInterval:
     """Equal-tail posterior quantile interval from conjugate Beta posteriors.
 
-    M independent tuples (Se1, Sp1, Se2, Sp2, p) are drawn from the five
-    Beta posteriors and pushed through the kappa formula; the reported
-    point is the posterior mean of the target statistic. Draws with a
-    non-positive Youden index are kept (the posterior ranges over all
-    parameter values); ratio draws with kappa2 exactly zero are excluded.
+    ``draws`` are M posterior tuples (Se1, Sp1, Se2, Sp2, p) of ``counts``;
+    by default fresh ones are drawn from (config.seed, BAYES_STREAM). One
+    PosteriorDraws can serve every c and target of a table. Each tuple is
+    pushed through the kappa formula; the reported point is the posterior
+    mean of the target statistic. Draws with a non-positive Youden index
+    are kept (the posterior ranges over all parameter values); ratio draws
+    with kappa2 exactly zero are excluded.
     """
     config = config or ConfidenceConfig()
     if target not in ("difference", "ratio"):
         raise DomainError(f"target must be 'difference' or 'ratio', got {target!r}")
+    if not 0.0 <= c <= 1.0:
+        raise DomainError(f"weighting index must be in [0, 1], got {c!r}")
     if counts.s <= 0 or counts.r <= 0:
         accuracy_from_counts(counts)  # raises NonEstimableError with details
-    if stream is None:
-        draws = _cached_posterior_draws(counts, config.priors, config.bayes_m,
-                                        config.seed, BAYES_STREAM)
-    else:
-        draws = _draw_posterior(counts, config.priors, config.bayes_m, stream)
+    if draws is None:
+        draws = PosteriorDraws(counts, config.priors, config.bayes_m,
+                               RandomStream(config.seed, BAYES_STREAM))
+    elif (draws.counts, draws.priors, draws.m) != (counts, config.priors, config.bayes_m):
+        raise DomainError("the posterior draws were made for another table, prior or M")
     need_ratio = target == "ratio"
     stats = []
-    zero_denominators = 0
-    for se1, sp1, se2, sp2, p in draws:
-        q = 1.0 - p
-        q1 = p * se1 + q * (1.0 - sp1)
-        q2 = p * se2 + q * (1.0 - sp2)
-        k1 = p * q * (se1 + sp1 - 1.0) / (p * (1.0 - q1) * c + q * q1 * (1.0 - c))
-        k2 = p * q * (se2 + sp2 - 1.0) / (p * (1.0 - q2) * c + q * q2 * (1.0 - c))
-        if need_ratio:
-            if k2 == 0.0:
-                zero_denominators += 1  # measure-zero event; excluded but counted
-                continue
-            stats.append(k1 / k2)
-        else:
-            stats.append(k1 - k2)
-    if zero_denominators:
-        warnings.warn(f"{zero_denominators} of {config.bayes_m} posterior draws had "
-                      "kappa2 exactly 0 and were excluded from the ratio quantiles",
-                      stacklevel=2)
+    excluded = 0
+    for pair in draws.kappa_pairs(c):
+        if pair is None or (need_ratio and pair[1] == 0.0):
+            excluded += 1  # measure-zero events; excluded but counted
+            continue
+        k1, k2 = pair
+        stats.append(k1 / k2 if need_ratio else k1 - k2)
+    if excluded:
+        warnings.warn(f"{excluded} of {config.bayes_m} posterior draws had an undefined "
+                      f"{target} (kappa2 exactly 0, or a zero kappa denominator) and "
+                      "were excluded from its quantiles", stacklevel=2)
+    stats.sort()
     alpha = config.alpha
     return ConfidenceInterval(target=target, method="bayesian-quantile",
-                              lower=empirical_quantile(stats, alpha / 2.0),
-                              upper=empirical_quantile(stats, 1.0 - alpha / 2.0),
+                              lower=sorted_quantile(stats, alpha / 2.0),
+                              upper=sorted_quantile(stats, 1.0 - alpha / 2.0),
                               point=math.fsum(stats) / len(stats))
 
 

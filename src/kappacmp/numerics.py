@@ -18,6 +18,7 @@ __all__ = [
     "sample_beta",
     "sample_multinomial",
     "empirical_quantile",
+    "sorted_quantile",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -49,13 +50,20 @@ class RandomStream:
         self._state = _mix64(self.seed ^ _mix64((self.stream + 1) * _GOLDEN))
         self._spare_gauss: float | None = None
 
+    # next_u64 and uniform inline the _mix64 step (the state is already a
+    # 64-bit word, so its first mask is dropped): same words, fewer calls.
     def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        return _mix64(self._state)
+        z = self._state = (self._state + _GOLDEN) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
 
     def uniform(self) -> float:
         """Uniform draw in [0, 1)."""
-        return (self.next_u64() >> 11) * _INV_2_53
+        z = self._state = (self._state + _GOLDEN) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return ((z ^ (z >> 31)) >> 11) * _INV_2_53
 
     def uniform_open(self) -> float:
         """Uniform draw in (0, 1)."""
@@ -243,7 +251,11 @@ def sample_multinomial(pi, n: int, stream: RandomStream) -> list[int]:
 
 def empirical_quantile(values, q: float) -> float:
     """Interpolating empirical quantile at one-based index q*(m-1)+1."""
-    vals = sorted(values)
+    return sorted_quantile(sorted(values), q)
+
+
+def sorted_quantile(vals, q: float) -> float:
+    """``empirical_quantile`` of a sequence already in ascending order."""
     if not vals:
         raise DomainError("empirical_quantile needs a non-empty sequence")
     if not 0.0 <= q <= 1.0:

@@ -34,7 +34,9 @@ from .errors import (
     UnsupportedNominalError,
 )
 from .inference import (
+    BootstrapTables,
     ConfidenceConfig,
+    PosteriorDraws,
     bayesian_ci,
     bootstrap_ci,
     fieller_ratio_ci,
@@ -203,14 +205,14 @@ def sample_counts(scenario: Scenario, n: int, stream: RandomStream) -> PairedCou
 
 
 _METHOD_FUNCS = {
-    "wald-diff": lambda counts, c, config, stream: wald_diff_ci(counts, c, config),
-    "wald-ratio": lambda counts, c, config, stream: wald_ratio_ci(counts, c, config),
-    "log-ratio": lambda counts, c, config, stream: log_ratio_ci(counts, c, config),
-    "fieller-ratio": lambda counts, c, config, stream: fieller_ratio_ci(counts, c, config),
-    "boot-diff": lambda counts, c, config, stream: bootstrap_ci(counts, c, "difference", config, stream),
-    "boot-ratio": lambda counts, c, config, stream: bootstrap_ci(counts, c, "ratio", config, stream),
-    "bayes-diff": lambda counts, c, config, stream: bayesian_ci(counts, c, "difference", config, stream),
-    "bayes-ratio": lambda counts, c, config, stream: bayesian_ci(counts, c, "ratio", config, stream),
+    "wald-diff": lambda counts, c, config, tables, draws: wald_diff_ci(counts, c, config),
+    "wald-ratio": lambda counts, c, config, tables, draws: wald_ratio_ci(counts, c, config),
+    "log-ratio": lambda counts, c, config, tables, draws: log_ratio_ci(counts, c, config),
+    "fieller-ratio": lambda counts, c, config, tables, draws: fieller_ratio_ci(counts, c, config),
+    "boot-diff": lambda counts, c, config, tables, draws: bootstrap_ci(counts, c, "difference", config, tables),
+    "boot-ratio": lambda counts, c, config, tables, draws: bootstrap_ci(counts, c, "ratio", config, tables),
+    "bayes-diff": lambda counts, c, config, tables, draws: bayesian_ci(counts, c, "difference", config, draws),
+    "bayes-ratio": lambda counts, c, config, tables, draws: bayesian_ci(counts, c, "ratio", config, draws),
 }
 
 # substream roles per replicate index i: 3i sample, 3i+1 bootstrap, 3i+2 posterior
@@ -232,7 +234,8 @@ def _estimable(counts: PairedCounts) -> bool:
 def _run_replicate(scenario: Scenario, n: int, methods: tuple[str, ...],
                    config: ConfidenceConfig, index: int, correct: bool):
     """All per-replicate work; depends only on (scenario, n, config, index)."""
-    sample_stream = RandomStream(config.seed, _STREAMS_PER_REPLICATE * index)
+    base = _STREAMS_PER_REPLICATE * index
+    sample_stream = RandomStream(config.seed, base)
     redraws = 0
     while True:
         counts = sample_counts(scenario, n, sample_stream)
@@ -245,14 +248,20 @@ def _run_replicate(scenario: Scenario, n: int, methods: tuple[str, ...],
             raise InfeasibleScenarioError(
                 f"no estimable sample of size {n} after {redraws} draws; "
                 "the scenario is too degenerate to study")
+    # one bootstrap set and one posterior per replicate, shared by the
+    # difference and the ratio; built only when a method needs them
+    tables = draws = None
+    if "boot-diff" in methods or "boot-ratio" in methods:
+        tables = BootstrapTables(counts, RandomStream(config.seed, base + 1))
+    if "bayes-diff" in methods or "bayes-ratio" in methods:
+        draws = PosteriorDraws(counts, config.priors, config.bayes_m,
+                               RandomStream(config.seed, base + 2))
     outcomes = {}
     for method in methods:
         target = METHOD_TARGETS[method]
         true_value = scenario.delta if target == "difference" else scenario.theta
-        offset = 1 if method.startswith("boot") else 2
-        stream = RandomStream(config.seed, _STREAMS_PER_REPLICATE * index + offset)
         try:
-            ci = _METHOD_FUNCS[method](counts, scenario.c, config, stream)
+            ci = _METHOD_FUNCS[method](counts, scenario.c, config, tables, draws)
         except _INTERVAL_ERRORS:
             outcomes[method] = (False, None)
         else:

@@ -10,7 +10,7 @@ import kappacmp as kc
 from conftest import random_accuracies
 from kappacmp.data_model import PairedCounts
 from kappacmp.errors import DegenerateKappaError
-from kappacmp.inference import ConfidenceConfig
+from kappacmp.inference import BAYES_STREAM, BOOTSTRAP_STREAM, ConfidenceConfig
 from kappacmp.kappa_core import AccuracyEstimates
 from kappacmp.numerics import RandomStream
 
@@ -116,12 +116,16 @@ def test_criterion_3_stochastic_intervals():
     worst = 0.0
     for seed in range(41, 51):  # fixed decade of independent seeds
         config = ConfidenceConfig(seed=seed)
+        # one bootstrap set and one posterior per seed, as analyze draws them
+        tables = kc.BootstrapTables(TABLE8, RandomStream(seed, BOOTSTRAP_STREAM))
+        draws = kc.PosteriorDraws(TABLE8, config.priors, config.bayes_m,
+                                  RandomStream(seed, BAYES_STREAM))
         for c, (boot_d, bayes_d, boot_r, bayes_r) in STOCHASTIC_CIS.items():
             intervals = (
-                (boot_d, lambda: kc.bootstrap_ci(TABLE8, c, "difference", config)),
-                (boot_r, lambda: kc.bootstrap_ci(TABLE8, c, "ratio", config)),
-                (bayes_d, lambda: kc.bayesian_ci(TABLE8, c, "difference", config)),
-                (bayes_r, lambda: kc.bayesian_ci(TABLE8, c, "ratio", config)),
+                (boot_d, lambda: kc.bootstrap_ci(TABLE8, c, "difference", config, tables)),
+                (boot_r, lambda: kc.bootstrap_ci(TABLE8, c, "ratio", config, tables)),
+                (bayes_d, lambda: kc.bayesian_ci(TABLE8, c, "difference", config, draws)),
+                (bayes_r, lambda: kc.bayesian_ci(TABLE8, c, "ratio", config, draws)),
             )
             for want, build in intervals:
                 if want is None:

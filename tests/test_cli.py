@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from kappacmp.cli import build_analysis_report, main
@@ -240,6 +242,21 @@ class TestSimulate:
         run(capsys, ["simulate", "--batch", str(batch), "--seed", "5",
                      "--jobs", "2", "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_all_methods_report_matches_recorded_digest(self, capsys, tmp_path):
+        # sha256 of this report recorded before the bootstrap tables and the
+        # posterior draws were shared between the difference and the ratio
+        batch = tmp_path / "batch.csv"
+        batch.write_text("k0_1,k1_1,k0_2,k1_2,p,c,f,n,N\n"
+                         "0.30,0.60,0.80,0.80,0.25,0.5,0.5,40,100\n", encoding="utf-8")
+        out = tmp_path / "report.txt"
+        code, _, _ = run(capsys, ["simulate", "--batch", str(batch), "--methods",
+                                  "wald-diff,boot-diff,bayes-diff,wald-ratio,log-ratio,"
+                                  "fieller-ratio,boot-ratio,bayes-ratio",
+                                  *FAST, "--seed", "3", "--out", str(out)])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "08d4dfe3f1eac56b8d7ffea02f303954b473c7cd00ec870127f4b5d88a4b6151")
 
     def test_zero_replicates_is_usage_error(self, capsys, tmp_path):
         batch = tmp_path / "batch.csv"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 import kappacmp.inference as inference
 from conftest import random_accuracies, random_counts
-from kappacmp.data_model import PairedCounts
+from kappacmp.cli import DEFAULT_C_GRID
+from kappacmp.data_model import PairedCounts, apply_continuity_correction
 from kappacmp.errors import (
     BootstrapFailedError,
     DegenerateKappaError,
@@ -17,8 +19,10 @@ from kappacmp.errors import (
 )
 from kappacmp.inference import (
     BetaPrior,
+    BootstrapTables,
     ConfidenceConfig,
     ConfidenceInterval,
+    PosteriorDraws,
     Priors,
     bayesian_ci,
     bloch_test,
@@ -36,10 +40,17 @@ from kappacmp.kappa_core import (
     AccuracyEstimates,
     KappaPair,
     accuracy_from_counts,
+    compare_over_range,
     kappa_pair,
     weighted_kappa,
 )
-from kappacmp.numerics import RandomStream
+from kappacmp.numerics import (
+    RandomStream,
+    empirical_quantile,
+    normal_cdf,
+    normal_quantile,
+    sample_multinomial,
+)
 from kappacmp.simulation import build_scenario_from_kappas, sample_counts
 
 Z975 = 1.959963984540054
@@ -354,6 +365,119 @@ class TestBayesian:
         with pytest.raises(NonEstimableError):
             bayesian_ci(PairedCounts(1, 0, 0, 0, 0, 0, 0, 0), 0.5, "difference",
                         ConfidenceConfig(bayes_m=1000))
+
+
+# Small table whose bootstrap resamples sometimes have an empty diseased stratum.
+SPARSE = PairedCounts(2, 1, 0, 1, 1, 2, 3, 30)
+SHARED_CONFIG = ConfidenceConfig(bootstrap_b=200, bayes_m=1000, seed=5)
+# sha256 of _interval_lines at SHARED_CONFIG, recorded before the bootstrap
+# tables and posterior draws were shared (one fresh stream per call).
+RECORDED_DIGESTS = {
+    "table8": "0abc9568419fa35255cdc7944c602c2118917bc964f62d16b7d7a053a7693d38",
+    "sparse": "7e141fdf6b02f4431a13298168c65533e5f87b3715845f38e43fbf327a768d53",
+}
+
+
+def _report_grid(counts):
+    """The analyze default grid plus c', as the CLI builds it."""
+    cs = list(DEFAULT_C_GRID)
+    c_prime = compare_over_range(accuracy_from_counts(counts)).c_prime
+    if c_prime is not None and 0.0 < c_prime < 1.0:
+        cs.append(round(c_prime, 4))
+    return sorted(cs)
+
+
+def _interval_lines(counts, tables=None, draws=None):
+    lines = []
+    for c in _report_grid(counts):
+        for target in ("difference", "ratio"):
+            for ci in (bootstrap_ci(counts, c, target, SHARED_CONFIG, tables),
+                       bayesian_ci(counts, c, target, SHARED_CONFIG, draws)):
+                lines.append(f"{c!r} {target} {ci.method} {ci.lower.hex()} "
+                             f"{ci.upper.hex()} {ci.point.hex()}")
+    return "\n".join(lines) + "\n"
+
+
+class _HandBuiltTables:
+    """Stands in for BootstrapTables with fixed kappa pairs."""
+
+    def __init__(self, counts, pairs):
+        self.counts = counts
+        self.pairs = pairs
+
+    def kappa_pairs(self, c, count):
+        return self.pairs
+
+
+class TestSharedDraws:
+    @pytest.mark.parametrize("name, counts", [("table8", PairedCounts(41, 0, 40, 8, 5, 1, 24, 181)),
+                                              ("sparse", SPARSE)])
+    def test_shared_objects_match_fresh_calls_and_recorded_digest(self, name, counts):
+        tables = BootstrapTables(counts, RandomStream(SHARED_CONFIG.seed, inference.BOOTSTRAP_STREAM))
+        draws = PosteriorDraws(counts, SHARED_CONFIG.priors, SHARED_CONFIG.bayes_m,
+                               RandomStream(SHARED_CONFIG.seed, inference.BAYES_STREAM))
+        shared = _interval_lines(counts, tables, draws)
+        assert shared == _interval_lines(counts)
+        assert hashlib.sha256(shared.encode()).hexdigest() == RECORDED_DIGESTS[name]
+
+    def test_sparse_table_has_non_estimable_resamples(self):
+        tables = BootstrapTables(SPARSE, RandomStream(SHARED_CONFIG.seed, inference.BOOTSTRAP_STREAM))
+        assert 0 < tables.kappa_pairs(0.5, 400)[:400].count(None) < 400
+
+    def test_default_grid_includes_c_prime(self, table8):
+        assert len(_report_grid(table8)) == len(DEFAULT_C_GRID) + 1
+
+    def test_bias_correction_ignores_ties(self, table8):
+        # 100 hand-built replicates: 30 below the plug-in difference, 40 tied
+        # with it, 30 above. A counts only the 30 strictly below.
+        config = ConfidenceConfig(bootstrap_b=100)
+        point = kappa_pair(accuracy_from_counts(table8), 0.5).delta
+        pairs = ([(point - 0.01 * i, 0.0) for i in range(30, 0, -1)] + [(point, 0.0)] * 40
+                 + [(point + 0.01 * i, 0.0) for i in range(1, 31)])
+        ci = bootstrap_ci(table8, 0.5, "difference", config, _HandBuiltTables(table8, pairs))
+        stats = [k1 - k2 for k1, k2 in pairs]
+        assert stats.count(point) == 40
+
+        def bounds(a_count):
+            z0 = normal_quantile(a_count / 100)
+            return (empirical_quantile(stats, normal_cdf(2.0 * z0 - config.z)),
+                    empirical_quantile(stats, normal_cdf(2.0 * z0 + config.z)))
+
+        assert (ci.lower, ci.upper) == bounds(30)
+        assert (ci.lower, ci.upper) != bounds(70)  # ties counted as below
+
+    def test_corrected_table_resamples_n_plus_4_from_corrected_proportions(self):
+        raw = PairedCounts(3, 1, 2, 4, 0, 5, 1, 24)  # n = 40
+        corrected = apply_continuity_correction(raw)
+        tables = BootstrapTables(corrected, RandomStream(8, 1))
+        assert tables.size == 44
+        assert tables.probs == [(cell + 0.5) / 44 for cell in raw.cells()]
+        stream = RandomStream(8, 1)
+        expected = []
+        for _ in range(50):
+            sample = sample_multinomial([(cell + 0.5) / 44 for cell in raw.cells()], 44, stream)
+            assert sum(sample) == 44
+            kp = kappa_pair(accuracy_from_counts(PairedCounts(*sample)), 0.3)
+            expected.append((kp.kappa1, kp.kappa2))
+        assert tables.kappa_pairs(0.3, 50)[:50] == expected
+
+    def test_empty_table_cannot_be_resampled(self):
+        with pytest.raises(NonEstimableError):
+            BootstrapTables(PairedCounts(0, 0, 0, 0, 0, 0, 0, 0), RandomStream(0, 1))
+
+    def test_tables_of_another_table_rejected(self, table8):
+        tables = BootstrapTables(SPARSE, RandomStream(0, 1))
+        with pytest.raises(DomainError):
+            bootstrap_ci(table8, 0.5, "difference", SHARED_CONFIG, tables)
+
+    def test_draws_of_another_configuration_rejected(self, table8):
+        draws = PosteriorDraws(table8, SHARED_CONFIG.priors, 2000, RandomStream(0, 2))
+        with pytest.raises(DomainError):
+            bayesian_ci(table8, 0.5, "difference", SHARED_CONFIG, draws)
+
+    def test_bayesian_rejects_weighting_index_outside_unit_interval(self, table8):
+        with pytest.raises(DomainError):
+            bayesian_ci(table8, 1.5, "difference", SHARED_CONFIG)
 
 
 class TestInversion:

@@ -5,7 +5,11 @@ import pytest
 
 from kappacmp.errors import DomainError
 from kappacmp.numerics import (
+    _GOLDEN,
+    _INV_2_53,
+    _MASK64,
     RandomStream,
+    _mix64,
     empirical_quantile,
     normal_cdf,
     normal_quantile,
@@ -188,6 +192,19 @@ class TestStreams:
         run2 = RandomStream(42, 7)
         assert [run1.uniform() for _ in range(1000)] == [run2.uniform() for _ in range(1000)]
         assert a[0] == RandomStream(42, 7).uniform()
+
+    @pytest.mark.parametrize("seed, tag", [(0, 0), (1, 101), (2**63 + 5, 102), (-7, 3 * 999 + 2)])
+    def test_inlined_step_matches_mix64(self, seed, tag):
+        # reference generator: counter advanced by the golden gamma, then _mix64
+        state = _mix64((seed & _MASK64) ^ _mix64(((tag & _MASK64) + 1) * _GOLDEN))
+        stream = RandomStream(seed, tag)
+        for i in range(4000):
+            state = (state + _GOLDEN) & _MASK64
+            word = _mix64(state)
+            if i % 2:
+                assert stream.uniform() == (word >> 11) * _INV_2_53
+            else:
+                assert stream.next_u64() == word
 
     def test_distinct_streams_differ(self):
         base = [RandomStream(42, 0).uniform() for _ in range(8)]
