@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -34,7 +35,15 @@ from .kappa_core import (
     accuracy_from_counts,
     kappa_pair,
 )
-from .numerics import RandomStream, normal_cdf, normal_quantile, sample_beta, sample_multinomial, sorted_quantile
+from .numerics import (
+    RandomStream,
+    normal_cdf,
+    normal_quantile,
+    sample_beta,  # noqa: F401 - perfbench/run.py traces inference.sample_beta
+    sample_beta_rows,
+    sample_multinomial,
+    sorted_quantile,
+)
 
 __all__ = [
     "BetaPrior",
@@ -303,9 +312,18 @@ def log_ratio_ci(counts: PairedCounts, c: float,
         raise LogIntervalError(
             f"logarithmic interval needs positive kappas, got ({kp.kappa1:g}, {kp.kappa2:g})")
     theta = kp.theta
-    spread = math.exp(config.z * math.sqrt(max(cov.var_log_theta, 0.0)))
+    log_spread = config.z * math.sqrt(max(cov.var_log_theta, 0.0))
+    try:
+        spread = math.exp(log_spread)
+    except OverflowError:
+        spread = math.inf
+    upper = theta * spread
+    if not math.isfinite(upper):
+        # kappa1 or kappa2 just above 0 makes Var[ln theta] explode
+        raise LogIntervalError(
+            f"logarithmic interval is unbounded: z*sqrt(Var[ln theta]) = {log_spread:g}")
     return ConfidenceInterval(target="ratio", method="logarithmic",
-                              lower=theta / spread, upper=theta * spread, point=theta)
+                              lower=theta / spread, upper=upper, point=theta)
 
 
 def fieller_interval(kappa1: float, kappa2: float, var1: float, var2: float,
@@ -341,31 +359,54 @@ def fieller_ratio_ci(counts: PairedCounts, c: float,
                               lower=lo, upper=hi, point=kp.theta)
 
 
-def _kappa_pairs(accuracies, c: float) -> list:
-    """(kappa1, kappa2) at ``c`` of each c-free (se1, sp1, se2, sp2, p) tuple.
+def _add_coefficients(columns, accuracies) -> None:
+    """Append the c-free kappa coefficients of each (se1, sp1, se2, sp2, p) to ``columns``.
 
-    The arithmetic of weighted_kappa without its argument checks, so the
-    values are bit-identical to kappa_pair. A None entry, or one whose
-    denominator is not positive (where kappa_pair raises
-    DegenerateKappaError), gives None.
+    kappa_h(c) = N_h / (A_h * c + B_h * (1 - c)) with A_h = p * (1 - Q_h),
+    B_h = q * Q_h and N_h = p * q * Y_h: the factors weighted_kappa
+    computes before it uses c, in the same order, so the kappas are
+    bit-identical to kappa_pair. ``columns`` holds (A1, B1, N1, A2, B2, N2)
+    as six arrays. A None entry (a table that is not estimable) gets zeros,
+    so both its denominators are 0 at every c.
     """
-    pairs = []
+    a1s, b1s, n1s, a2s, b2s, n2s = columns
     for acc in accuracies:
         if acc is None:
-            pairs.append(None)
+            for column in columns:
+                column.append(0.0)
             continue
         se1, sp1, se2, sp2, p = acc
         q = 1.0 - p
         q1 = p * se1 + q * (1.0 - sp1)
         q2 = p * se2 + q * (1.0 - sp2)
-        den1 = p * (1.0 - q1) * c + q * q1 * (1.0 - c)
-        den2 = p * (1.0 - q2) * c + q * q2 * (1.0 - c)
+        a1s.append(p * (1.0 - q1))
+        b1s.append(q * q1)
+        n1s.append(p * q * (se1 + sp1 - 1.0))
+        a2s.append(p * (1.0 - q2))
+        b2s.append(q * q2)
+        n2s.append(p * q * (se2 + sp2 - 1.0))
+
+
+def _kappa_pairs(columns, c: float) -> list:
+    """(kappa1, kappa2) at ``c`` of each row of c-free coefficients (see _add_coefficients).
+
+    A row whose denominator is not positive at ``c`` (where kappa_pair
+    raises DegenerateKappaError) gives None.
+    """
+    d = 1.0 - c
+    pairs = []
+    for a1, b1, n1, a2, b2, n2 in zip(*columns):
+        den1 = a1 * c + b1 * d
+        den2 = a2 * c + b2 * d
         if den1 <= 0.0 or den2 <= 0.0:
             pairs.append(None)
         else:
-            pairs.append((p * q * (se1 + sp1 - 1.0) / den1,
-                          p * q * (se2 + sp2 - 1.0) / den2))
+            pairs.append((n1 / den1, n2 / den2))
     return pairs
+
+
+def _coefficient_columns() -> tuple:
+    return tuple(array("d") for _ in range(6))
 
 
 class BootstrapTables:
@@ -375,12 +416,12 @@ class BootstrapTables:
     proportions (distributionally identical to resampling subjects), at
     size round(n): n + 4 on a continuity-corrected table. Tables are drawn
     from ``stream`` only when first asked for, in stream order, and each
-    keeps only its c-free accuracies (se1, sp1, se2, sp2, p), or None when
-    a stratum is empty. The kappa pairs of the latest c are memoised, so
+    keeps only the six c-free coefficients of its kappas (zeros when a
+    stratum is empty). The kappa pairs of the latest c are memoised, so
     the difference and the ratio at one c share a pass.
     """
 
-    __slots__ = ("counts", "size", "probs", "_stream", "_accuracies", "_c", "_pairs")
+    __slots__ = ("counts", "size", "probs", "_stream", "_coefficients", "_c", "_pairs")
 
     def __init__(self, counts: PairedCounts, stream: RandomStream):
         if counts.n <= 0:
@@ -389,26 +430,29 @@ class BootstrapTables:
         self.size = int(round(counts.n))
         self.probs = [cell / counts.n for cell in counts.cells()]
         self._stream = stream
-        self._accuracies: list = []
+        self._coefficients = _coefficient_columns()
         self._c: float | None = None
         self._pairs: list = []
 
     def kappa_pairs(self, c: float, count: int) -> list:
         """Kappa pairs at ``c`` of at least the first ``count`` tables (None: not estimable)."""
-        accuracies = self._accuracies
-        while len(accuracies) < count:
+        columns = self._coefficients
+        drawn = []
+        for _ in range(count - len(columns[0])):
             table = PairedCounts(*sample_multinomial(self.probs, self.size, self._stream))
             try:
                 acc = accuracy_from_counts(table)
             except NonEstimableError:
-                accuracies.append(None)
+                drawn.append(None)
             else:
-                accuracies.append((acc.se1, acc.sp1, acc.se2, acc.sp2, acc.p))
+                drawn.append((acc.se1, acc.sp1, acc.se2, acc.sp2, acc.p))
+        _add_coefficients(columns, drawn)
         if c != self._c:
             self._c, self._pairs = c, []
         pairs = self._pairs
         if len(pairs) < count:
-            pairs.extend(_kappa_pairs(accuracies[len(pairs):count], c))
+            start = len(pairs)
+            pairs.extend(_kappa_pairs([column[start:count] for column in columns], c))
         return pairs
 
 
@@ -492,31 +536,32 @@ class PosteriorDraws:
     """M posterior draws of (Se1, Sp1, Se2, Sp2, p), shared by every c and target.
 
     The five proportions have independent conjugate Beta posteriors. The M
-    tuples are drawn from ``stream`` on first use; the kappa pairs of the
-    latest c are memoised, so the difference and the ratio at one c share
-    a pass.
+    tuples are drawn from ``stream`` on first use (sample_beta_rows) and
+    kept only as the six c-free coefficients of their kappas; the kappa
+    pairs of the latest c are memoised, so the difference and the ratio at
+    one c share a pass.
     """
 
-    __slots__ = ("counts", "priors", "m", "_stream", "_draws", "_c", "_pairs")
+    __slots__ = ("counts", "priors", "m", "_stream", "_coefficients", "_c", "_pairs")
 
     def __init__(self, counts: PairedCounts, priors: Priors, m: int, stream: RandomStream):
         self.counts = counts
         self.priors = priors
         self.m = m
         self._stream = stream
-        self._draws: list | None = None
+        self._coefficients: tuple | None = None
         self._c: float | None = None
         self._pairs: list = []
 
     def kappa_pairs(self, c: float) -> list:
         """Kappa pairs at ``c`` of the M draws (None: a denominator is not positive)."""
-        if self._draws is None:
+        if self._coefficients is None:
             params = _posterior_params(self.counts, self.priors)
-            stream = self._stream
-            self._draws = [tuple(sample_beta(a, b, stream) for a, b in params)
-                           for _ in range(self.m)]
+            draws = iter(sample_beta_rows(params, self.m, self._stream))
+            self._coefficients = _coefficient_columns()
+            _add_coefficients(self._coefficients, zip(draws, draws, draws, draws, draws))
         if c != self._c:
-            self._c, self._pairs = c, _kappa_pairs(self._draws, c)
+            self._c, self._pairs = c, _kappa_pairs(self._coefficients, c)
         return self._pairs
 
 

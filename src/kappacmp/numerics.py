@@ -8,6 +8,11 @@ numerical library.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
+from functools import cache
+from itertools import chain
+from operator import length_hint
 
 from .errors import DomainError
 
@@ -16,6 +21,7 @@ __all__ = [
     "normal_cdf",
     "normal_quantile",
     "sample_beta",
+    "sample_beta_rows",
     "sample_multinomial",
     "empirical_quantile",
     "sorted_quantile",
@@ -186,6 +192,146 @@ def sample_beta(alpha: float, beta: float, stream: RandomStream) -> float:
             x = ga / total
             if 0.0 < x < 1.0:
                 return x
+
+
+_BLOCK = 1024  # counters mixed per block by _BlockUniforms
+
+
+@cache
+def _lanes() -> tuple[int, int, int]:
+    """Packed-lane constants for _BLOCK counters, lane i at bit 128*i.
+
+    ``ones`` has a 1 at the bottom of every lane, ``steps`` holds
+    (i + 1) * _GOLDEN in lane i, ``mask`` is _MASK64 in every lane. Built on
+    first use, not at import.
+    """
+    ones = int.from_bytes(b"\x01".ljust(16, b"\x00") * _BLOCK, "little")
+    steps = int.from_bytes(b"".join(((i + 1) * _GOLDEN).to_bytes(16, "little")
+                                    for i in range(_BLOCK)), "little")
+    return ones, steps, _MASK64 * ones
+
+
+class _BlockUniforms:
+    """The uniforms of a RandomStream, mixed a block of counters at a time.
+
+    Uniform k of a stream is _mix64(state + k * _GOLDEN) >> 11, scaled, so
+    the SplitMix64 steps of _BLOCK consecutive counters run on one Python
+    int that holds each counter in its own 128-bit lane: a 64x64-bit
+    product fits in its lane, and masking after every shift-xor and product
+    drops what crossed in from the lane above. The values are those of
+    ``stream.uniform()``, in order. Each block advances the stream's
+    counter past it; ``rewind`` steps it back over the uniforms not read.
+    """
+
+    __slots__ = ("stream", "_block")
+
+    def __init__(self, stream: RandomStream):
+        self.stream = stream
+        self._block = iter(())
+
+    def blocks(self):
+        """Iterators over successive blocks of uniforms (chain them to read one at a time)."""
+        ones, steps, mask = _lanes()
+        stream = self.stream
+        while True:
+            state = stream._state
+            stream._state = (state + _BLOCK * _GOLDEN) & _MASK64
+            z = (state * ones + steps) & mask
+            z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+            z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
+            z = ((z ^ (z >> 31)) & mask) >> 11
+            words = array("Q", z.to_bytes(16 * _BLOCK, "little"))
+            if sys.byteorder == "big":
+                words.byteswap()
+            self._block = iter([w * _INV_2_53 for w in words[::2]])
+            yield self._block
+
+    def rewind(self) -> None:
+        """Leave the stream's counter just past the last uniform read."""
+        unread = length_hint(self._block)
+        self.stream._state = (self.stream._state - unread * _GOLDEN) & _MASK64
+
+
+def _gamma_constants(shape: float) -> tuple[float, float, float]:
+    """Marsaglia-Tsang (d, c, boost) of RandomStream.gamma(shape).
+
+    A shape below 1 is drawn as Gamma(shape + 1) * U^(1/shape): then d and c
+    belong to shape + 1 and boost is 1/shape; otherwise boost is 0.
+    """
+    boost = 0.0
+    if shape < 1.0:
+        shape, boost = shape + 1.0, 1.0 / shape
+    d = shape - 1.0 / 3.0
+    return d, 1.0 / math.sqrt(9.0 * d), boost
+
+
+def sample_beta_rows(params, m: int, stream: RandomStream) -> array:
+    """``m`` rows of one Beta(alpha, beta) draw per pair of ``params``, flat in row order.
+
+    The values, and the stream's counter and pending normal afterwards,
+    are those of ``[sample_beta(a, b, stream) for _ in range(m) for a, b
+    in params]``: the same polar-normal and Marsaglia-Tsang steps run
+    inline on the same uniforms, read in blocks (_BlockUniforms), with the
+    constants of each shape computed once.
+    """
+    pairs = []
+    for alpha, beta in params:
+        if alpha <= 0.0 or beta <= 0.0:
+            raise DomainError(f"beta parameters must be positive, got ({alpha}, {beta})")
+        pairs.append((_gamma_constants(alpha), _gamma_constants(beta)))
+    log, sqrt = math.log, math.sqrt
+    rows = array("d")
+    source = _BlockUniforms(stream)
+    uniform = chain.from_iterable(source.blocks()).__next__
+    spare = stream._spare_gauss
+    try:
+        for _ in range(m):
+            for pair in pairs:
+                while True:
+                    gammas = []
+                    for d, c, boost in pair:
+                        while True:
+                            if spare is None:  # RandomStream.gauss
+                                while True:
+                                    x = 2.0 * uniform() - 1.0
+                                    y = 2.0 * uniform() - 1.0
+                                    s = x * x + y * y
+                                    if 0.0 < s < 1.0:
+                                        break
+                                f = sqrt(-2.0 * log(s) / s)
+                                spare = y * f
+                                x = x * f
+                            else:
+                                x, spare = spare, None
+                            t = 1.0 + c * x
+                            if t <= 0.0:
+                                continue
+                            v = t * t * t
+                            u = uniform()
+                            while u == 0.0:  # uniform_open
+                                u = uniform()
+                            xx = x * x
+                            if (u < 1.0 - 0.0331 * xx * xx
+                                    or log(u) < 0.5 * xx + d * (1.0 - v + log(v))):
+                                break
+                        g = d * v
+                        if boost:
+                            u = uniform()
+                            while u == 0.0:
+                                u = uniform()
+                            g = g * u ** boost
+                        gammas.append(g)
+                    ga, gb = gammas
+                    total = ga + gb
+                    if total > 0.0:
+                        x = ga / total
+                        if 0.0 < x < 1.0:
+                            rows.append(x)
+                            break
+    finally:
+        source.rewind()
+        stream._spare_gauss = spare
+    return rows
 
 
 _BINOM_CHUNK = 1000

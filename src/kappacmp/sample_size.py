@@ -22,7 +22,7 @@ from .inference import (
     mark_corrected,
     wald_ratio_ci,
 )
-from .kappa_core import AccuracyEstimates, KappaPair, accuracy_from_counts, kappa_pair
+from .kappa_core import TOL_YOUDEN, AccuracyEstimates, KappaPair, accuracy_from_counts, kappa_pair
 
 __all__ = [
     "SMALL_PILOT",
@@ -45,7 +45,6 @@ class SampleSizePlan:
     n_required: int
     achieved: bool
     pilot_n: int
-    iterations: int
     ci: ConfidenceInterval
     warnings: tuple[str, ...] = ()
 
@@ -68,7 +67,7 @@ def required_sample_size(acc: AccuracyEstimates, kp: KappaPair, c: float,
         raise DomainError(f"confidence level must be in (0, 1), got {conf!r}")
     if abs(kp.c - c) > 1e-12:
         raise DomainError(f"kappa pair was computed at c={kp.c}, not at c={c}")
-    if acc.y1 <= 1e-10 or acc.y2 <= 1e-10 or kp.kappa2 <= 0.0:
+    if acc.y1 <= TOL_YOUDEN or acc.y2 <= TOL_YOUDEN or kp.kappa2 <= 0.0:
         raise DomainError("sizing a ratio study needs informative tests "
                           f"(Y1={acc.y1:g}, Y2={acc.y2:g}, kappa2={kp.kappa2:g})")
     cov = kappa_covariance(acc, kp, n=1.0)
@@ -122,5 +121,5 @@ def plan_iteration(counts: PairedCounts, c: float, phi: float, conf: float = 0.9
         n_required = required_sample_size(acc, kp, c, phi, conf)
         achieved = False
     return SampleSizePlan(phi=phi, conf=conf, n_required=n_required,
-                          achieved=achieved, pilot_n=pilot_n, iterations=1,
-                          ci=ci, warnings=tuple(warnings))
+                          achieved=achieved, pilot_n=pilot_n, ci=ci,
+                          warnings=tuple(warnings))

@@ -49,6 +49,7 @@ from kappacmp.numerics import (
     empirical_quantile,
     normal_cdf,
     normal_quantile,
+    sample_beta,
     sample_multinomial,
 )
 from kappacmp.simulation import build_scenario_from_kappas, sample_counts
@@ -262,6 +263,15 @@ class TestLogRatio:
         assert ci.lower == pytest.approx(1.0, abs=1e-6)
         assert ci.upper == pytest.approx(1.0, abs=1e-6)
 
+    def test_exploding_log_variance_raises_log_interval_error(self):
+        # kappa1 just above 0 at c = 0.9: Var[ln theta] is about 2.2e5, so
+        # exp(z * sqrt(Var)) overflows
+        counts = PairedCounts(3, 0, 18, 8, 7, 21, 3, 240)
+        _, kp, cov = inference._analysis(counts, 0.9)
+        assert 0.0 < kp.kappa1 < 1e-2 and cov.var_log_theta > 1e5
+        with pytest.raises(LogIntervalError):
+            log_ratio_ci(counts, 0.9)
+
     def test_negative_kappa_rejected(self):
         # test 1 anti-informative at this table: kappa1 < 0
         counts = PairedCounts(2, 1, 8, 9, 9, 8, 1, 2)
@@ -474,6 +484,29 @@ class TestSharedDraws:
         draws = PosteriorDraws(table8, SHARED_CONFIG.priors, 2000, RandomStream(0, 2))
         with pytest.raises(DomainError):
             bayesian_ci(table8, 0.5, "difference", SHARED_CONFIG, draws)
+
+    @pytest.mark.parametrize("counts, priors", [
+        (PairedCounts(41, 0, 40, 8, 5, 1, 24, 181), Priors()),
+        (SPARSE, Priors()),
+        # no false negatives on test 1: its Se posterior is Beta(8.5, 0.5), a shape below 1
+        (PairedCounts(5, 3, 0, 0, 2, 4, 6, 40),
+         Priors(se1=BetaPrior(0.5, 0.5), p=BetaPrior(0.3, 2.0))),
+    ])
+    def test_posterior_draws_match_scalar_beta_draws(self, counts, priors):
+        m = 1000
+        stream = RandomStream(SHARED_CONFIG.seed, inference.BAYES_STREAM)
+        params = inference._posterior_params(counts, priors)
+        rows = [tuple(sample_beta(a, b, stream) for a, b in params) for _ in range(m)]
+        draws = PosteriorDraws(counts, priors, m,
+                               RandomStream(SHARED_CONFIG.seed, inference.BAYES_STREAM))
+        for c in (0.0, 0.25, 0.5, 0.9, 1.0):
+            expected = []
+            for se1, sp1, se2, sp2, p in rows:
+                kp = kappa_pair(AccuracyEstimates(se1, sp1, se2, sp2, p), c)
+                expected.append((kp.kappa1, kp.kappa2))
+            assert draws.kappa_pairs(c) == expected
+        assert (draws._stream._state, draws._stream._spare_gauss) == (stream._state,
+                                                                      stream._spare_gauss)
 
     def test_bayesian_rejects_weighting_index_outside_unit_interval(self, table8):
         with pytest.raises(DomainError):

@@ -1,19 +1,25 @@
 import math
+import subprocess
+import sys
+from itertools import chain, islice
 
 import numpy as np
 import pytest
 
 from kappacmp.errors import DomainError
 from kappacmp.numerics import (
+    _BLOCK,
     _GOLDEN,
     _INV_2_53,
     _MASK64,
     RandomStream,
+    _BlockUniforms,
     _mix64,
     empirical_quantile,
     normal_cdf,
     normal_quantile,
     sample_beta,
+    sample_beta_rows,
     sample_multinomial,
 )
 
@@ -109,6 +115,52 @@ class TestBeta:
     def test_domain(self, a, b):
         with pytest.raises(DomainError):
             sample_beta(a, b, RandomStream(0))
+        with pytest.raises(DomainError):
+            sample_beta_rows([(1.0, 1.0), (a, b)], 3, RandomStream(0))
+
+
+def _stream_state(stream):
+    return stream._state, stream._spare_gauss
+
+
+class TestBetaRows:
+    """sample_beta_rows against its reference, one sample_beta call per draw."""
+
+    # shapes below 1 (boosted), near 1, posterior-sized and huge
+    PARAMS = [(0.4, 0.7), (1.0, 1.0), (42.0, 40.0), (0.3, 250.5), (1e6, 1e6)]
+
+    @pytest.mark.parametrize("seed, tag", [(0, 0), (3, 102), (2**63 + 11, 7), (-5, 3 * 17 + 2)])
+    def test_rows_and_final_state_match_scalar_draws(self, seed, tag):
+        scalar, batch = RandomStream(seed, tag), RandomStream(seed, tag)
+        m = 700  # several blocks of uniforms
+        expected = [sample_beta(a, b, scalar) for _ in range(m) for a, b in self.PARAMS]
+        assert sample_beta_rows(self.PARAMS, m, batch).tolist() == expected
+        assert _stream_state(batch) == _stream_state(scalar)
+
+    @pytest.mark.parametrize("spare", [-0.61, 2.75])
+    def test_pending_spare_normal_is_used_first(self, spare):
+        scalar, batch = RandomStream(21, 4), RandomStream(21, 4)
+        for stream in (scalar, batch):
+            stream._spare_gauss = spare
+        expected = [sample_beta(a, b, scalar) for _ in range(50) for a, b in self.PARAMS]
+        assert sample_beta_rows(self.PARAMS, 50, batch).tolist() == expected
+        assert _stream_state(batch) == _stream_state(scalar)
+
+    def test_continues_the_stream(self):
+        # scalar draws, rows, then scalar draws again: the stream stays in step
+        scalar, mixed = RandomStream(8, 8), RandomStream(8, 8)
+        expected = [scalar.gauss() for _ in range(3)]
+        expected += [sample_beta(a, b, scalar) for _ in range(40) for a, b in self.PARAMS]
+        expected += [scalar.uniform() for _ in range(5)]
+        got = [mixed.gauss() for _ in range(3)]
+        got += sample_beta_rows(self.PARAMS, 40, mixed).tolist()
+        got += [mixed.uniform() for _ in range(5)]
+        assert got == expected
+
+    def test_no_rows(self):
+        stream = RandomStream(1, 1)
+        assert len(sample_beta_rows(self.PARAMS, 0, stream)) == 0
+        assert _stream_state(stream) == _stream_state(RandomStream(1, 1))
 
 
 class TestMultinomial:
@@ -205,6 +257,22 @@ class TestStreams:
                 assert stream.uniform() == (word >> 11) * _INV_2_53
             else:
                 assert stream.next_u64() == word
+
+    @pytest.mark.parametrize("seed, tag", [(0, 0), (1, 101), (2**63 + 5, 102), (2**64 - 1, 3 * 999 + 2)])
+    @pytest.mark.parametrize("read", [0, 1, 2 * _BLOCK + 37])
+    def test_block_uniforms_match_scalar_uniforms(self, seed, tag, read):
+        scalar, batch = RandomStream(seed, tag), RandomStream(seed, tag)
+        source = _BlockUniforms(batch)
+        got = list(islice(chain.from_iterable(source.blocks()), read))
+        assert got == [scalar.uniform() for _ in range(read)]
+        source.rewind()
+        assert batch._state == scalar._state
+        assert batch.uniform() == scalar.uniform()
+
+    def test_block_constants_are_built_on_first_use(self):
+        code = ("import kappacmp, kappacmp.numerics as n; "
+                "assert n._lanes.cache_info().currsize == 0")
+        subprocess.run([sys.executable, "-c", code], check=True)
 
     def test_distinct_streams_differ(self):
         base = [RandomStream(42, 0).uniform() for _ in range(8)]
