@@ -27,6 +27,7 @@ from kappacmp import (
     coverage_study,
     render_coverage_report,
 )
+from kappacmp.inference import METHODS, check_methods
 
 # (label, k0_1, k1_1, k0_2, k1_2, p, c); dependence fraction is a flag.
 SCENARIOS = [
@@ -42,8 +43,6 @@ SCENARIOS = [
 
 SIZES = (25, 50, 100, 200, 300, 400, 500, 1000)
 SMALL_SIZES = (25, 50, 100)
-DIFF_METHODS = ("wald-diff", "boot-diff", "bayes-diff")
-RATIO_METHODS = ("wald-ratio", "log-ratio", "fieller-ratio", "boot-ratio", "bayes-ratio")
 
 
 def main(argv=None) -> int:
@@ -66,11 +65,11 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="-", help="report file ('-' for stdout)")
     args = parser.parse_args(argv)
 
-    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+    methods = check_methods(m.strip() for m in args.methods.split(",") if m.strip())
     sizes = (tuple(int(s) for s in args.sizes.split(",")) if args.sizes
              else (SMALL_SIZES if args.small_sample else SIZES))
     if args.small_sample:
-        methods = tuple(m for m in methods if m in RATIO_METHODS) or ("wald-ratio",)
+        methods = tuple(m for m in methods if METHODS[m].target == "ratio") or ("wald-ratio",)
     picks = (range(len(SCENARIOS)) if args.scenarios is None
              else [int(i) - 1 for i in args.scenarios.split(",")])
 

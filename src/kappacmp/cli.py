@@ -15,10 +15,11 @@ from .data_model import (
     read_records,
     validate_counts,
 )
-from .errors import KappaCmpError
+from .errors import DomainError, KappaCmpError
 from .inference import (
     BAYES_STREAM,
     BOOTSTRAP_STREAM,
+    METHODS,
     BetaPrior,
     BootstrapTables,
     ConfidenceConfig,
@@ -26,16 +27,18 @@ from .inference import (
     PosteriorDraws,
     Priors,
     TestResult,
-    bayesian_ci,
+    # the interval functions run through METHODS; perfbench/run.py traces them here
+    bayesian_ci,  # noqa: F401
     bloch_test,
-    bootstrap_ci,
-    fieller_ratio_ci,
+    bootstrap_ci,  # noqa: F401
+    check_methods,
+    fieller_ratio_ci,  # noqa: F401
     invert_ratio_ci,
-    log_ratio_ci,
+    log_ratio_ci,  # noqa: F401
     mark_corrected,
     reciprocal_ratio_ci,
-    wald_diff_ci,
-    wald_ratio_ci,
+    wald_diff_ci,  # noqa: F401
+    wald_ratio_ci,  # noqa: F401
 )
 from .kappa_core import (
     AccuracyEstimates,
@@ -49,7 +52,6 @@ from .kappa_core import (
 from .numerics import RandomStream
 from .sample_size import SampleSizePlan, plan_iteration
 from .simulation import (
-    METHOD_TARGETS,
     MethodRecommendation,
     build_scenario_from_kappas,
     coverage_study,
@@ -60,18 +62,6 @@ from .simulation import (
 
 DEFAULT_OUT = "results_kappa.txt"
 DEFAULT_C_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-
-_ANALYZE_METHODS = {
-    "wald-diff": lambda counts, c, config, tables, draws: wald_diff_ci(counts, c, config),
-    "boot-diff": lambda counts, c, config, tables, draws: bootstrap_ci(counts, c, "difference", config, tables),
-    "bayes-diff": lambda counts, c, config, tables, draws: bayesian_ci(counts, c, "difference", config, draws),
-    "wald-ratio": lambda counts, c, config, tables, draws: wald_ratio_ci(counts, c, config),
-    "log-ratio": lambda counts, c, config, tables, draws: log_ratio_ci(counts, c, config),
-    "fieller-ratio": lambda counts, c, config, tables, draws: fieller_ratio_ci(counts, c, config),
-    "boot-ratio": lambda counts, c, config, tables, draws: bootstrap_ci(counts, c, "ratio", config, tables),
-    "bayes-ratio": lambda counts, c, config, tables, draws: bayesian_ci(counts, c, "ratio", config, draws),
-}
-
 
 @dataclass(frozen=True)
 class AnalysisRow:
@@ -114,10 +104,7 @@ def build_analysis_report(counts: PairedCounts, cs=None, methods=None,
                           include_inverse: bool = False) -> AnalysisReport:
     """Full analysis of one observed table; the CLI is a thin shell over this."""
     config = config or ConfidenceConfig()
-    methods = tuple(methods) if methods is not None else tuple(_ANALYZE_METHODS)
-    for method in methods:
-        if method not in _ANALYZE_METHODS:
-            raise KappaCmpError(f"unknown method {method!r}; choose from {sorted(_ANALYZE_METHODS)}")
+    methods = check_methods(METHODS if methods is None else methods)
 
     warnings = []
     validation = validate_counts(counts)
@@ -182,7 +169,7 @@ def build_analysis_report(counts: PairedCounts, cs=None, methods=None,
         errors = {}
         for method in methods:
             try:
-                ci = _ANALYZE_METHODS[method](working, c, config, tables, draws)
+                ci = METHODS[method].call(working, c, config, tables, draws)
                 intervals[method] = mark_corrected(ci) if apply else ci
             except KappaCmpError as exc:
                 errors[method] = str(exc)
@@ -204,9 +191,9 @@ def build_analysis_report(counts: PairedCounts, cs=None, methods=None,
                                 test_error=test_error, intervals=intervals,
                                 interval_errors=errors, inverse=inverse))
     for row in rows:
-        if "fieller-ratio" in row.interval_errors:
-            warnings.append(f"Fieller interval invalid at c={row.c:g}: "
-                            + row.interval_errors["fieller-ratio"])
+        error = row.interval_errors.get("fieller-ratio")
+        if error is not None:
+            warnings.append(f"Fieller interval invalid at c={row.c:g}: {error}")
 
     plan = None
     if precision > 0.0:
@@ -267,11 +254,10 @@ def render_report(report: AnalysisReport) -> str:
         out.append(f"  {row.c:5.4g} {row.kappa1:8.3f} {row.kappa2:8.3f} "
                    f"{row.delta:8.3f} {theta} {z_txt} {p_txt}")
 
-    method_order = [m for m in _ANALYZE_METHODS
-                    if any(m in r.intervals or m in r.interval_errors for r in report.rows)]
-    diff_methods = [m for m in method_order if METHOD_TARGETS[m] == "difference"]
-    ratio_methods = [m for m in method_order if METHOD_TARGETS[m] == "ratio"]
-    for title, group in (("difference", diff_methods), ("ratio", ratio_methods)):
+    shown = [m for m in METHODS
+             if any(m in r.intervals or m in r.interval_errors for r in report.rows)]
+    for title in ("difference", "ratio"):
+        group = [m for m in shown if METHODS[m].target == title]
         if not group:
             continue
         out.append("")
@@ -403,12 +389,10 @@ def _parse_prior(text: str) -> Priors:
 
 
 def _parse_methods(text: str) -> tuple[str, ...]:
-    methods = tuple(m.strip() for m in text.split(",") if m.strip())
-    for m in methods:
-        if m not in METHOD_TARGETS:
-            raise argparse.ArgumentTypeError(
-                f"unknown method {m!r}; choose from {', '.join(sorted(METHOD_TARGETS))}")
-    return methods
+    try:
+        return check_methods(m.strip() for m in text.split(",") if m.strip())
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _counts_from_args(parser: argparse.ArgumentParser, args) -> PairedCounts:
@@ -439,12 +423,20 @@ def _correct_mode(args):
     return False if args.no_correct else (True if args.correct else "auto")
 
 
-def _add_common_options(sub, with_counts=True):
-    if with_counts:
-        sub.add_argument("counts", nargs="*",
-                         help="the eight cell counts s11 s10 s01 s00 r11 r10 r01 r00")
-        sub.add_argument("--records", metavar="PATH",
-                         help="read per-subject records (header d,t1,t2) instead of counts")
+def _add_table_options(sub):
+    sub.add_argument("counts", nargs="*",
+                     help="the eight cell counts s11 s10 s01 s00 r11 r10 r01 r00")
+    sub.add_argument("--records", metavar="PATH",
+                     help="read per-subject records (header d,t1,t2) instead of counts")
+    # neither flag: apply +0.5 when the sample-size rule says so
+    group = sub.add_mutually_exclusive_group()
+    group.add_argument("--correct", action="store_true",
+                       help="always apply the +0.5 continuity correction")
+    group.add_argument("--no-correct", action="store_true",
+                       help="never apply the +0.5 continuity correction")
+
+
+def _add_config_options(sub):
     sub.add_argument("--conf", type=float, default=0.95, help="confidence level (default 0.95)")
     sub.add_argument("--seed", type=int, default=0, help="seed for all resampling (default 0)")
     sub.add_argument("--bootstrap-b", type=int, default=2000,
@@ -453,12 +445,6 @@ def _add_common_options(sub, with_counts=True):
                      help="posterior draws (default 10000)")
     sub.add_argument("--prior", type=_parse_prior, default=Priors(),
                      help="Beta prior 'a,b' for all five parameters, or 10 values")
-    # neither flag: apply +0.5 when the sample-size rule says so
-    group = sub.add_mutually_exclusive_group()
-    group.add_argument("--correct", action="store_true",
-                       help="always apply the +0.5 continuity correction")
-    group.add_argument("--no-correct", action="store_true",
-                       help="never apply the +0.5 continuity correction")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -470,12 +456,13 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     analyze = subs.add_parser("analyze", help="full analysis report for one table")
-    _add_common_options(analyze)
+    _add_table_options(analyze)
+    _add_config_options(analyze)
     analyze.add_argument("--c", type=float, default=None,
                          help="weighting index; omit to tabulate c = 0.1 ... 0.9 plus c'")
     analyze.add_argument("--precision", type=float, default=0.0,
                          help="target half-width for the ratio; > 0 adds a sample-size plan")
-    analyze.add_argument("--methods", type=_parse_methods, default=tuple(_ANALYZE_METHODS),
+    analyze.add_argument("--methods", type=_parse_methods, default=tuple(METHODS),
                          help="comma list of interval methods (default: all)")
     analyze.add_argument("--inverse", action="store_true",
                          help="also report intervals for the inverse ratio kappa2/kappa1")
@@ -502,11 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--methods", type=_parse_methods,
                           default=("wald-diff", "wald-ratio"),
                           help="comma list of methods (default wald-diff,wald-ratio)")
-    simulate.add_argument("--conf", type=float, default=0.95)
-    simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument("--bootstrap-b", type=int, default=2000)
-    simulate.add_argument("--bayes-m", type=int, default=10000)
-    simulate.add_argument("--prior", type=_parse_prior, default=Priors())
+    _add_config_options(simulate)
     simulate.add_argument("--jobs", type=int, default=1,
                           help="worker processes (results identical for any value)")
     simulate.add_argument("--correct", action="store_true",
@@ -514,7 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--out", default="-", help="coverage report file ('-' for stdout)")
 
     plan = subs.add_parser("plan", help="one sample-size planning round")
-    _add_common_options(plan)
+    _add_table_options(plan)
+    _add_config_options(plan)
     plan.add_argument("--c", type=float, required=True, help="weighting index")
     plan.add_argument("--precision", type=float, required=True,
                       help="target half-width for the Wald ratio interval")
@@ -578,8 +562,7 @@ def cmd_curve(parser, args) -> int:
 
 def cmd_simulate(parser, args) -> int:
     rows = read_scenario_batch(args.batch)
-    config = ConfidenceConfig(conf=args.conf, bootstrap_b=args.bootstrap_b,
-                              bayes_m=args.bayes_m, priors=args.prior, seed=args.seed)
+    config = _config_from_args(args)
     results = []
     for row in rows:
         scenario = build_scenario_from_kappas(row.k0_1, row.k1_1, row.k0_2, row.k1_2,

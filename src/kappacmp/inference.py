@@ -14,6 +14,7 @@ import math
 import warnings
 from array import array
 from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -64,6 +65,8 @@ __all__ = [
     "PosteriorDraws",
     "bootstrap_ci",
     "bayesian_ci",
+    "METHODS",
+    "check_methods",
     "invert_ratio_ci",
     "reciprocal_ratio_ci",
 ]
@@ -611,33 +614,60 @@ def bayesian_ci(counts: PairedCounts, c: float, target: str,
                               point=math.fsum(stats) / len(stats))
 
 
+@dataclass(frozen=True, slots=True)
+class Method:
+    """An interval: its target, the shared draw it reads (None, "tables" or
+    "draws") and its ``call(counts, c, config, tables, draws)``."""
+
+    target: str
+    draw: str | None
+    call: Callable[..., ConfidenceInterval]
+
+
+# every interval by tag, in report order; the calls look up this module's
+# interval functions when they run
+METHODS = {
+    "wald-diff": Method("difference", None, lambda counts, c, config, tables, draws: wald_diff_ci(counts, c, config)),
+    "boot-diff": Method("difference", "tables", lambda counts, c, config, tables, draws: bootstrap_ci(counts, c, "difference", config, tables)),
+    "bayes-diff": Method("difference", "draws", lambda counts, c, config, tables, draws: bayesian_ci(counts, c, "difference", config, draws)),
+    "wald-ratio": Method("ratio", None, lambda counts, c, config, tables, draws: wald_ratio_ci(counts, c, config)),
+    "log-ratio": Method("ratio", None, lambda counts, c, config, tables, draws: log_ratio_ci(counts, c, config)),
+    "fieller-ratio": Method("ratio", None, lambda counts, c, config, tables, draws: fieller_ratio_ci(counts, c, config)),
+    "boot-ratio": Method("ratio", "tables", lambda counts, c, config, tables, draws: bootstrap_ci(counts, c, "ratio", config, tables)),
+    "bayes-ratio": Method("ratio", "draws", lambda counts, c, config, tables, draws: bayesian_ci(counts, c, "ratio", config, draws)),
+}
+
+
+def check_methods(methods) -> tuple:
+    """``methods`` as a tuple; DomainError names the first tag not in METHODS."""
+    methods = tuple(methods)
+    for method in methods:
+        if method not in METHODS:
+            raise DomainError(
+                f"unknown method {method!r}; choose from {', '.join(sorted(METHODS))}")
+    return methods
+
+
 def invert_ratio_ci(ci: ConfidenceInterval, theta_hat: float) -> ConfidenceInterval:
     """Interval for the reciprocal ratio theta' = 1/theta.
 
     Wald bounds are divided by theta_hat^2; every other method takes the
-    reciprocal of each bound (which requires the original interval not to
-    straddle zero).
+    reciprocal of each bound (reciprocal_ratio_ci).
     """
+    if ci.method != "wald":
+        return reciprocal_ratio_ci(ci, theta_hat)
     if ci.target != "ratio":
         raise DomainError(f"can only invert a ratio interval, got target {ci.target!r}")
-    if ci.method == "wald":
-        if theta_hat == 0.0:
-            raise InversionUndefinedError("theta_hat is zero; the Wald inversion is undefined")
-        scale = theta_hat * theta_hat
-        lower, upper = ci.lower / scale, ci.upper / scale
-    else:
-        if ci.lower <= 0.0 <= ci.upper:
-            raise InversionUndefinedError(
-                f"interval ({ci.lower:g}, {ci.upper:g}) straddles zero; reciprocal undefined")
-        lower, upper = 1.0 / ci.upper, 1.0 / ci.lower
+    if theta_hat == 0.0:
+        raise InversionUndefinedError("theta_hat is zero; the Wald inversion is undefined")
+    scale = theta_hat * theta_hat
     return ConfidenceInterval(target="inverse-ratio", method=ci.method,
-                              lower=lower, upper=upper,
-                              point=1.0 / theta_hat if theta_hat != 0.0 else math.inf,
-                              corrected=ci.corrected)
+                              lower=ci.lower / scale, upper=ci.upper / scale,
+                              point=1.0 / theta_hat, corrected=ci.corrected)
 
 
 def reciprocal_ratio_ci(ci: ConfidenceInterval, theta_hat: float) -> ConfidenceInterval:
-    """Plain reciprocal of both bounds, for any method (labeled alternative)."""
+    """Plain reciprocal of both bounds, for any method; they must not straddle zero."""
     if ci.target != "ratio":
         raise DomainError(f"can only invert a ratio interval, got target {ci.target!r}")
     if ci.lower <= 0.0 <= ci.upper:

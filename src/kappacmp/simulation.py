@@ -34,15 +34,18 @@ from .errors import (
     UnsupportedNominalError,
 )
 from .inference import (
+    METHODS,
     BootstrapTables,
     ConfidenceConfig,
     PosteriorDraws,
-    bayesian_ci,
-    bootstrap_ci,
-    fieller_ratio_ci,
-    log_ratio_ci,
-    wald_diff_ci,
-    wald_ratio_ci,
+    # the interval functions run through METHODS; perfbench/run.py traces them here
+    bayesian_ci,  # noqa: F401
+    bootstrap_ci,  # noqa: F401
+    check_methods,
+    fieller_ratio_ci,  # noqa: F401
+    log_ratio_ci,  # noqa: F401
+    wald_diff_ci,  # noqa: F401
+    wald_ratio_ci,  # noqa: F401
 )
 from .kappa_core import (
     TOL_YOUDEN,
@@ -56,7 +59,6 @@ __all__ = [
     "Scenario",
     "CoverageResult",
     "MethodRecommendation",
-    "METHOD_TARGETS",
     "dependence_bounds",
     "scenario_probabilities",
     "build_scenario_from_kappas",
@@ -69,18 +71,6 @@ __all__ = [
 ]
 
 _CELL_TOL = 1e-12
-
-# method tag -> which true parameter its interval targets
-METHOD_TARGETS = {
-    "wald-diff": "difference",
-    "boot-diff": "difference",
-    "bayes-diff": "difference",
-    "wald-ratio": "ratio",
-    "log-ratio": "ratio",
-    "fieller-ratio": "ratio",
-    "boot-ratio": "ratio",
-    "bayes-ratio": "ratio",
-}
 
 # Errors that mean "this interval cannot be computed on this sample"; they are
 # scored as non-coverage and counted, never raised out of a coverage study.
@@ -204,17 +194,6 @@ def sample_counts(scenario: Scenario, n: int, stream: RandomStream) -> PairedCou
     return PairedCounts(*sample_multinomial(scenario.pi, n, stream))
 
 
-_METHOD_FUNCS = {
-    "wald-diff": lambda counts, c, config, tables, draws: wald_diff_ci(counts, c, config),
-    "wald-ratio": lambda counts, c, config, tables, draws: wald_ratio_ci(counts, c, config),
-    "log-ratio": lambda counts, c, config, tables, draws: log_ratio_ci(counts, c, config),
-    "fieller-ratio": lambda counts, c, config, tables, draws: fieller_ratio_ci(counts, c, config),
-    "boot-diff": lambda counts, c, config, tables, draws: bootstrap_ci(counts, c, "difference", config, tables),
-    "boot-ratio": lambda counts, c, config, tables, draws: bootstrap_ci(counts, c, "ratio", config, tables),
-    "bayes-diff": lambda counts, c, config, tables, draws: bayesian_ci(counts, c, "difference", config, draws),
-    "bayes-ratio": lambda counts, c, config, tables, draws: bayesian_ci(counts, c, "ratio", config, draws),
-}
-
 # substream roles per replicate index i: 3i sample, 3i+1 bootstrap, 3i+2 posterior
 _STREAMS_PER_REPLICATE = 3
 _MAX_SAMPLE_ATTEMPTS = 10_000
@@ -231,7 +210,7 @@ def _estimable(counts: PairedCounts) -> bool:
     return abs(acc.y1) > TOL_YOUDEN and abs(acc.y2) > TOL_YOUDEN
 
 
-def _run_replicate(scenario: Scenario, n: int, methods: tuple[str, ...],
+def _run_replicate(scenario: Scenario, n: int, entries: tuple, shared: set,
                    config: ConfidenceConfig, index: int, correct: bool):
     """All per-replicate work; depends only on (scenario, n, config, index)."""
     base = _STREAMS_PER_REPLICATE * index
@@ -251,17 +230,16 @@ def _run_replicate(scenario: Scenario, n: int, methods: tuple[str, ...],
     # one bootstrap set and one posterior per replicate, shared by the
     # difference and the ratio; built only when a method needs them
     tables = draws = None
-    if "boot-diff" in methods or "boot-ratio" in methods:
+    if "tables" in shared:
         tables = BootstrapTables(counts, RandomStream(config.seed, base + 1))
-    if "bayes-diff" in methods or "bayes-ratio" in methods:
+    if "draws" in shared:
         draws = PosteriorDraws(counts, config.priors, config.bayes_m,
                                RandomStream(config.seed, base + 2))
     outcomes = {}
-    for method in methods:
-        target = METHOD_TARGETS[method]
-        true_value = scenario.delta if target == "difference" else scenario.theta
+    for method, entry in entries:
+        true_value = scenario.delta if entry.target == "difference" else scenario.theta
         try:
-            ci = _METHOD_FUNCS[method](counts, scenario.c, config, tables, draws)
+            ci = entry.call(counts, scenario.c, config, tables, draws)
         except _INTERVAL_ERRORS:
             outcomes[method] = (False, None)
         else:
@@ -271,7 +249,10 @@ def _run_replicate(scenario: Scenario, n: int, methods: tuple[str, ...],
 
 def _run_range(args):
     scenario, n, methods, config, lo, hi, correct = args
-    return [_run_replicate(scenario, n, methods, config, i, correct)
+    # resolved once per range: (tag, registry entry) pairs and the shared draws they read
+    entries = tuple((method, METHODS[method]) for method in methods)
+    shared = {entry.draw for _, entry in entries}
+    return [_run_replicate(scenario, n, entries, shared, config, i, correct)
             for i in range(lo, hi)]
 
 
@@ -289,11 +270,8 @@ def coverage_study(scenario: Scenario, n: int, n_replicates: int, methods,
     config = config or ConfidenceConfig()
     if n_replicates < 100:
         raise DomainError(f"need at least 100 replicates, got {n_replicates}")
-    methods = tuple(methods)
-    for method in methods:
-        if method not in METHOD_TARGETS:
-            raise DomainError(f"unknown method {method!r}; choose from {sorted(METHOD_TARGETS)}")
-    if any(METHOD_TARGETS[m] == "ratio" for m in methods):
+    methods = check_methods(methods)
+    if any(METHODS[m].target == "ratio" for m in methods):
         _ = scenario.theta  # raises when the true ratio is undefined
 
     if jobs <= 1:
@@ -326,7 +304,7 @@ def coverage_study(scenario: Scenario, n: int, n_replicates: int, methods,
         al = math.fsum(lengths) / len(lengths) if lengths else math.nan
         cp_valid = covered / len(lengths) if lengths else math.nan
         results.append(CoverageResult(
-            method=method, target=METHOD_TARGETS[method], n=n,
+            method=method, target=METHODS[method].target, n=n,
             n_replicates=n_replicates, cp=cp, al=al, failures=total_redraws,
             invalid=invalid, cp_valid=cp_valid,
             failed=evaluate_failure(cp, config.conf) if nominal_95 else None,

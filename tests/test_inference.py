@@ -559,6 +559,18 @@ class TestInversion:
         with pytest.raises(DomainError):
             invert_ratio_ci(ci, 1.0)
 
+    @pytest.mark.parametrize("method", ["logarithmic", "fieller", "bootstrap-bc",
+                                        "bayesian-quantile"])
+    def test_non_wald_inversion_is_the_plain_reciprocal(self, method):
+        ci = ConfidenceInterval(target="ratio", method=method, lower=0.3, upper=0.7,
+                                point=0.5, corrected=True)
+        assert invert_ratio_ci(ci, 0.5) == reciprocal_ratio_ci(ci, 0.5)
+        assert invert_ratio_ci(ci, 0.0) == reciprocal_ratio_ci(ci, 0.0)
+        straddling = ConfidenceInterval(target="ratio", method=method, lower=-0.1,
+                                        upper=0.7, point=0.5)
+        with pytest.raises(InversionUndefinedError):
+            invert_ratio_ci(straddling, 0.5)
+
 
 class TestConfig:
     def test_z_matches_quantile(self):
