@@ -261,11 +261,28 @@ def kappa_covariance(acc: AccuracyEstimates, kp: KappaPair, n: float) -> KappaCo
                            var_theta=var_theta, var_log_theta=var_log_theta)
 
 
+# (counts, c, (acc, kp, cov)) of the latest _analysis; replaced as one tuple
+_last_analysis: tuple = (None, None, None)
+
+
 def _analysis(counts: PairedCounts, c: float):
+    """Accuracy, kappas and covariance of ``counts`` at ``c``.
+
+    The latest result is memoised, keyed on the identity of ``counts`` and
+    on ``c``, so the intervals and the test of one table at one c share one
+    covariance. The memo holds ``counts``, so its id cannot be reused while
+    it is memoised; a failed analysis is not stored, so it raises again.
+    """
+    global _last_analysis
+    last_counts, last_c, result = _last_analysis
+    if counts is last_counts and c == last_c:
+        return result
     acc = accuracy_from_counts(counts)
     kp = kappa_pair(acc, c)
     cov = kappa_covariance(acc, kp, counts.n)
-    return acc, kp, cov
+    result = acc, kp, cov
+    _last_analysis = (counts, c, result)
+    return result
 
 
 def bloch_test(counts: PairedCounts, c: float,
@@ -424,7 +441,7 @@ class BootstrapTables:
     the difference and the ratio at one c share a pass.
     """
 
-    __slots__ = ("counts", "size", "probs", "_stream", "_coefficients", "_c", "_pairs")
+    __slots__ = ("counts", "size", "probs", "_stream", "_cdfs", "_coefficients", "_c", "_pairs")
 
     def __init__(self, counts: PairedCounts, stream: RandomStream):
         if counts.n <= 0:
@@ -433,6 +450,7 @@ class BootstrapTables:
         self.size = int(round(counts.n))
         self.probs = [cell / counts.n for cell in counts.cells()]
         self._stream = stream
+        self._cdfs: dict = {}  # binomial CDFs shared by every resample (sample_multinomial)
         self._coefficients = _coefficient_columns()
         self._c: float | None = None
         self._pairs: list = []
@@ -442,13 +460,17 @@ class BootstrapTables:
         columns = self._coefficients
         drawn = []
         for _ in range(count - len(columns[0])):
-            table = PairedCounts(*sample_multinomial(self.probs, self.size, self._stream))
-            try:
-                acc = accuracy_from_counts(table)
-            except NonEstimableError:
+            s11, s10, s01, s00, r11, r10, r01, r00 = sample_multinomial(
+                self.probs, self.size, self._stream, self._cdfs)
+            # accuracy_from_counts on the integer cells: sums below 2**53 are
+            # exact, so the quotients are those of the float cells
+            s = s11 + s10 + s01 + s00
+            r = r11 + r10 + r01 + r00
+            if s <= 0 or r <= 0:
                 drawn.append(None)
             else:
-                drawn.append((acc.se1, acc.sp1, acc.se2, acc.sp2, acc.p))
+                drawn.append(((s11 + s10) / s, (r01 + r00) / r, (s11 + s01) / s,
+                              (r10 + r00) / r, s / (s + r)))
         _add_coefficients(columns, drawn)
         if c != self._c:
             self._c, self._pairs = c, []

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
+from bisect import bisect_right
 from functools import cache
 from itertools import chain
 from operator import length_hint
@@ -337,22 +338,33 @@ def sample_beta_rows(params, m: int, stream: RandomStream) -> array:
 _BINOM_CHUNK = 1000
 
 
-def _binomial_chunk(n: int, p: float, stream: RandomStream) -> int:
-    # CDF inversion; requires p <= 0.5 and n <= _BINOM_CHUNK so that the
-    # starting mass (1-p)^n stays a normal double.
+def _binomial_chunk(n: int, p: float, stream: RandomStream, cdfs: dict) -> int:
+    # CDF inversion on the stored CDF of (n, p) in ``cdfs``; requires
+    # p <= 0.5 and n <= _BINOM_CHUNK so that the starting mass (1-p)^n stays
+    # a normal double. The CDF is extended, with the float steps of a walk
+    # up from k = 0, only as far as a uniform needs, so the draw is the
+    # smallest k with u < CDF(k), or n when there is none: the walk's k.
     u = stream.uniform()
-    ratio = p / (1.0 - p)
-    pmf = (1.0 - p) ** n
-    cdf = pmf
-    k = 0
-    while u >= cdf and k < n:
-        pmf *= ratio * (n - k) / (k + 1)
-        k += 1
-        cdf += pmf
-    return k
+    table = cdfs.get((n, p))
+    if table is None:
+        pmf = (1.0 - p) ** n
+        table = cdfs[n, p] = [[pmf], pmf]  # CDF(0..k), pmf(k)
+    cdf = table[0]
+    if u >= cdf[-1]:
+        k = len(cdf) - 1
+        ratio = p / (1.0 - p)
+        pmf, total = table[1], cdf[-1]
+        while u >= total and k < n:
+            pmf *= ratio * (n - k) / (k + 1)
+            k += 1
+            total += pmf
+            cdf.append(total)
+        table[1] = pmf
+        return k
+    return bisect_right(cdf, u)
 
 
-def _binomial(n: int, p: float, stream: RandomStream) -> int:
+def _binomial(n: int, p: float, stream: RandomStream, cdfs: dict) -> int:
     if n <= 0:
         return 0
     if p <= 0.0:
@@ -360,16 +372,22 @@ def _binomial(n: int, p: float, stream: RandomStream) -> int:
     if p >= 1.0:
         return n
     if p > 0.5:
-        return n - _binomial(n, 1.0 - p, stream)
+        return n - _binomial(n, 1.0 - p, stream, cdfs)
     total = 0
     while n > _BINOM_CHUNK:
-        total += _binomial_chunk(_BINOM_CHUNK, p, stream)
+        total += _binomial_chunk(_BINOM_CHUNK, p, stream, cdfs)
         n -= _BINOM_CHUNK
-    return total + _binomial_chunk(n, p, stream)
+    return total + _binomial_chunk(n, p, stream, cdfs)
 
 
-def sample_multinomial(pi, n: int, stream: RandomStream) -> list[int]:
-    """One multinomial draw of size ``n`` via sequential conditional binomials."""
+def sample_multinomial(pi, n: int, stream: RandomStream, cdfs: dict | None = None) -> list[int]:
+    """One multinomial draw of size ``n`` via sequential conditional binomials.
+
+    ``cdfs`` holds the binomial CDFs built so far, keyed by (size, p); a
+    caller that draws many times from one ``pi`` passes the same dict to
+    every call to reuse them. The counts and the stream's state afterwards
+    do not depend on it.
+    """
     probs = [float(x) for x in pi]
     if not probs:
         raise DomainError("multinomial needs at least one category")
@@ -379,6 +397,8 @@ def sample_multinomial(pi, n: int, stream: RandomStream) -> list[int]:
         raise DomainError(f"multinomial probabilities must sum to 1, got {sum(probs)!r}")
     if n < 0 or n != int(n):
         raise DomainError(f"multinomial size must be a non-negative integer, got {n!r}")
+    if cdfs is None:
+        cdfs = {}
     counts: list[int] = []
     remaining = int(n)
     mass = 1.0
@@ -387,7 +407,7 @@ def sample_multinomial(pi, n: int, stream: RandomStream) -> list[int]:
             counts.append(0)
         else:
             cond = min(max(pj / mass, 0.0), 1.0)
-            k = _binomial(remaining, cond, stream)
+            k = _binomial(remaining, cond, stream, cdfs)
             counts.append(k)
             remaining -= k
         mass -= pj

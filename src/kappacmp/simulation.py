@@ -187,11 +187,16 @@ def build_scenario_from_kappas(k0_1: float, k1_1: float, k0_2: float, k1_2: floa
                                   f * eps1_max, f * eps0_max, c=c)
 
 
-def sample_counts(scenario: Scenario, n: int, stream: RandomStream) -> PairedCounts:
-    """One multinomial sample of size ``n`` from the scenario."""
+def sample_counts(scenario: Scenario, n: int, stream: RandomStream,
+                  cdfs: dict | None = None) -> PairedCounts:
+    """One multinomial sample of size ``n`` from the scenario.
+
+    ``cdfs`` is passed on to sample_multinomial: one dict shared by the
+    samples of a scenario reuses their binomial CDFs.
+    """
     if n < 1:
         raise DomainError(f"sample size must be at least 1, got {n!r}")
-    return PairedCounts(*sample_multinomial(scenario.pi, n, stream))
+    return PairedCounts(*sample_multinomial(scenario.pi, n, stream, cdfs))
 
 
 # substream roles per replicate index i: 3i sample, 3i+1 bootstrap, 3i+2 posterior
@@ -211,13 +216,16 @@ def _estimable(counts: PairedCounts) -> bool:
 
 
 def _run_replicate(scenario: Scenario, n: int, entries: tuple, shared: set,
-                   config: ConfidenceConfig, index: int, correct: bool):
-    """All per-replicate work; depends only on (scenario, n, config, index)."""
+                   config: ConfidenceConfig, index: int, correct: bool, cdfs: dict):
+    """All per-replicate work; depends only on (scenario, n, config, index).
+
+    ``cdfs`` caches the binomial CDFs of the scenario's samples (sample_counts).
+    """
     base = _STREAMS_PER_REPLICATE * index
     sample_stream = RandomStream(config.seed, base)
     redraws = 0
     while True:
-        counts = sample_counts(scenario, n, sample_stream)
+        counts = sample_counts(scenario, n, sample_stream, cdfs)
         if correct:
             counts = apply_continuity_correction(counts)
         if _estimable(counts):
@@ -252,7 +260,8 @@ def _run_range(args):
     # resolved once per range: (tag, registry entry) pairs and the shared draws they read
     entries = tuple((method, METHODS[method]) for method in methods)
     shared = {entry.draw for _, entry in entries}
-    return [_run_replicate(scenario, n, entries, shared, config, i, correct)
+    cdfs: dict = {}  # binomial CDFs of the scenario, shared by the range's samples
+    return [_run_replicate(scenario, n, entries, shared, config, i, correct, cdfs)
             for i in range(lo, hi)]
 
 
@@ -280,7 +289,7 @@ def coverage_study(scenario: Scenario, n: int, n_replicates: int, methods,
         chunk = max(1, math.ceil(n_replicates / jobs))
         ranges = [(scenario, n, methods, config, lo, min(lo + chunk, n_replicates), correct)
                   for lo in range(0, n_replicates, chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
             per_replicate = []
             for part in pool.map(_run_range, ranges):
                 per_replicate.extend(part)

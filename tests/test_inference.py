@@ -52,7 +52,7 @@ from kappacmp.numerics import (
     sample_beta,
     sample_multinomial,
 )
-from kappacmp.simulation import build_scenario_from_kappas, sample_counts
+from kappacmp.simulation import build_scenario_from_kappas, coverage_study, sample_counts
 
 Z975 = 1.959963984540054
 
@@ -471,6 +471,27 @@ class TestSharedDraws:
             expected.append((kp.kappa1, kp.kappa2))
         assert tables.kappa_pairs(0.3, 50)[:50] == expected
 
+    @pytest.mark.parametrize("counts", [PairedCounts(41, 0, 40, 8, 5, 1, 24, 181), SPARSE,
+                                        PairedCounts(1, 0, 0, 0, 0, 0, 2, 1)])
+    def test_coefficients_match_those_of_accuracy_estimates(self, counts):
+        # the old route: a PairedCounts and an AccuracyEstimates per resample
+        tables = BootstrapTables(counts, RandomStream(4, 1))
+        stream = RandomStream(4, 1)
+        probs = [cell / counts.n for cell in counts.cells()]
+        drawn = []
+        for _ in range(500):
+            table = PairedCounts(*sample_multinomial(probs, int(round(counts.n)), stream))
+            if table.s <= 0 or table.r <= 0:
+                drawn.append(None)
+            else:
+                acc = accuracy_from_counts(table)
+                drawn.append((acc.se1, acc.sp1, acc.se2, acc.sp2, acc.p))
+        expected = inference._coefficient_columns()
+        inference._add_coefficients(expected, drawn)
+        tables.kappa_pairs(0.5, 500)
+        assert tables._coefficients == expected
+        assert tables._stream._state == stream._state
+
     def test_empty_table_cannot_be_resampled(self):
         with pytest.raises(NonEstimableError):
             BootstrapTables(PairedCounts(0, 0, 0, 0, 0, 0, 0, 0), RandomStream(0, 1))
@@ -511,6 +532,54 @@ class TestSharedDraws:
     def test_bayesian_rejects_weighting_index_outside_unit_interval(self, table8):
         with pytest.raises(DomainError):
             bayesian_ci(table8, 1.5, "difference", SHARED_CONFIG)
+
+
+YOUDEN_ZERO = PairedCounts(3, 2, 4, 1, 2, 3, 1, 4)  # Se1 = Sp1 = 0.5
+CLOSED_FORM = (wald_diff_ci, wald_ratio_ci, log_ratio_ci, fieller_ratio_ci, bloch_test)
+
+
+class TestSharedAnalysis:
+    @pytest.fixture
+    def covariance_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return kappa_covariance(*args)
+
+        monkeypatch.setattr(inference, "kappa_covariance", counted)
+        return calls
+
+    def test_closed_form_coverage_computes_one_covariance_per_replicate(self, covariance_calls):
+        sc = build_scenario_from_kappas(0.3, 0.6, 0.8, 0.8, 0.25, 0.5, 0.5)
+        coverage_study(sc, 200, 100, ["wald-diff", "wald-ratio", "log-ratio", "fieller-ratio"],
+                       ConfidenceConfig(seed=2))
+        assert len(covariance_calls) == 100
+
+    def test_one_table_at_one_c_shares_the_analysis(self, table8, covariance_calls):
+        results = [f(table8, 0.5) for f in CLOSED_FORM]
+        bootstrap_ci(table8, 0.5, "ratio", SHARED_CONFIG)
+        assert len(covariance_calls) == 1
+        assert results == [f(table8, 0.5) for f in CLOSED_FORM]
+        assert len(covariance_calls) == 1
+
+    def test_equal_but_distinct_table_or_another_c_recomputes(self, table8, covariance_calls):
+        wald_diff_ci(table8, 0.5)
+        equal = PairedCounts(*table8.cells())
+        assert equal == table8 and equal is not table8
+        assert wald_diff_ci(equal, 0.5) == wald_diff_ci(table8, 0.5)
+        assert len(covariance_calls) == 3
+        wald_diff_ci(table8, 0.6)
+        wald_diff_ci(table8, 0.5)
+        assert [args[1].c for args in covariance_calls] == [0.5, 0.5, 0.5, 0.6, 0.5]
+
+    def test_failed_analysis_raises_from_every_closed_form_method(self, table8, covariance_calls):
+        wald_diff_ci(table8, 0.5)
+        for _ in range(2):
+            for f in CLOSED_FORM:
+                with pytest.raises(DegenerateKappaError):
+                    f(YOUDEN_ZERO, 0.5)
+        assert len(covariance_calls) == 1 + 2 * len(CLOSED_FORM)
 
 
 class TestInversion:

@@ -8,11 +8,13 @@ import pytest
 
 from kappacmp.errors import DomainError
 from kappacmp.numerics import (
+    _BINOM_CHUNK,
     _BLOCK,
     _GOLDEN,
     _INV_2_53,
     _MASK64,
     RandomStream,
+    _binomial_chunk,
     _BlockUniforms,
     _mix64,
     empirical_quantile,
@@ -206,6 +208,109 @@ class TestMultinomial:
             sample_multinomial([0.5, 0.5], -1, stream)
         with pytest.raises(DomainError):
             sample_multinomial([1.2, -0.2], 5, stream)
+
+
+# -- reference sampler: the walk up the binomial CDF from k = 0 on every draw --
+
+def walk_binomial_chunk(n, p, stream):
+    u = stream.uniform()
+    ratio = p / (1.0 - p)
+    pmf = (1.0 - p) ** n
+    cdf = pmf
+    k = 0
+    while u >= cdf and k < n:
+        pmf *= ratio * (n - k) / (k + 1)
+        k += 1
+        cdf += pmf
+    return k
+
+
+def walk_binomial(n, p, stream):
+    if n <= 0:
+        return 0
+    if p <= 0.0:
+        return 0
+    if p >= 1.0:
+        return n
+    if p > 0.5:
+        return n - walk_binomial(n, 1.0 - p, stream)
+    total = 0
+    while n > _BINOM_CHUNK:
+        total += walk_binomial_chunk(_BINOM_CHUNK, p, stream)
+        n -= _BINOM_CHUNK
+    return total + walk_binomial_chunk(n, p, stream)
+
+
+def walk_multinomial(pi, n, stream):
+    probs = [float(x) for x in pi]
+    counts = []
+    remaining = int(n)
+    mass = 1.0
+    for pj in probs[:-1]:
+        if remaining == 0 or mass <= 0.0:
+            counts.append(0)
+        else:
+            cond = min(max(pj / mass, 0.0), 1.0)
+            k = walk_binomial(remaining, cond, stream)
+            counts.append(k)
+            remaining -= k
+        mass -= pj
+    counts.append(remaining)
+    return counts
+
+
+class _TopUniform:
+    """A stream whose every uniform is the largest below 1."""
+
+    def uniform(self):
+        return 1.0 - 2.0 ** -53
+
+
+class TestMultinomialMatchesWalk:
+    SIZES = (0, 1, 17, 300, 1000, 1001, 2500)
+    PIS = (
+        [0.121, 0.009, 0.17, 0.2, 0.05, 0.15, 0.15, 0.15],
+        # zero cells, and conditional probabilities above 0.5 (the reflection)
+        [0.0, 0.62, 0.0, 0.03, 0.2, 0.0, 0.15, 0.0],
+        [0.97, 0.01, 0.005, 0.005, 0.004, 0.003, 0.002, 0.001],
+        [0.25, 0.25, 0.25, 0.25],
+    )
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_counts_and_stream_state(self, shared):
+        for pi in self.PIS:
+            cdfs = {} if shared else None
+            stream, reference = RandomStream(9, 4), RandomStream(9, 4)
+            for n in self.SIZES:
+                for _ in range(40):
+                    assert sample_multinomial(pi, n, stream, cdfs) == walk_multinomial(pi, n, reference)
+            assert stream._state == reference._state
+            assert not shared or cdfs
+
+    def test_shared_cdfs_serve_another_probability_vector(self):
+        # the key is (size, conditional p), so vectors may share one dict
+        cdfs = {}
+        stream, reference = RandomStream(3, 3), RandomStream(3, 3)
+        for _ in range(200):
+            for pi in self.PIS:
+                assert sample_multinomial(pi, 300, stream, cdfs) == walk_multinomial(pi, 300, reference)
+        assert stream._state == reference._state
+
+    @pytest.mark.parametrize("n, p", [(1, 0.3), (17, 0.3), (300, 0.5), (1000, 0.01)])
+    def test_uniform_beyond_the_final_cdf_value_gives_n(self, n, p):
+        assert walk_binomial_chunk(n, p, _TopUniform()) == n
+        cdfs = {}
+        assert _binomial_chunk(n, p, _TopUniform(), cdfs) == n  # extends the CDF to k = n
+        assert len(cdfs[n, p][0]) == n + 1
+        assert _binomial_chunk(n, p, _TopUniform(), cdfs) == n  # the complete CDF
+
+    def test_top_uniform_multinomial_matches_walk(self):
+        for pi in self.PIS:
+            for n in self.SIZES:
+                cdfs = {}
+                for _ in range(2):
+                    assert (sample_multinomial(pi, n, _TopUniform(), cdfs)
+                            == walk_multinomial(pi, n, _TopUniform()))
 
 
 class TestEmpiricalQuantile:

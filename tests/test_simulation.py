@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import kappacmp.simulation as simulation
 from conftest import random_accuracies
 from kappacmp.errors import (
     DomainError,
@@ -194,6 +195,30 @@ class TestCoverageStudy:
         serial = coverage_study(sc, 60, 120, ["wald-diff", "wald-ratio"], config, jobs=1)
         parallel = coverage_study(sc, 60, 120, ["wald-diff", "wald-ratio"], config, jobs=3)
         assert serial == parallel
+
+    def test_pool_has_no_more_workers_than_ranges(self, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", InProcessPool)
+        sc = build_scenario_from_kappas(0.3, 0.6, 0.8, 0.8, 0.25, 0.5, 0.5)
+        config = ConfidenceConfig(seed=6)
+        serial = coverage_study(sc, 60, 100, ["wald-diff"], config, jobs=1)
+        assert coverage_study(sc, 60, 100, ["wald-diff"], config, jobs=64) == serial
+        assert coverage_study(sc, 60, 100, ["wald-diff"], config, jobs=3) == serial
+        assert sizes == [50, 3]  # 50 ranges of 2 replicates; 34 + 34 + 32
 
     def test_bootstrap_and_bayes_methods_run(self):
         sc = build_scenario_from_kappas(0.3, 0.6, 0.8, 0.8, 0.25, 0.5, 0.5)
