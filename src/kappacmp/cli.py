@@ -35,7 +35,6 @@ from .inference import (
     fieller_ratio_ci,  # noqa: F401
     invert_ratio_ci,
     log_ratio_ci,  # noqa: F401
-    mark_corrected,
     reciprocal_ratio_ci,
     wald_diff_ci,  # noqa: F401
     wald_ratio_ci,  # noqa: F401
@@ -169,8 +168,7 @@ def build_analysis_report(counts: PairedCounts, cs=None, methods=None,
         errors = {}
         for method in methods:
             try:
-                ci = METHODS[method].call(working, c, config, tables, draws)
-                intervals[method] = mark_corrected(ci) if apply else ci
+                intervals[method] = METHODS[method].call(working, c, config, tables, draws)
             except KappaCmpError as exc:
                 errors[method] = str(exc)
         inverse = {}
@@ -584,7 +582,7 @@ def cmd_plan(parser, args) -> int:
     out = []
     out.append(f"pilot n = {plan.pilot_n}; Wald ratio interval "
                f"({plan.ci.lower:.3f}, {plan.ci.upper:.3f}), half-width {plan.ci.half_width:.4f}"
-               f"{' [corrected]' if plan.ci.corrected else ''}")
+               f"{' [corrected]' if plan.corrected else ''}")
     if plan.achieved:
         out.append(f"precision {plan.phi:g} reached; no additional subjects needed")
     else:

@@ -15,7 +15,7 @@ import warnings
 from array import array
 from bisect import bisect_left
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 from .data_model import PairedCounts
@@ -137,7 +137,6 @@ class ConfidenceInterval:
     lower: float
     upper: float
     point: float
-    corrected: bool = False
 
     def __post_init__(self):
         if self.lower > self.upper:
@@ -407,22 +406,28 @@ def _add_coefficients(columns, accuracies) -> None:
         n2s.append(p * q * (se2 + sp2 - 1.0))
 
 
-def _kappa_pairs(columns, c: float) -> list:
-    """(kappa1, kappa2) at ``c`` of each row of c-free coefficients (see _add_coefficients).
+def _target_stats(columns, c: float, ratio: bool, start: int = 0,
+                  stop: int | None = None) -> list:
+    """kappa1 - kappa2 (or, with ``ratio``, kappa1 / kappa2) at ``c`` of rows start:stop.
 
-    A row whose denominator is not positive at ``c`` (where kappa_pair
-    raises DegenerateKappaError) gives None.
+    ``columns`` are c-free coefficients (see _add_coefficients). A row whose
+    denominator is not positive at ``c`` (where kappa_pair raises
+    DegenerateKappaError) is skipped, and so, for the ratio, is a row with
+    kappa2 = 0. The kappas are divided as kappa_pair divides them, so the
+    statistics are bit-identical to those of kappa_pair.
     """
     d = 1.0 - c
-    pairs = []
-    for a1, b1, n1, a2, b2, n2 in zip(*columns):
+    stats = []
+    for a1, b1, n1, a2, b2, n2 in zip(*(column[start:stop] for column in columns)):
         den1 = a1 * c + b1 * d
         den2 = a2 * c + b2 * d
         if den1 <= 0.0 or den2 <= 0.0:
-            pairs.append(None)
-        else:
-            pairs.append((n1 / den1, n2 / den2))
-    return pairs
+            continue
+        if not ratio:
+            stats.append(n1 / den1 - n2 / den2)
+        elif (k2 := n2 / den2) != 0.0:
+            stats.append(n1 / den1 / k2)
+    return stats
 
 
 def _coefficient_columns() -> tuple:
@@ -437,11 +442,10 @@ class BootstrapTables:
     size round(n): n + 4 on a continuity-corrected table. Tables are drawn
     from ``stream`` only when first asked for, in stream order, and each
     keeps only the six c-free coefficients of its kappas (zeros when a
-    stratum is empty). The kappa pairs of the latest c are memoised, so
-    the difference and the ratio at one c share a pass.
+    stratum is empty).
     """
 
-    __slots__ = ("counts", "size", "probs", "_stream", "_cdfs", "_coefficients", "_c", "_pairs")
+    __slots__ = ("counts", "size", "probs", "_stream", "_cdfs", "_coefficients")
 
     def __init__(self, counts: PairedCounts, stream: RandomStream):
         if counts.n <= 0:
@@ -452,11 +456,9 @@ class BootstrapTables:
         self._stream = stream
         self._cdfs: dict = {}  # binomial CDFs shared by every resample (sample_multinomial)
         self._coefficients = _coefficient_columns()
-        self._c: float | None = None
-        self._pairs: list = []
 
-    def kappa_pairs(self, c: float, count: int) -> list:
-        """Kappa pairs at ``c`` of at least the first ``count`` tables (None: not estimable)."""
+    def coefficients(self, count: int) -> tuple:
+        """The coefficient columns of at least the first ``count`` tables."""
         columns = self._coefficients
         drawn = []
         for _ in range(count - len(columns[0])):
@@ -472,13 +474,7 @@ class BootstrapTables:
                 drawn.append(((s11 + s10) / s, (r01 + r00) / r, (s11 + s01) / s,
                               (r10 + r00) / r, s / (s + r)))
         _add_coefficients(columns, drawn)
-        if c != self._c:
-            self._c, self._pairs = c, []
-        pairs = self._pairs
-        if len(pairs) < count:
-            start = len(pairs)
-            pairs.extend(_kappa_pairs([column[start:count] for column in columns], c))
-        return pairs
+        return columns
 
 
 def bootstrap_ci(counts: PairedCounts, c: float, target: str,
@@ -516,14 +512,7 @@ def bootstrap_ci(counts: PairedCounts, c: float, target: str,
     scanned = 0
     while len(stats) < b and scanned < budget:
         end = min(scanned + b - len(stats), budget)
-        for pair in tables.kappa_pairs(c, end)[scanned:end]:
-            if pair is None:
-                continue
-            k1, k2 = pair
-            if not need_ratio:
-                stats.append(k1 - k2)
-            elif k2 != 0.0:
-                stats.append(k1 / k2)
+        stats += _target_stats(tables.coefficients(end), c, need_ratio, scanned, end)
         scanned = end
     if len(stats) < b:
         raise BootstrapFailedError(
@@ -562,12 +551,10 @@ class PosteriorDraws:
 
     The five proportions have independent conjugate Beta posteriors. The M
     tuples are drawn from ``stream`` on first use (sample_beta_rows) and
-    kept only as the six c-free coefficients of their kappas; the kappa
-    pairs of the latest c are memoised, so the difference and the ratio at
-    one c share a pass.
+    kept only as the six c-free coefficients of their kappas.
     """
 
-    __slots__ = ("counts", "priors", "m", "_stream", "_coefficients", "_c", "_pairs")
+    __slots__ = ("counts", "priors", "m", "_stream", "_coefficients")
 
     def __init__(self, counts: PairedCounts, priors: Priors, m: int, stream: RandomStream):
         self.counts = counts
@@ -575,19 +562,15 @@ class PosteriorDraws:
         self.m = m
         self._stream = stream
         self._coefficients: tuple | None = None
-        self._c: float | None = None
-        self._pairs: list = []
 
-    def kappa_pairs(self, c: float) -> list:
-        """Kappa pairs at ``c`` of the M draws (None: a denominator is not positive)."""
+    def coefficients(self) -> tuple:
+        """The coefficient columns of the M draws."""
         if self._coefficients is None:
             params = _posterior_params(self.counts, self.priors)
             draws = iter(sample_beta_rows(params, self.m, self._stream))
             self._coefficients = _coefficient_columns()
             _add_coefficients(self._coefficients, zip(draws, draws, draws, draws, draws))
-        if c != self._c:
-            self._c, self._pairs = c, _kappa_pairs(self._coefficients, c)
-        return self._pairs
+        return self._coefficients
 
 
 def bayesian_ci(counts: PairedCounts, c: float, target: str,
@@ -615,15 +598,8 @@ def bayesian_ci(counts: PairedCounts, c: float, target: str,
                                RandomStream(config.seed, BAYES_STREAM))
     elif (draws.counts, draws.priors, draws.m) != (counts, config.priors, config.bayes_m):
         raise DomainError("the posterior draws were made for another table, prior or M")
-    need_ratio = target == "ratio"
-    stats = []
-    excluded = 0
-    for pair in draws.kappa_pairs(c):
-        if pair is None or (need_ratio and pair[1] == 0.0):
-            excluded += 1  # measure-zero events; excluded but counted
-            continue
-        k1, k2 = pair
-        stats.append(k1 / k2 if need_ratio else k1 - k2)
+    stats = _target_stats(draws.coefficients(), c, target == "ratio")
+    excluded = config.bayes_m - len(stats)  # measure-zero events; excluded but counted
     if excluded:
         warnings.warn(f"{excluded} of {config.bayes_m} posterior draws had an undefined "
                       f"{target} (kappa2 exactly 0, or a zero kappa denominator) and "
@@ -685,7 +661,7 @@ def invert_ratio_ci(ci: ConfidenceInterval, theta_hat: float) -> ConfidenceInter
     scale = theta_hat * theta_hat
     return ConfidenceInterval(target="inverse-ratio", method=ci.method,
                               lower=ci.lower / scale, upper=ci.upper / scale,
-                              point=1.0 / theta_hat, corrected=ci.corrected)
+                              point=1.0 / theta_hat)
 
 
 def reciprocal_ratio_ci(ci: ConfidenceInterval, theta_hat: float) -> ConfidenceInterval:
@@ -697,10 +673,4 @@ def reciprocal_ratio_ci(ci: ConfidenceInterval, theta_hat: float) -> ConfidenceI
             f"interval ({ci.lower:g}, {ci.upper:g}) straddles zero; reciprocal undefined")
     return ConfidenceInterval(target="inverse-ratio", method=ci.method,
                               lower=1.0 / ci.upper, upper=1.0 / ci.lower,
-                              point=1.0 / theta_hat if theta_hat != 0.0 else math.inf,
-                              corrected=ci.corrected)
-
-
-def mark_corrected(ci: ConfidenceInterval) -> ConfidenceInterval:
-    """Flag an interval as computed from continuity-corrected counts."""
-    return replace(ci, corrected=True)
+                              point=1.0 / theta_hat if theta_hat != 0.0 else math.inf)

@@ -18,11 +18,11 @@ from .errors import DomainError
 from .inference import (
     ConfidenceConfig,
     ConfidenceInterval,
+    _analysis,
     kappa_covariance,
-    mark_corrected,
     wald_ratio_ci,
 )
-from .kappa_core import TOL_YOUDEN, AccuracyEstimates, KappaPair, accuracy_from_counts, kappa_pair
+from .kappa_core import TOL_YOUDEN, AccuracyEstimates, KappaPair
 
 __all__ = [
     "SMALL_PILOT",
@@ -38,7 +38,7 @@ SMALL_PILOT = 100
 
 @dataclass(frozen=True)
 class SampleSizePlan:
-    """Outcome of one planning round."""
+    """Outcome of one planning round; ``corrected`` when the pilot got the +0.5 correction."""
 
     phi: float
     conf: float
@@ -46,6 +46,7 @@ class SampleSizePlan:
     achieved: bool
     pilot_n: int
     ci: ConfidenceInterval
+    corrected: bool
     warnings: tuple[str, ...] = ()
 
     @property
@@ -53,9 +54,9 @@ class SampleSizePlan:
         return max(self.n_required - self.pilot_n, 0)
 
 
-def required_sample_size(acc: AccuracyEstimates, kp: KappaPair, c: float,
-                         phi: float, conf: float = 0.95) -> int:
-    """Sample size so the Wald ratio interval has half-width at most ``phi``.
+def required_sample_size(acc: AccuracyEstimates, kp: KappaPair, phi: float,
+                         conf: float = 0.95) -> int:
+    """Sample size so the Wald ratio interval at ``kp.c`` has half-width at most ``phi``.
 
     Computed as ceil(z^2 * Var(theta_hat)|_{n=1} / phi^2); evaluating the
     delta-method variance at n=1 yields the scale-free n*Var(theta_hat),
@@ -65,8 +66,6 @@ def required_sample_size(acc: AccuracyEstimates, kp: KappaPair, c: float,
         raise DomainError(f"precision must be positive, got {phi!r}")
     if not 0.0 < conf < 1.0:
         raise DomainError(f"confidence level must be in (0, 1), got {conf!r}")
-    if abs(kp.c - c) > 1e-12:
-        raise DomainError(f"kappa pair was computed at c={kp.c}, not at c={c}")
     if acc.y1 <= TOL_YOUDEN or acc.y2 <= TOL_YOUDEN or kp.kappa2 <= 0.0:
         raise DomainError("sizing a ratio study needs informative tests "
                           f"(Y1={acc.y1:g}, Y2={acc.y2:g}, kappa2={kp.kappa2:g})")
@@ -104,8 +103,6 @@ def plan_iteration(counts: PairedCounts, c: float, phi: float, conf: float = 0.9
     working = apply_continuity_correction(counts) if apply else counts
 
     ci = wald_ratio_ci(working, c, config)
-    if apply:
-        ci = mark_corrected(ci)
     warnings = []
     if ci.contains(1.0) and counts.n >= SMALL_PILOT:
         warnings.append(
@@ -116,10 +113,9 @@ def plan_iteration(counts: PairedCounts, c: float, phi: float, conf: float = 0.9
         n_required = pilot_n
         achieved = True
     else:
-        acc = accuracy_from_counts(working)
-        kp = kappa_pair(acc, c)
-        n_required = required_sample_size(acc, kp, c, phi, conf)
+        acc, kp, _ = _analysis(working, c)  # memoised by wald_ratio_ci
+        n_required = required_sample_size(acc, kp, phi, conf)
         achieved = False
     return SampleSizePlan(phi=phi, conf=conf, n_required=n_required,
                           achieved=achieved, pilot_n=pilot_n, ci=ci,
-                          warnings=tuple(warnings))
+                          corrected=apply, warnings=tuple(warnings))

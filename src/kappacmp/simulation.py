@@ -38,6 +38,7 @@ from .inference import (
     BootstrapTables,
     ConfidenceConfig,
     PosteriorDraws,
+    _analysis,
     # the interval functions run through METHODS; perfbench/run.py traces them here
     bayesian_ci,  # noqa: F401
     bootstrap_ci,  # noqa: F401
@@ -48,8 +49,7 @@ from .inference import (
     wald_ratio_ci,  # noqa: F401
 )
 from .kappa_core import (
-    TOL_YOUDEN,
-    accuracy_from_counts,
+    accuracy_from_counts,  # noqa: F401 - perfbench/run.py::trace_targets wraps it here
     accuracy_from_kappa_pair,
     weighted_kappa,
 )
@@ -204,17 +204,6 @@ _STREAMS_PER_REPLICATE = 3
 _MAX_SAMPLE_ATTEMPTS = 10_000
 
 
-def _estimable(counts: PairedCounts) -> bool:
-    # redraw when the kappas or their variances cannot be estimated at all:
-    # an empty stratum, or a Youden estimate of exactly zero (the variance
-    # divides by Y). Negative-Y samples keep their slot: their intervals are
-    # well defined and the small-sample coverage collapse depends on them.
-    if counts.s <= 0 or counts.r <= 0:
-        return False
-    acc = accuracy_from_counts(counts)
-    return abs(acc.y1) > TOL_YOUDEN and abs(acc.y2) > TOL_YOUDEN
-
-
 def _run_replicate(scenario: Scenario, n: int, entries: tuple, shared: set,
                    config: ConfidenceConfig, index: int, correct: bool, cdfs: dict):
     """All per-replicate work; depends only on (scenario, n, config, index).
@@ -228,9 +217,17 @@ def _run_replicate(scenario: Scenario, n: int, entries: tuple, shared: set,
         counts = sample_counts(scenario, n, sample_stream, cdfs)
         if correct:
             counts = apply_continuity_correction(counts)
-        if _estimable(counts):
+        # redraw when the kappas or their variances cannot be estimated at
+        # all: an empty stratum, or a Youden estimate of zero (the variance
+        # divides by Y). Negative-Y samples keep their slot: their intervals
+        # are well defined and the small-sample coverage collapse depends on
+        # them. The analysis stays memoised for the closed-form intervals.
+        try:
+            _analysis(counts, scenario.c)
+        except (NonEstimableError, DegenerateKappaError):
+            redraws += 1
+        else:
             break
-        redraws += 1
         if redraws >= _MAX_SAMPLE_ATTEMPTS:
             raise InfeasibleScenarioError(
                 f"no estimable sample of size {n} after {redraws} draws; "

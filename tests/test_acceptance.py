@@ -155,14 +155,14 @@ def test_criterion_4_worked_values():
 def test_criterion_5_sample_sizes():
     """n = 435 exactly; planning-scenario sizes 3066 and 767 within +-1."""
     acc = kc.accuracy_from_counts(TABLE8)
-    n_worked = kc.required_sample_size(acc, kc.kappa_pair(acc, 0.9), 0.9, 0.10, 0.95)
+    n_worked = kc.required_sample_size(acc, kc.kappa_pair(acc, 0.9), 0.10, 0.95)
     scenario = kc.build_scenario_from_kappas(*SCENARIO_1)
     acc_true = AccuracyEstimates(se1=scenario.se1, sp1=scenario.sp1,
                                  se2=scenario.se2, sp2=scenario.sp2, p=scenario.p,
                                  eps1=scenario.eps1, eps0=scenario.eps0)
     kp_true = kc.kappa_pair(acc_true, 0.1)
-    n_05 = kc.required_sample_size(acc_true, kp_true, 0.1, 0.05)
-    n_10 = kc.required_sample_size(acc_true, kp_true, 0.1, 0.10)
+    n_05 = kc.required_sample_size(acc_true, kp_true, 0.05)
+    n_10 = kc.required_sample_size(acc_true, kp_true, 0.10)
     ok = n_worked == 435 and abs(n_05 - 3066) <= 1 and abs(n_10 - 767) <= 1
     report("criterion 5 (sample sizes)", ok, f"n = {n_worked}, {n_05}, {n_10}")
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -408,15 +409,49 @@ def _interval_lines(counts, tables=None, draws=None):
     return "\n".join(lines) + "\n"
 
 
+def _bits(stats):
+    return [x.hex() for x in stats]
+
+
+def _reference_stats(accuracies, c, ratio):
+    """The difference (or ratio) at ``c`` of each estimate through kappa_pair.
+
+    Estimates where kappa_pair raises and, for the ratio, kappa2 = 0 are
+    skipped, as _target_stats skips them.
+    """
+    stats = []
+    for acc in accuracies:
+        try:
+            kp = kappa_pair(acc, c)
+        except DegenerateKappaError:
+            continue
+        if not ratio:
+            stats.append(kp.delta)
+        elif kp.kappa2 != 0.0:
+            stats.append(kp.theta)
+    return stats
+
+
 class _HandBuiltTables:
-    """Stands in for BootstrapTables with fixed kappa pairs."""
+    """Stands in for BootstrapTables with fixed coefficient rows (A1, B1, N1, A2, B2, N2)."""
 
-    def __init__(self, counts, pairs):
+    def __init__(self, counts, rows):
         self.counts = counts
-        self.pairs = pairs
+        self.columns = tuple(zip(*rows))
 
-    def kappa_pairs(self, c, count):
-        return self.pairs
+    def coefficients(self, count):
+        return self.columns
+
+
+class _HandBuiltDraws:
+    """Stands in for PosteriorDraws with fixed coefficient rows (A1, B1, N1, A2, B2, N2)."""
+
+    def __init__(self, counts, config, rows):
+        self.counts, self.priors, self.m = counts, config.priors, config.bayes_m
+        self.columns = tuple(zip(*rows))
+
+    def coefficients(self):
+        return self.columns
 
 
 class TestSharedDraws:
@@ -432,7 +467,8 @@ class TestSharedDraws:
 
     def test_sparse_table_has_non_estimable_resamples(self):
         tables = BootstrapTables(SPARSE, RandomStream(SHARED_CONFIG.seed, inference.BOOTSTRAP_STREAM))
-        assert 0 < tables.kappa_pairs(0.5, 400)[:400].count(None) < 400
+        rows = list(zip(*tables.coefficients(400)))[:400]
+        assert 0 < rows.count((0.0,) * 6) < 400
 
     def test_default_grid_includes_c_prime(self, table8):
         assert len(_report_grid(table8)) == len(DEFAULT_C_GRID) + 1
@@ -442,10 +478,12 @@ class TestSharedDraws:
         # with it, 30 above. A counts only the 30 strictly below.
         config = ConfidenceConfig(bootstrap_b=100)
         point = kappa_pair(accuracy_from_counts(table8), 0.5).delta
-        pairs = ([(point - 0.01 * i, 0.0) for i in range(30, 0, -1)] + [(point, 0.0)] * 40
-                 + [(point + 0.01 * i, 0.0) for i in range(1, 31)])
-        ci = bootstrap_ci(table8, 0.5, "difference", config, _HandBuiltTables(table8, pairs))
-        stats = [k1 - k2 for k1, k2 in pairs]
+        stats = ([point - 0.01 * i for i in range(30, 0, -1)] + [point] * 40
+                 + [point + 0.01 * i for i in range(1, 31)])
+        # both denominators are 1 at c = 0.5 and kappa2 = 0, so each row's difference is its N1
+        tables = _HandBuiltTables(table8, [(1.0, 1.0, k1, 1.0, 1.0, 0.0) for k1 in stats])
+        assert inference._target_stats(tables.columns, 0.5, False) == stats
+        ci = bootstrap_ci(table8, 0.5, "difference", config, tables)
         assert stats.count(point) == 40
 
         def bounds(a_count):
@@ -463,13 +501,17 @@ class TestSharedDraws:
         assert tables.size == 44
         assert tables.probs == [(cell + 0.5) / 44 for cell in raw.cells()]
         stream = RandomStream(8, 1)
-        expected = []
+        accuracies = []
         for _ in range(50):
             sample = sample_multinomial([(cell + 0.5) / 44 for cell in raw.cells()], 44, stream)
             assert sum(sample) == 44
-            kp = kappa_pair(accuracy_from_counts(PairedCounts(*sample)), 0.3)
-            expected.append((kp.kappa1, kp.kappa2))
-        assert tables.kappa_pairs(0.3, 50)[:50] == expected
+            accuracies.append(accuracy_from_counts(PairedCounts(*sample)))
+        for ratio in (False, True):
+            expected = _reference_stats(accuracies, 0.3, ratio)
+            assert len(expected) > 40
+            got = inference._target_stats(tables.coefficients(50), 0.3, ratio, 0, 50)
+            assert _bits(got) == _bits(expected)
+        assert tables._stream._state == stream._state
 
     @pytest.mark.parametrize("counts", [PairedCounts(41, 0, 40, 8, 5, 1, 24, 181), SPARSE,
                                         PairedCounts(1, 0, 0, 0, 0, 0, 2, 1)])
@@ -488,8 +530,7 @@ class TestSharedDraws:
                 drawn.append((acc.se1, acc.sp1, acc.se2, acc.sp2, acc.p))
         expected = inference._coefficient_columns()
         inference._add_coefficients(expected, drawn)
-        tables.kappa_pairs(0.5, 500)
-        assert tables._coefficients == expected
+        assert tables.coefficients(500) == expected
         assert tables._stream._state == stream._state
 
     def test_empty_table_cannot_be_resampled(self):
@@ -517,21 +558,38 @@ class TestSharedDraws:
         m = 1000
         stream = RandomStream(SHARED_CONFIG.seed, inference.BAYES_STREAM)
         params = inference._posterior_params(counts, priors)
-        rows = [tuple(sample_beta(a, b, stream) for a, b in params) for _ in range(m)]
+        accuracies = [AccuracyEstimates(*(sample_beta(a, b, stream) for a, b in params))
+                      for _ in range(m)]
         draws = PosteriorDraws(counts, priors, m,
                                RandomStream(SHARED_CONFIG.seed, inference.BAYES_STREAM))
         for c in (0.0, 0.25, 0.5, 0.9, 1.0):
-            expected = []
-            for se1, sp1, se2, sp2, p in rows:
-                kp = kappa_pair(AccuracyEstimates(se1, sp1, se2, sp2, p), c)
-                expected.append((kp.kappa1, kp.kappa2))
-            assert draws.kappa_pairs(c) == expected
+            for ratio in (False, True):
+                expected = _reference_stats(accuracies, c, ratio)
+                assert len(expected) == m
+                got = inference._target_stats(draws.coefficients(), c, ratio)
+                assert _bits(got) == _bits(expected)
         assert (draws._stream._state, draws._stream._spare_gauss) == (stream._state,
                                                                       stream._spare_gauss)
 
     def test_bayesian_rejects_weighting_index_outside_unit_interval(self, table8):
         with pytest.raises(DomainError):
             bayesian_ci(table8, 1.5, "difference", SHARED_CONFIG)
+
+    def test_bayesian_warns_with_the_excluded_draw_count(self, table8):
+        config = ConfidenceConfig(bayes_m=1000)
+        clean = [(0.2, 0.3, 0.1 + i / 2000, 0.25, 0.35, 0.05 + i / 4000) for i in range(998)]
+        zero_denominator = (0.0, 0.0, 0.1, 0.25, 0.35, 0.05)
+        zero_kappa2 = (0.2, 0.3, 0.1, 0.25, 0.35, 0.0)
+        draws = _HandBuiltDraws(table8, config, [zero_denominator, zero_kappa2] + clean)
+        with pytest.warns(UserWarning, match="^1 of 1000 posterior draws"):
+            bayesian_ci(table8, 0.5, "difference", config, draws)
+        with pytest.warns(UserWarning, match="^2 of 1000 posterior draws"):
+            bayesian_ci(table8, 0.5, "ratio", config, draws)
+        draws = _HandBuiltDraws(table8, config, clean + clean[:2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for target in ("difference", "ratio"):
+                bayesian_ci(table8, 0.5, target, config, draws)
 
 
 YOUDEN_ZERO = PairedCounts(3, 2, 4, 1, 2, 3, 1, 4)  # Se1 = Sp1 = 0.5
@@ -632,7 +690,7 @@ class TestInversion:
                                         "bayesian-quantile"])
     def test_non_wald_inversion_is_the_plain_reciprocal(self, method):
         ci = ConfidenceInterval(target="ratio", method=method, lower=0.3, upper=0.7,
-                                point=0.5, corrected=True)
+                                point=0.5)
         assert invert_ratio_ci(ci, 0.5) == reciprocal_ratio_ci(ci, 0.5)
         assert invert_ratio_ci(ci, 0.0) == reciprocal_ratio_ci(ci, 0.0)
         straddling = ConfidenceInterval(target="ratio", method=method, lower=-0.1,

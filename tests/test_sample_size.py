@@ -22,26 +22,26 @@ class TestRequiredSampleSize:
     def test_worked_example_435(self, table8):
         acc = accuracy_from_counts(table8)
         kp = kappa_pair(acc, 0.9)
-        assert required_sample_size(acc, kp, 0.9, 0.10, 0.95) == 435
+        assert required_sample_size(acc, kp, 0.10, 0.95) == 435
 
     def test_planning_scenario_published_sizes(self):
         _, acc = table7_scenario_accuracy()
         kp = kappa_pair(acc, 0.1)
-        assert abs(required_sample_size(acc, kp, 0.1, 0.05) - 3066) <= 1
-        assert abs(required_sample_size(acc, kp, 0.1, 0.10) - 767) <= 1
+        assert abs(required_sample_size(acc, kp, 0.05) - 3066) <= 1
+        assert abs(required_sample_size(acc, kp, 0.10) - 767) <= 1
 
     def test_nonincreasing_in_phi(self, table8):
         acc = accuracy_from_counts(table8)
         kp = kappa_pair(acc, 0.9)
-        sizes = [required_sample_size(acc, kp, 0.9, phi) for phi in
+        sizes = [required_sample_size(acc, kp, phi) for phi in
                  (0.02, 0.05, 0.10, 0.20, 0.50)]
         assert sizes == sorted(sizes, reverse=True)
 
     def test_inverse_square_scaling(self, table8):
         acc = accuracy_from_counts(table8)
         kp = kappa_pair(acc, 0.9)
-        n1 = required_sample_size(acc, kp, 0.9, 0.05)
-        n2 = required_sample_size(acc, kp, 0.9, 0.10)
+        n1 = required_sample_size(acc, kp, 0.05)
+        n2 = required_sample_size(acc, kp, 0.10)
         assert n1 == pytest.approx(4 * n2, abs=4)
 
     def test_identity_with_variance(self, table8):
@@ -50,7 +50,7 @@ class TestRequiredSampleSize:
         kp = kappa_pair(acc, 0.9)
         from kappacmp.inference import kappa_covariance
         phi = 0.08
-        n = required_sample_size(acc, kp, 0.9, phi)
+        n = required_sample_size(acc, kp, phi)
         var_at_n = kappa_covariance(acc, kp, n).var_theta
         z = ConfidenceConfig().z
         assert z * z * var_at_n * n / (phi * phi) == pytest.approx(n, abs=1.0)
@@ -59,9 +59,7 @@ class TestRequiredSampleSize:
         acc = accuracy_from_counts(table8)
         kp = kappa_pair(acc, 0.9)
         with pytest.raises(DomainError):
-            required_sample_size(acc, kp, 0.9, 0.0)
-        with pytest.raises(DomainError):
-            required_sample_size(acc, kp, 0.5, 0.1)  # mismatched c
+            required_sample_size(acc, kp, 0.0)
 
 
 class TestPrecisionReached:
@@ -112,11 +110,11 @@ class TestPlanIteration:
     def test_small_pilot_gets_correction(self):
         counts = PairedCounts(10, 2, 6, 4, 2, 1, 8, 30)  # n = 63 < 100
         plan = plan_iteration(counts, 0.5, 0.05)
-        assert plan.ci.corrected
+        assert plan.corrected
         manual = wald_ratio_ci(apply_continuity_correction(counts), 0.5)
         assert plan.ci.lower == pytest.approx(manual.lower, abs=1e-15)
         uncorrected = plan_iteration(counts, 0.5, 0.05, correct=False)
-        assert not uncorrected.ci.corrected
+        assert not uncorrected.corrected
 
     def test_interval_containing_one_warns(self, table8):
         plan = plan_iteration(table8, 0.2, 0.05)  # ratio CI straddles 1 at c = 0.2
@@ -134,8 +132,8 @@ class TestPlanIteration:
         kp_sw = kappa_pair(acc_sw, 0.9)
         assert kp_sw.theta > 1.0
         phi_prime = 0.47  # precision wanted for the >1 ratio
-        direct = required_sample_size(acc_sw, kp_sw, 0.9, phi_prime)
-        transformed = required_sample_size(acc, kp, 0.9, kp.theta ** 2 * phi_prime)
+        direct = required_sample_size(acc_sw, kp_sw, phi_prime)
+        transformed = required_sample_size(acc, kp, kp.theta ** 2 * phi_prime)
         assert abs(direct - transformed) <= 1
 
     def test_achieving_probability_reasonable(self):
@@ -144,7 +142,7 @@ class TestPlanIteration:
         scenario, acc = table7_scenario_accuracy()
         kp = kappa_pair(acc, 0.1)
         phi = 0.10
-        n = required_sample_size(acc, kp, 0.1, phi)
+        n = required_sample_size(acc, kp, phi)
         stream = RandomStream(2024, 0)
         hits = 0
         rounds = 200
@@ -159,13 +157,13 @@ class TestPlanIteration:
         # nearly unbiased (published relative bias is far below 3%)
         scenario, acc = table7_scenario_accuracy()
         kp = kappa_pair(acc, 0.1)
-        n = required_sample_size(acc, kp, 0.1, 0.10)
+        n = required_sample_size(acc, kp, 0.10)
         assert abs(n - 767) <= 1
         stream = RandomStream(501, 0)
         sizes = []
         for _ in range(2000):
             counts = sample_counts(scenario, n, stream)
             est = accuracy_from_counts(counts)
-            sizes.append(required_sample_size(est, kappa_pair(est, 0.1), 0.1, 0.10))
+            sizes.append(required_sample_size(est, kappa_pair(est, 0.1), 0.10))
         relative_bias = (np.mean(sizes) - n) / n
         assert abs(relative_bias) < 0.03

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -7,8 +8,10 @@ import pytest
 import kappacmp.simulation as simulation
 from conftest import random_accuracies
 from kappacmp.errors import (
+    DegenerateKappaError,
     DomainError,
     InfeasibleScenarioError,
+    NonEstimableError,
     UndefinedRatioError,
     UnsupportedNominalError,
 )
@@ -245,6 +248,29 @@ class TestCoverageStudy:
         assert res.cp <= res.cp_valid + 1e-12
         covered = round(res.cp * res.n_replicates)
         assert res.cp_valid == pytest.approx(covered / (res.n_replicates - res.invalid))
+
+    def test_redraw_rule_is_pinned(self, monkeypatch):
+        # demo-06 scenario 5 at n = 25 redraws both kinds of table that the
+        # analysis rejects: an empty stratum and a Youden estimate of zero
+        reasons = []
+        analysis = simulation._analysis
+
+        def counted(counts, c):
+            try:
+                return analysis(counts, c)
+            except (NonEstimableError, DegenerateKappaError) as exc:
+                reasons.append(type(exc))
+                raise
+
+        monkeypatch.setattr(simulation, "_analysis", counted)
+        sc = build_scenario_from_kappas(0.60, 0.60, 0.40, 0.90, 0.05, 0.9, 0.5)
+        results = coverage_study(sc, 25, 200, ["wald-diff", "wald-ratio", "log-ratio",
+                                               "fieller-ratio"], ConfidenceConfig(seed=0))
+        assert results[0].failures == len(reasons) > 0
+        assert (reasons.count(NonEstimableError), reasons.count(DegenerateKappaError)) == (112, 39)
+        # sha256 of the report, recorded when an accuracy-based check chose the redraws
+        digest = hashlib.sha256(render_coverage_report(results).encode()).hexdigest()
+        assert digest == "a504eaba733cae4d41baf179d0fb7da00400c3a4ef282d61c31bd1473291d446"
 
     def test_true_ratio_undefined_rejected_early(self):
         sc = scenario_probabilities(0.7, 0.7, 0.65, 0.35, 0.4, 0.0, 0.0, c=0.5)
