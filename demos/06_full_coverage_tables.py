@@ -61,7 +61,9 @@ def main(argv=None) -> int:
     parser.add_argument("--small-sample", action="store_true",
                         help="+0.5-corrected variant at n = 25, 50, 100, ratio methods")
     parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker processes, started once and shared by every cell "
+                             "(results identical for any value)")
     parser.add_argument("--out", default="-", help="report file ('-' for stdout)")
     args = parser.parse_args(argv)
 

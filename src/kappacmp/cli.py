@@ -489,7 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="comma list of methods (default wald-diff,wald-ratio)")
     _add_config_options(simulate)
     simulate.add_argument("--jobs", type=int, default=1,
-                          help="worker processes (results identical for any value)")
+                          help="worker processes, started once and shared by every row "
+                               "of the batch (results identical for any value)")
     simulate.add_argument("--correct", action="store_true",
                           help="apply the +0.5 correction to every sampled table")
     simulate.add_argument("--out", default="-", help="coverage report file ('-' for stdout)")

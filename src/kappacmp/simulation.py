@@ -18,7 +18,9 @@ from __future__ import annotations
 import io
 import math
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from .data_model import PairedCounts, apply_continuity_correction
@@ -262,6 +264,44 @@ def _run_range(args):
             for i in range(lo, hi)]
 
 
+# The process's worker pool, shared by every parallel coverage_study call:
+# built on the first one, replaced when a call needs another worker count or
+# when the pool broke (a worker died). Workers are forked, so they run the
+# code as it stood when the pool was built.
+_pool: ProcessPoolExecutor | None = None
+_pool_workers = 0
+_pool_lock = threading.RLock()  # one caller at a time builds, uses or drops the pool
+
+
+def _drop_pool() -> None:
+    """Shut the shared pool down; the next parallel call builds a new one."""
+    global _pool
+    with _pool_lock:
+        if _pool is not None:
+            _pool.shutdown()
+            _pool = None
+
+
+def _map_ranges(ranges) -> list:
+    """``_run_range`` of every range on the shared pool, in order."""
+    global _pool, _pool_workers
+    with _pool_lock:
+        if _pool is not None and _pool_workers != len(ranges):
+            _drop_pool()
+        reused = _pool is not None
+        if _pool is None:
+            _pool, _pool_workers = ProcessPoolExecutor(max_workers=len(ranges)), len(ranges)
+        try:
+            return list(_pool.map(_run_range, ranges))
+        except BrokenProcessPool:
+            _drop_pool()
+            if not reused:
+                raise
+        # a worker of the reused pool died after an earlier call: once more
+        # on a fresh pool, which raises if it breaks too
+        return _map_ranges(ranges)
+
+
 def coverage_study(scenario: Scenario, n: int, n_replicates: int, methods,
                    config: ConfidenceConfig | None = None,
                    jobs: int = 1, correct: bool = False) -> list[CoverageResult]:
@@ -272,6 +312,15 @@ def coverage_study(scenario: Scenario, n: int, n_replicates: int, methods,
     bitwise identical for any ``jobs`` count. With ``correct=True`` the
     +0.5 continuity correction is applied to every sampled table before
     the intervals are built (the small-sample variant of the experiment).
+
+    With ``jobs > 1`` the replicates are split into at most ``jobs``
+    ranges and run on one worker pool per process, with a worker per
+    range. The first parallel call builds the pool and later calls reuse
+    it. It is replaced when a call needs another worker count or when a
+    worker has died, and it lives until the process exits. Its workers
+    are forked when it is built and run the code as it was then: a test
+    that monkeypatches ``simulation`` or ``inference`` and uses
+    ``jobs > 1`` must call ``_drop_pool()`` first.
     """
     config = config or ConfidenceConfig()
     if n_replicates < 100:
@@ -286,10 +335,7 @@ def coverage_study(scenario: Scenario, n: int, n_replicates: int, methods,
         chunk = max(1, math.ceil(n_replicates / jobs))
         ranges = [(scenario, n, methods, config, lo, min(lo + chunk, n_replicates), correct)
                   for lo in range(0, n_replicates, chunk)]
-        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-            per_replicate = []
-            for part in pool.map(_run_range, ranges):
-                per_replicate.extend(part)
+        per_replicate = [replicate for part in _map_ranges(ranges) for replicate in part]
 
     total_redraws = sum(redraws for redraws, _ in per_replicate)
     results = []

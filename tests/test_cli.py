@@ -234,8 +234,9 @@ class TestSimulate:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_worker_count_invariance(self, capsys, tmp_path):
+        # two rows, so that the second reuses the workers of the first
         batch = tmp_path / "batch.csv"
-        batch.write_text(BATCH, encoding="utf-8")
+        batch.write_text(BATCH + "0.21,0.14,0.81,0.72,0.5,0.1,0.5,60,100\n", encoding="utf-8")
         out1, out2 = tmp_path / "r1.txt", tmp_path / "r2.txt"
         run(capsys, ["simulate", "--batch", str(batch), "--seed", "5",
                      "--out", str(out1)])

@@ -1,6 +1,13 @@
 import hashlib
 import io
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,6 +173,43 @@ class TestSampleCounts:
             sample_counts(sc, 0, RandomStream(0))
 
 
+@pytest.fixture
+def no_cached_pool():
+    """Drop the process's shared coverage pool before and after the test."""
+    simulation._drop_pool()
+    yield
+    simulation._drop_pool()
+
+
+class FakePools:
+    """In-process stand-in for ProcessPoolExecutor; counts builds and shutdowns."""
+
+    def __init__(self):
+        self.sizes = []
+        self.shutdowns = 0
+
+    def __call__(self, max_workers):
+        self.sizes.append(max_workers)
+        return self
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+    def shutdown(self):
+        self.shutdowns += 1
+
+
+@pytest.fixture
+def fake_pools(monkeypatch, no_cached_pool):
+    pools = FakePools()
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", pools)
+    return pools
+
+
+def _exit_worker(args):
+    os._exit(1)  # a worker that dies mid-call
+
+
 class TestCoverageStudy:
     def test_identical_tests_always_covered(self):
         # both tests equal: delta_hat = 0 = true delta with zero-width interval
@@ -199,29 +243,13 @@ class TestCoverageStudy:
         parallel = coverage_study(sc, 60, 120, ["wald-diff", "wald-ratio"], config, jobs=3)
         assert serial == parallel
 
-    def test_pool_has_no_more_workers_than_ranges(self, monkeypatch):
-        sizes = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(simulation, "ProcessPoolExecutor", InProcessPool)
+    def test_pool_has_no_more_workers_than_ranges(self, fake_pools):
         sc = build_scenario_from_kappas(0.3, 0.6, 0.8, 0.8, 0.25, 0.5, 0.5)
         config = ConfidenceConfig(seed=6)
         serial = coverage_study(sc, 60, 100, ["wald-diff"], config, jobs=1)
         assert coverage_study(sc, 60, 100, ["wald-diff"], config, jobs=64) == serial
         assert coverage_study(sc, 60, 100, ["wald-diff"], config, jobs=3) == serial
-        assert sizes == [50, 3]  # 50 ranges of 2 replicates; 34 + 34 + 32
+        assert fake_pools.sizes == [50, 3]  # 50 ranges of 2 replicates; 34 + 34 + 32
 
     def test_bootstrap_and_bayes_methods_run(self):
         sc = build_scenario_from_kappas(0.3, 0.6, 0.8, 0.8, 0.25, 0.5, 0.5)
@@ -287,6 +315,58 @@ class TestCoverageStudy:
         sc = build_scenario_from_kappas(0.3, 0.6, 0.8, 0.8, 0.25, 0.5, 0.5)
         with pytest.raises(DomainError):
             coverage_study(sc, 50, 100, ["wald-odds"], ConfidenceConfig())
+
+
+class TestSharedPool:
+    SCENARIO = build_scenario_from_kappas(0.3, 0.6, 0.8, 0.8, 0.25, 0.5, 0.5)
+
+    def test_consecutive_calls_share_one_pool(self, fake_pools):
+        other = build_scenario_from_kappas(0.21, 0.14, 0.81, 0.72, 0.5, 0.1, 0.5)
+        coverage_study(self.SCENARIO, 60, 100, ["wald-diff"], ConfidenceConfig(seed=6), jobs=2)
+        coverage_study(other, 80, 120, ["wald-ratio", "log-ratio"],
+                       ConfidenceConfig(seed=7, conf=0.9), jobs=2, correct=True)
+        assert (fake_pools.sizes, fake_pools.shutdowns) == ([2], 0)
+
+    def test_new_worker_count_replaces_the_pool(self, fake_pools):
+        config = ConfidenceConfig(seed=6)
+        coverage_study(self.SCENARIO, 60, 100, ["wald-diff"], config, jobs=2)
+        coverage_study(self.SCENARIO, 60, 100, ["wald-diff"], config, jobs=3)
+        assert (fake_pools.sizes, fake_pools.shutdowns) == ([2, 3], 1)
+
+    def test_serial_call_builds_no_pool(self, fake_pools):
+        coverage_study(self.SCENARIO, 60, 100, ["wald-diff"], ConfidenceConfig(seed=6), jobs=1)
+        assert (fake_pools.sizes, fake_pools.shutdowns) == ([], 0)
+
+    def test_pool_with_killed_workers_is_replaced(self, no_cached_pool):
+        config = ConfidenceConfig(seed=6)
+        serial = coverage_study(self.SCENARIO, 60, 100, ["wald-diff"], config, jobs=1)
+        assert coverage_study(self.SCENARIO, 60, 100, ["wald-diff"], config, jobs=2) == serial
+        pool = simulation._pool
+        workers = multiprocessing.active_children()
+        assert len(workers) == 2  # the pool's own, started by this test
+        for worker in workers:
+            os.kill(worker.pid, signal.SIGKILL)
+        assert coverage_study(self.SCENARIO, 60, 100, ["wald-diff"], config, jobs=2) == serial
+        assert simulation._pool is not None and simulation._pool is not pool
+
+    def test_broken_call_raises_and_drops_the_pool(self, no_cached_pool, monkeypatch):
+        monkeypatch.setattr(simulation, "_run_range", _exit_worker)
+        with pytest.raises(BrokenProcessPool):
+            coverage_study(self.SCENARIO, 60, 100, ["wald-diff"], ConfidenceConfig(seed=6), jobs=2)
+        assert simulation._pool is None
+
+    def test_idle_pool_does_not_hang_interpreter_exit(self):
+        script = ("import sys; sys.path.insert(0, sys.argv[1]);"
+                  "from kappacmp.inference import ConfidenceConfig;"
+                  "from kappacmp.simulation import build_scenario_from_kappas, coverage_study;"
+                  "sc = build_scenario_from_kappas(0.3, 0.6, 0.8, 0.8, 0.25, 0.5, 0.5);"
+                  "print(coverage_study(sc, 60, 100, ['wald-diff'], ConfidenceConfig(seed=6),"
+                  " jobs=2)[0].cp)")
+        src = str(Path(simulation.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-c", script, src], capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert 0.0 < float(done.stdout) <= 1.0
 
 
 class TestEvaluateFailure:
