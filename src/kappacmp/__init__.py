@@ -37,7 +37,6 @@ from .inference import (
     BootstrapTables,
     ConfidenceConfig,
     ConfidenceInterval,
-    FiellerCoefficients,
     KappaCovariance,
     PosteriorDraws,
     Priors,

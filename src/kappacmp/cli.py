@@ -168,7 +168,7 @@ def build_analysis_report(counts: PairedCounts, cs=None, methods=None,
         errors = {}
         for method in methods:
             try:
-                intervals[method] = METHODS[method].call(working, c, config, tables, draws)
+                intervals[method] = METHODS[method].interval(working, c, config, tables, draws)
             except KappaCmpError as exc:
                 errors[method] = str(exc)
         inverse = {}

@@ -27,14 +27,16 @@ from .errors import (
     InversionUndefinedError,
     LogIntervalError,
     NonEstimableError,
-    UndefinedRatioError,
 )
 from .kappa_core import (
     TOL_YOUDEN,
     AccuracyEstimates,
     KappaPair,
     accuracy_from_counts,
-    kappa_pair,
+    accuracy_values,
+    kappa_pair,  # noqa: F401 - perfbench/run.py traces inference.kappa_pair
+    kappa_ratio,
+    weighted_kappa,
 )
 from .numerics import (
     RandomStream,
@@ -51,7 +53,6 @@ __all__ = [
     "Priors",
     "ConfidenceConfig",
     "ConfidenceInterval",
-    "FiellerCoefficients",
     "KappaCovariance",
     "TestResult",
     "kappa_covariance",
@@ -139,8 +140,7 @@ class ConfidenceInterval:
     point: float
 
     def __post_init__(self):
-        if self.lower > self.upper:
-            raise DomainError(f"interval bounds out of order: ({self.lower}, {self.upper})")
+        require_ordered(self.lower, self.upper)
 
     @property
     def half_width(self) -> float:
@@ -152,6 +152,12 @@ class ConfidenceInterval:
     @property
     def length(self) -> float:
         return self.upper - self.lower
+
+
+def require_ordered(lower: float, upper: float) -> None:
+    """DomainError when an interval's bounds are out of order."""
+    if lower > upper:
+        raise DomainError(f"interval bounds out of order: ({lower}, {upper})")
 
 
 @dataclass(frozen=True)
@@ -179,40 +185,66 @@ class KappaCovariance:
 
     @property
     def se_delta(self) -> float:
-        return math.sqrt(max(self.var1 + self.var2 - 2.0 * self.cov12, 0.0))
+        return _se_delta(self.var1, self.var2, self.cov12)
 
 
-@dataclass(frozen=True)
-class FiellerCoefficients:
-    """Quadratic coefficients w_ij = kappa_i*kappa_j - sigma_ij * z^2.
-
-    A discriminant that is zero up to rounding still yields the degenerate
-    point interval; only a genuinely negative one invalidates the method.
-    """
-
-    w11: float
-    w12: float
-    w22: float
-
-    @property
-    def discriminant(self) -> float:
-        raw = self.w12 * self.w12 - self.w11 * self.w22
-        if raw < 0.0 and raw >= -1e-12 * max(self.w12 * self.w12,
-                                             abs(self.w11 * self.w22)):
-            return 0.0
-        return raw
-
-    @property
-    def valid(self) -> bool:
-        return self.w22 != 0.0 and self.discriminant >= 0.0
+def _se_delta(var1: float, var2: float, cov12: float) -> float:
+    """Standard error of kappa1 - kappa2."""
+    return math.sqrt(max(var1 + var2 - 2.0 * cov12, 0.0))
 
 
-def _a_coefficients(acc: AccuracyEstimates, kappa: float, y: float, sp: float, c: float):
-    p, q = acc.p, acc.q
+def _var_theta(k1: float, k2: float, var1: float, var2: float, cov12: float) -> float:
+    """Delta-method Var[theta]; kappa2 must not be zero."""
+    return (k2 * k2 * var1 + k1 * k1 * var2 - 2.0 * k1 * k2 * cov12) / k2 ** 4
+
+
+def _var_log_theta(k1: float, k2: float, var1: float, var2: float, cov12: float) -> float:
+    """Delta-method Var[ln theta]; neither kappa may be zero."""
+    return var1 / (k1 * k1) + var2 / (k2 * k2) - 2.0 * cov12 / (k1 * k2)
+
+
+def _a_coefficients(p: float, q: float, kappa: float, y: float, sp: float, c: float):
     a1 = p * q - p * (q - c) * kappa
     a2 = a1 + (q - c) * kappa
     a3 = (1.0 - 2.0 * p) * y - ((1.0 - c - 2.0 * p) * y + sp + c - 1.0) * kappa
     return a1, a2, a3
+
+
+def _covariance(accuracy: tuple, kappa1: float, kappa2: float, c: float, n: float):
+    """(var1, var2, cov12, a1, a2) of the kappas at sample size ``n``, as plain floats.
+
+    ``accuracy`` is (se1, sp1, se2, sp2, p, eps1, eps0) (accuracy_values)
+    and ``n`` must be positive. The delta-method step of kappa_covariance,
+    which wraps it; DegenerateKappaError when a Youden index is zero.
+    """
+    se1, sp1, se2, sp2, p, eps1, eps0 = accuracy
+    y1 = se1 + sp1 - 1.0
+    y2 = se2 + sp2 - 1.0
+    # the algebra divides by Y_h; anti-informative estimates (negative Y)
+    # still have well-defined variances and occur routinely in small samples
+    if abs(y1) <= TOL_YOUDEN or abs(y2) <= TOL_YOUDEN:
+        raise DegenerateKappaError(
+            f"variance is degenerate at Youden indices ({y1:g}, {y2:g})")
+    q = 1.0 - p
+    var_se1 = se1 * (1.0 - se1) / (n * p)
+    var_se2 = se2 * (1.0 - se2) / (n * p)
+    var_sp1 = sp1 * (1.0 - sp1) / (n * q)
+    var_sp2 = sp2 * (1.0 - sp2) / (n * q)
+    var_p = p * q / n
+    cov_se = eps1 / (n * p)
+    cov_sp = eps0 / (n * q)
+
+    a1 = _a_coefficients(p, q, kappa1, y1, sp1, c)
+    a2 = _a_coefficients(p, q, kappa2, y2, sp2, c)
+
+    scale1 = (kappa1 / (p * q * y1)) ** 2
+    scale2 = (kappa2 / (p * q * y2)) ** 2
+    var1 = scale1 * (a1[0] ** 2 * var_se1 + a1[1] ** 2 * var_sp1 + a1[2] ** 2 * var_p)
+    var2 = scale2 * (a2[0] ** 2 * var_se2 + a2[1] ** 2 * var_sp2 + a2[2] ** 2 * var_p)
+    cov_scale = kappa1 * kappa2 / (p * p * q * q * y1 * y2)
+    cov12 = cov_scale * (a1[0] * a2[0] * cov_se + a1[1] * a2[1] * cov_sp
+                         + a1[2] * a2[2] * var_p)
+    return var1, var2, cov12, a1, a2
 
 
 def kappa_covariance(acc: AccuracyEstimates, kp: KappaPair, n: float) -> KappaCovariance:
@@ -223,52 +255,31 @@ def kappa_covariance(acc: AccuracyEstimates, kp: KappaPair, n: float) -> KappaCo
     """
     if n <= 0:
         raise DomainError(f"sample size must be positive, got {n!r}")
-    # the algebra divides by Y_h; anti-informative estimates (negative Y)
-    # still have well-defined variances and occur routinely in small samples
-    if abs(acc.y1) <= TOL_YOUDEN or abs(acc.y2) <= TOL_YOUDEN:
-        raise DegenerateKappaError(
-            f"variance is degenerate at Youden indices ({acc.y1:g}, {acc.y2:g})")
-    p, q, c = acc.p, acc.q, kp.c
-    var_se1 = acc.se1 * (1.0 - acc.se1) / (n * p)
-    var_se2 = acc.se2 * (1.0 - acc.se2) / (n * p)
-    var_sp1 = acc.sp1 * (1.0 - acc.sp1) / (n * q)
-    var_sp2 = acc.sp2 * (1.0 - acc.sp2) / (n * q)
-    var_p = p * q / n
-    cov_se = acc.eps1 / (n * p)
-    cov_sp = acc.eps0 / (n * q)
-
-    a1 = _a_coefficients(acc, kp.kappa1, acc.y1, acc.sp1, c)
-    a2 = _a_coefficients(acc, kp.kappa2, acc.y2, acc.sp2, c)
-
-    scale1 = (kp.kappa1 / (p * q * acc.y1)) ** 2
-    scale2 = (kp.kappa2 / (p * q * acc.y2)) ** 2
-    var1 = scale1 * (a1[0] ** 2 * var_se1 + a1[1] ** 2 * var_sp1 + a1[2] ** 2 * var_p)
-    var2 = scale2 * (a2[0] ** 2 * var_se2 + a2[1] ** 2 * var_sp2 + a2[2] ** 2 * var_p)
-    cov_scale = kp.kappa1 * kp.kappa2 / (p * p * q * q * acc.y1 * acc.y2)
-    cov12 = cov_scale * (a1[0] * a2[0] * cov_se + a1[1] * a2[1] * cov_sp
-                         + a1[2] * a2[2] * var_p)
-
+    k1, k2 = kp.kappa1, kp.kappa2
+    var1, var2, cov12, a1, a2 = _covariance(
+        (acc.se1, acc.sp1, acc.se2, acc.sp2, acc.p, acc.eps1, acc.eps0), k1, k2, kp.c, n)
     var_theta = None
     var_log_theta = None
-    if kp.kappa2 != 0.0:
-        k1, k2 = kp.kappa1, kp.kappa2
-        var_theta = (k2 * k2 * var1 + k1 * k1 * var2 - 2.0 * k1 * k2 * cov12) / k2 ** 4
+    if k2 != 0.0:
+        var_theta = _var_theta(k1, k2, var1, var2, cov12)
         if k1 != 0.0:
-            var_log_theta = (var1 / (k1 * k1) + var2 / (k2 * k2)
-                             - 2.0 * cov12 / (k1 * k2))
+            var_log_theta = _var_log_theta(k1, k2, var1, var2, cov12)
     return KappaCovariance(var1=var1, var2=var2, cov12=cov12, a=(a1, a2),
                            var_theta=var_theta, var_log_theta=var_log_theta)
 
 
-# (counts, c, (acc, kp, cov)) of the latest _analysis; replaced as one tuple
+# (counts, c, analysis) of the latest _analysis; replaced as one tuple
 _last_analysis: tuple = (None, None, None)
 
 
-def _analysis(counts: PairedCounts, c: float):
-    """Accuracy, kappas and covariance of ``counts`` at ``c``.
+def _analysis(counts: PairedCounts, c: float) -> tuple:
+    """(kappa1, kappa2, var1, var2, cov12) of ``counts`` at ``c``, as plain floats.
 
-    The latest result is memoised, keyed on the identity of ``counts`` and
-    on ``c``, so the intervals and the test of one table at one c share one
+    One pass from the eight cells through accuracy_values, weighted_kappa
+    and _covariance: the arithmetic of accuracy_from_counts, kappa_pair and
+    kappa_covariance, with their errors, and no objects built. The latest
+    result is memoised, keyed on the identity of ``counts`` and on ``c``,
+    so the intervals and the test of one table at one c share one
     covariance. The memo holds ``counts``, so its id cannot be reused while
     it is memoised; a failed analysis is not stored, so it raises again.
     """
@@ -276,10 +287,12 @@ def _analysis(counts: PairedCounts, c: float):
     last_counts, last_c, result = _last_analysis
     if counts is last_counts and c == last_c:
         return result
-    acc = accuracy_from_counts(counts)
-    kp = kappa_pair(acc, c)
-    cov = kappa_covariance(acc, kp, counts.n)
-    result = acc, kp, cov
+    accuracy = accuracy_values(*counts.cells())
+    se1, sp1, se2, sp2, p, _, _ = accuracy
+    kappa1 = weighted_kappa(se1, sp1, p, c)
+    kappa2 = weighted_kappa(se2, sp2, p, c)
+    var1, var2, cov12, _, _ = _covariance(accuracy, kappa1, kappa2, c, counts.n)
+    result = kappa1, kappa2, var1, var2, cov12
     _last_analysis = (counts, c, result)
     return result
 
@@ -287,51 +300,44 @@ def _analysis(counts: PairedCounts, c: float):
 def bloch_test(counts: PairedCounts, c: float,
                config: ConfidenceConfig | None = None) -> TestResult:
     """Asymptotic z test of equal weighted kappas (two-sided)."""
-    _, kp, cov = _analysis(counts, c)
-    se = cov.se_delta
+    kappa1, kappa2, var1, var2, cov12 = _analysis(counts, c)
+    delta = kappa1 - kappa2
+    se = _se_delta(var1, var2, cov12)
     if se == 0.0:
-        if kp.delta == 0.0:
+        if delta == 0.0:
             # identical test columns: no evidence either way
             return TestResult(z_stat=0.0, p_value=1.0)
         raise DegenerateKappaError("zero standard error; the test statistic is undefined")
-    z = kp.delta / se
+    z = delta / se
     return TestResult(z_stat=z, p_value=2.0 * normal_cdf(-abs(z)))
 
 
-def wald_diff_ci(counts: PairedCounts, c: float,
-                 config: ConfidenceConfig | None = None) -> ConfidenceInterval:
-    """Wald interval for the difference, inverting the z test."""
-    config = config or ConfidenceConfig()
-    _, kp, cov = _analysis(counts, c)
-    half = config.z * cov.se_delta
-    return ConfidenceInterval(target="difference", method="wald",
-                              lower=kp.delta - half, upper=kp.delta + half,
-                              point=kp.delta)
+# The interval bounds: each returns (lower, upper, point) and needs a
+# config. METHODS calls them; the public *_ci functions wrap them in a
+# ConfidenceInterval through METHODS.
+
+def _wald_diff(counts: PairedCounts, c: float, config: ConfidenceConfig) -> tuple:
+    kappa1, kappa2, var1, var2, cov12 = _analysis(counts, c)
+    delta = kappa1 - kappa2
+    half = config.z * _se_delta(var1, var2, cov12)
+    return delta - half, delta + half, delta
 
 
-def wald_ratio_ci(counts: PairedCounts, c: float,
-                  config: ConfidenceConfig | None = None) -> ConfidenceInterval:
-    """Wald interval for the ratio from the delta-method variance of theta."""
-    config = config or ConfidenceConfig()
-    _, kp, cov = _analysis(counts, c)
-    if cov.var_theta is None:
-        raise UndefinedRatioError("kappa2 is zero; the ratio is undefined")
-    theta = kp.theta
-    half = config.z * math.sqrt(max(cov.var_theta, 0.0))
-    return ConfidenceInterval(target="ratio", method="wald",
-                              lower=theta - half, upper=theta + half, point=theta)
+def _wald_ratio(counts: PairedCounts, c: float, config: ConfidenceConfig) -> tuple:
+    kappa1, kappa2, var1, var2, cov12 = _analysis(counts, c)
+    theta = kappa_ratio(kappa1, kappa2)
+    half = config.z * math.sqrt(max(_var_theta(kappa1, kappa2, var1, var2, cov12), 0.0))
+    return theta - half, theta + half, theta
 
 
-def log_ratio_ci(counts: PairedCounts, c: float,
-                 config: ConfidenceConfig | None = None) -> ConfidenceInterval:
-    """Interval for the ratio through the normal approximation of ln(theta)."""
-    config = config or ConfidenceConfig()
-    _, kp, cov = _analysis(counts, c)
-    if kp.kappa1 <= 0.0 or kp.kappa2 <= 0.0:
+def _log_ratio(counts: PairedCounts, c: float, config: ConfidenceConfig) -> tuple:
+    kappa1, kappa2, var1, var2, cov12 = _analysis(counts, c)
+    if kappa1 <= 0.0 or kappa2 <= 0.0:
         raise LogIntervalError(
-            f"logarithmic interval needs positive kappas, got ({kp.kappa1:g}, {kp.kappa2:g})")
-    theta = kp.theta
-    log_spread = config.z * math.sqrt(max(cov.var_log_theta, 0.0))
+            f"logarithmic interval needs positive kappas, got ({kappa1:g}, {kappa2:g})")
+    theta = kappa_ratio(kappa1, kappa2)
+    log_spread = config.z * math.sqrt(max(_var_log_theta(kappa1, kappa2, var1, var2, cov12),
+                                          0.0))
     try:
         spread = math.exp(log_spread)
     except OverflowError:
@@ -341,41 +347,62 @@ def log_ratio_ci(counts: PairedCounts, c: float,
         # kappa1 or kappa2 just above 0 makes Var[ln theta] explode
         raise LogIntervalError(
             f"logarithmic interval is unbounded: z*sqrt(Var[ln theta]) = {log_spread:g}")
-    return ConfidenceInterval(target="ratio", method="logarithmic",
-                              lower=theta / spread, upper=upper, point=theta)
+    return theta / spread, upper, theta
+
+
+def _fieller(counts: PairedCounts, c: float, config: ConfidenceConfig) -> tuple:
+    kappa1, kappa2, var1, var2, cov12 = _analysis(counts, c)
+    lower, upper = fieller_interval(kappa1, kappa2, var1, var2, cov12, config.z)
+    return lower, upper, kappa_ratio(kappa1, kappa2)
+
+
+def wald_diff_ci(counts: PairedCounts, c: float,
+                 config: ConfidenceConfig | None = None) -> ConfidenceInterval:
+    """Wald interval for the difference, inverting the z test."""
+    return METHODS["wald-diff"].interval(counts, c, config)
+
+
+def wald_ratio_ci(counts: PairedCounts, c: float,
+                  config: ConfidenceConfig | None = None) -> ConfidenceInterval:
+    """Wald interval for the ratio from the delta-method variance of theta."""
+    return METHODS["wald-ratio"].interval(counts, c, config)
+
+
+def log_ratio_ci(counts: PairedCounts, c: float,
+                 config: ConfidenceConfig | None = None) -> ConfidenceInterval:
+    """Interval for the ratio through the normal approximation of ln(theta)."""
+    return METHODS["log-ratio"].interval(counts, c, config)
 
 
 def fieller_interval(kappa1: float, kappa2: float, var1: float, var2: float,
                      cov12: float, z: float) -> tuple[float, float]:
     """Roots of the Fieller quadratic, lower root first.
 
-    Invalid (raises) when the discriminant is negative or w22 is zero; a
-    zero discriminant yields the degenerate point interval.
+    Its coefficients are w_ij = kappa_i*kappa_j - sigma_ij * z^2. Invalid
+    (raises) when the discriminant is negative or w22 is zero; a
+    discriminant that is zero up to rounding yields the degenerate point
+    interval.
     """
-    coeffs = FiellerCoefficients(
-        w11=kappa1 * kappa1 - var1 * z * z,
-        w12=kappa1 * kappa2 - cov12 * z * z,
-        w22=kappa2 * kappa2 - var2 * z * z,
-    )
-    if not coeffs.valid:
+    w11 = kappa1 * kappa1 - var1 * z * z
+    w12 = kappa1 * kappa2 - cov12 * z * z
+    w22 = kappa2 * kappa2 - var2 * z * z
+    discriminant = w12 * w12 - w11 * w22
+    if discriminant < 0.0 and discriminant >= -1e-12 * max(w12 * w12, abs(w11 * w22)):
+        discriminant = 0.0
+    if not (w22 != 0.0 and discriminant >= 0.0):
         raise FiellerInvalidError(
-            f"Fieller condition fails (w12^2 - w11*w22 = {coeffs.discriminant:g}, "
-            f"w22 = {coeffs.w22:g})")
-    root = math.sqrt(coeffs.discriminant)
-    lo = (coeffs.w12 - root) / coeffs.w22
-    hi = (coeffs.w12 + root) / coeffs.w22
+            f"Fieller condition fails (w12^2 - w11*w22 = {discriminant:g}, "
+            f"w22 = {w22:g})")
+    root = math.sqrt(discriminant)
+    lo = (w12 - root) / w22
+    hi = (w12 + root) / w22
     return (lo, hi) if lo <= hi else (hi, lo)
 
 
 def fieller_ratio_ci(counts: PairedCounts, c: float,
                      config: ConfidenceConfig | None = None) -> ConfidenceInterval:
     """Fieller interval for the ratio of the two kappas."""
-    config = config or ConfidenceConfig()
-    _, kp, cov = _analysis(counts, c)
-    lo, hi = fieller_interval(kp.kappa1, kp.kappa2, cov.var1, cov.var2,
-                              cov.cov12, config.z)
-    return ConfidenceInterval(target="ratio", method="fieller",
-                              lower=lo, upper=hi, point=kp.theta)
+    return METHODS["fieller-ratio"].interval(counts, c, config)
 
 
 def _add_coefficients(columns, accuracies) -> None:
@@ -496,12 +523,14 @@ def bootstrap_ci(counts: PairedCounts, c: float, target: str,
     is the plug-in estimate, which a strongly bias-corrected interval may
     legitimately exclude.
     """
-    config = config or ConfidenceConfig()
-    if target not in ("difference", "ratio"):
-        raise DomainError(f"target must be 'difference' or 'ratio', got {target!r}")
-    _, kp, _ = _analysis(counts, c)
+    return METHODS[_tag("boot", target)].interval(counts, c, config, tables=tables)
+
+
+def _bootstrap(counts: PairedCounts, c: float, target: str, config: ConfidenceConfig,
+               tables: BootstrapTables | None) -> tuple:
+    kappa1, kappa2, _, _, _ = _analysis(counts, c)
     need_ratio = target == "ratio"
-    point = kp.theta if need_ratio else kp.delta
+    point = kappa_ratio(kappa1, kappa2) if need_ratio else kappa1 - kappa2
     if tables is None:
         tables = BootstrapTables(counts, RandomStream(config.seed, BOOTSTRAP_STREAM))
     elif tables.counts != counts:
@@ -519,8 +548,7 @@ def bootstrap_ci(counts: PairedCounts, c: float, target: str,
             f"only {len(stats)} of {b} replicates were estimable within {budget} draws")
     stats.sort()
     lower, upper = _bias_corrected_bounds(stats, point, config.z)
-    return ConfidenceInterval(target=target, method="bootstrap-bc",
-                              lower=lower, upper=upper, point=point)
+    return lower, upper, point
 
 
 def _bias_corrected_bounds(stats: list[float], point: float, z: float) -> tuple[float, float]:
@@ -586,9 +614,11 @@ def bayesian_ci(counts: PairedCounts, c: float, target: str,
     are kept (the posterior ranges over all parameter values); ratio draws
     with kappa2 exactly zero are excluded.
     """
-    config = config or ConfidenceConfig()
-    if target not in ("difference", "ratio"):
-        raise DomainError(f"target must be 'difference' or 'ratio', got {target!r}")
+    return METHODS[_tag("bayes", target)].interval(counts, c, config, draws=draws)
+
+
+def _bayesian(counts: PairedCounts, c: float, target: str, config: ConfidenceConfig,
+              draws: PosteriorDraws | None) -> tuple:
     if not 0.0 <= c <= 1.0:
         raise DomainError(f"weighting index must be in [0, 1], got {c!r}")
     if counts.s <= 0 or counts.r <= 0:
@@ -606,33 +636,48 @@ def bayesian_ci(counts: PairedCounts, c: float, target: str,
                       "were excluded from its quantiles", stacklevel=2)
     stats.sort()
     alpha = config.alpha
-    return ConfidenceInterval(target=target, method="bayesian-quantile",
-                              lower=sorted_quantile(stats, alpha / 2.0),
-                              upper=sorted_quantile(stats, 1.0 - alpha / 2.0),
-                              point=math.fsum(stats) / len(stats))
+    return (sorted_quantile(stats, alpha / 2.0), sorted_quantile(stats, 1.0 - alpha / 2.0),
+            math.fsum(stats) / len(stats))
 
 
 @dataclass(frozen=True, slots=True)
 class Method:
     """An interval: its target, the shared draw it reads (None, "tables" or
-    "draws") and its ``call(counts, c, config, tables, draws)``."""
+    "draws"), its ConfidenceInterval.method label and its
+    ``call(counts, c, config, tables, draws)``, which returns the bounds as
+    (lower, upper, point) without checking their order."""
 
     target: str
     draw: str | None
-    call: Callable[..., ConfidenceInterval]
+    label: str
+    call: Callable[..., tuple[float, float, float]]
+
+    def interval(self, counts: PairedCounts, c: float, config: ConfidenceConfig | None = None,
+                 tables: BootstrapTables | None = None,
+                 draws: PosteriorDraws | None = None) -> ConfidenceInterval:
+        """The call's bounds as a ConfidenceInterval, by default at ConfidenceConfig()."""
+        lower, upper, point = self.call(counts, c, config or ConfidenceConfig(), tables, draws)
+        return ConfidenceInterval(self.target, self.label, lower, upper, point)
+
+
+def _tag(kind: str, target: str) -> str:
+    """The tag of the ``kind`` ("boot" or "bayes") interval for ``target``."""
+    if target not in ("difference", "ratio"):
+        raise DomainError(f"target must be 'difference' or 'ratio', got {target!r}")
+    return f"{kind}-diff" if target == "difference" else f"{kind}-ratio"
 
 
 # every interval by tag, in report order; the calls look up this module's
-# interval functions when they run
+# bound functions when they run
 METHODS = {
-    "wald-diff": Method("difference", None, lambda counts, c, config, tables, draws: wald_diff_ci(counts, c, config)),
-    "boot-diff": Method("difference", "tables", lambda counts, c, config, tables, draws: bootstrap_ci(counts, c, "difference", config, tables)),
-    "bayes-diff": Method("difference", "draws", lambda counts, c, config, tables, draws: bayesian_ci(counts, c, "difference", config, draws)),
-    "wald-ratio": Method("ratio", None, lambda counts, c, config, tables, draws: wald_ratio_ci(counts, c, config)),
-    "log-ratio": Method("ratio", None, lambda counts, c, config, tables, draws: log_ratio_ci(counts, c, config)),
-    "fieller-ratio": Method("ratio", None, lambda counts, c, config, tables, draws: fieller_ratio_ci(counts, c, config)),
-    "boot-ratio": Method("ratio", "tables", lambda counts, c, config, tables, draws: bootstrap_ci(counts, c, "ratio", config, tables)),
-    "bayes-ratio": Method("ratio", "draws", lambda counts, c, config, tables, draws: bayesian_ci(counts, c, "ratio", config, draws)),
+    "wald-diff": Method("difference", None, "wald", lambda counts, c, config, tables, draws: _wald_diff(counts, c, config)),
+    "boot-diff": Method("difference", "tables", "bootstrap-bc", lambda counts, c, config, tables, draws: _bootstrap(counts, c, "difference", config, tables)),
+    "bayes-diff": Method("difference", "draws", "bayesian-quantile", lambda counts, c, config, tables, draws: _bayesian(counts, c, "difference", config, draws)),
+    "wald-ratio": Method("ratio", None, "wald", lambda counts, c, config, tables, draws: _wald_ratio(counts, c, config)),
+    "log-ratio": Method("ratio", None, "logarithmic", lambda counts, c, config, tables, draws: _log_ratio(counts, c, config)),
+    "fieller-ratio": Method("ratio", None, "fieller", lambda counts, c, config, tables, draws: _fieller(counts, c, config)),
+    "boot-ratio": Method("ratio", "tables", "bootstrap-bc", lambda counts, c, config, tables, draws: _bootstrap(counts, c, "ratio", config, tables)),
+    "bayes-ratio": Method("ratio", "draws", "bayesian-quantile", lambda counts, c, config, tables, draws: _bayesian(counts, c, "ratio", config, draws)),
 }
 
 

@@ -31,7 +31,9 @@ __all__ = [
     "KappaPair",
     "ComparisonVerdict",
     "accuracy_from_counts",
+    "accuracy_values",
     "weighted_kappa",
+    "kappa_ratio",
     "kappa_pair",
     "accuracy_from_kappa_pair",
     "crossover_index",
@@ -142,9 +144,7 @@ class KappaPair:
 
     @property
     def theta(self) -> float:
-        if self.kappa2 == 0.0:
-            raise UndefinedRatioError("kappa2 is zero; the ratio is undefined")
-        return self.kappa1 / self.kappa2
+        return kappa_ratio(self.kappa1, self.kappa2)
 
 
 @dataclass(frozen=True)
@@ -189,19 +189,29 @@ class ComparisonVerdict:
 
 def accuracy_from_counts(counts: PairedCounts) -> AccuracyEstimates:
     """Maximum-likelihood accuracy estimates from the eight cell counts."""
-    s, r, n = counts.s, counts.r, counts.n
+    return AccuracyEstimates(*accuracy_values(*counts.cells()))
+
+
+def accuracy_values(s11: float, s10: float, s01: float, s00: float,
+                    r11: float, r10: float, r01: float, r00: float) -> tuple:
+    """(se1, sp1, se2, sp2, p, eps1, eps0) of the eight cells, as plain floats.
+
+    The fields of accuracy_from_counts, without building the object: it
+    raises NonEstimableError on an empty stratum and the DomainError of
+    AccuracyEstimates when the values are out of range. On non-negative
+    cells that happens only when p is not in (0, 1), so p alone is checked.
+    """
+    s = s11 + s10 + s01 + s00
+    r = r11 + r10 + r01 + r00
     if s <= 0 or r <= 0:
         raise NonEstimableError(
             f"need both strata non-empty to estimate (s={s:g}, r={r:g})")
-    return AccuracyEstimates(
-        se1=(counts.s11 + counts.s10) / s,
-        sp1=(counts.r01 + counts.r00) / r,
-        se2=(counts.s11 + counts.s01) / s,
-        sp2=(counts.r10 + counts.r00) / r,
-        p=s / n,
-        eps1=(counts.s11 * counts.s00 - counts.s10 * counts.s01) / (s * s),
-        eps0=(counts.r11 * counts.r00 - counts.r10 * counts.r01) / (r * r),
-    )
+    values = ((s11 + s10) / s, (r01 + r00) / r, (s11 + s01) / s, (r10 + r00) / r,
+              s / (s + r), (s11 * s00 - s10 * s01) / (s * s),
+              (r11 * r00 - r10 * r01) / (r * r))
+    if not 0.0 < values[4] < 1.0:  # an infinite or overflowing cell
+        AccuracyEstimates(*values)  # raises the DomainError that names the field
+    return values
 
 
 def weighted_kappa(se: float, sp: float, p: float, c: float) -> float:
@@ -229,6 +239,13 @@ def kappa_pair(acc: AccuracyEstimates, c: float) -> KappaPair:
         kappa1=weighted_kappa(acc.se1, acc.sp1, acc.p, c),
         kappa2=weighted_kappa(acc.se2, acc.sp2, acc.p, c),
     )
+
+
+def kappa_ratio(kappa1: float, kappa2: float) -> float:
+    """theta = kappa1 / kappa2; UndefinedRatioError when kappa2 is zero."""
+    if kappa2 == 0.0:
+        raise UndefinedRatioError("kappa2 is zero; the ratio is undefined")
+    return kappa1 / kappa2
 
 
 def accuracy_from_kappa_pair(k0: float, k1: float, p: float) -> tuple[float, float]:

@@ -380,25 +380,37 @@ def _binomial(n: int, p: float, stream: RandomStream, cdfs: dict) -> int:
     return total + _binomial_chunk(n, p, stream, cdfs)
 
 
+# the cdfs key of (pi as a tuple, its float probabilities) for the last
+# vector sample_multinomial validated; binomial CDFs are keyed by (size, p)
+_VALIDATED_PI = "pi"
+
+
 def sample_multinomial(pi, n: int, stream: RandomStream, cdfs: dict | None = None) -> list[int]:
     """One multinomial draw of size ``n`` via sequential conditional binomials.
 
     ``cdfs`` holds the binomial CDFs built so far, keyed by (size, p); a
     caller that draws many times from one ``pi`` passes the same dict to
-    every call to reuse them. The counts and the stream's state afterwards
-    do not depend on it.
+    every call to reuse them. It also remembers the last ``pi`` it saw
+    validated, so an equal vector is not checked again and any other is.
+    The counts and the stream's state afterwards do not depend on it.
     """
-    probs = [float(x) for x in pi]
-    if not probs:
-        raise DomainError("multinomial needs at least one category")
-    if any(x < 0.0 for x in probs):
-        raise DomainError("multinomial probabilities must be non-negative")
-    if abs(sum(probs) - 1.0) > 1e-9:
-        raise DomainError(f"multinomial probabilities must sum to 1, got {sum(probs)!r}")
-    if n < 0 or n != int(n):
-        raise DomainError(f"multinomial size must be a non-negative integer, got {n!r}")
     if cdfs is None:
         cdfs = {}
+    key = tuple(pi)
+    validated = cdfs.get(_VALIDATED_PI)
+    if validated is not None and validated[0] == key:
+        probs = validated[1]
+    else:
+        probs = [float(x) for x in key]
+        if not probs:
+            raise DomainError("multinomial needs at least one category")
+        if any(x < 0.0 for x in probs):
+            raise DomainError("multinomial probabilities must be non-negative")
+        if abs(sum(probs) - 1.0) > 1e-9:
+            raise DomainError(f"multinomial probabilities must sum to 1, got {sum(probs)!r}")
+        cdfs[_VALIDATED_PI] = (key, probs)
+    if n < 0 or n != int(n):
+        raise DomainError(f"multinomial size must be a non-negative integer, got {n!r}")
     counts: list[int] = []
     remaining = int(n)
     mass = 1.0

@@ -18,11 +18,16 @@ from .errors import DomainError
 from .inference import (
     ConfidenceConfig,
     ConfidenceInterval,
-    _analysis,
     kappa_covariance,
     wald_ratio_ci,
 )
-from .kappa_core import TOL_YOUDEN, AccuracyEstimates, KappaPair
+from .kappa_core import (
+    TOL_YOUDEN,
+    AccuracyEstimates,
+    KappaPair,
+    accuracy_from_counts,
+    kappa_pair,
+)
 
 __all__ = [
     "SMALL_PILOT",
@@ -113,8 +118,8 @@ def plan_iteration(counts: PairedCounts, c: float, phi: float, conf: float = 0.9
         n_required = pilot_n
         achieved = True
     else:
-        acc, kp, _ = _analysis(working, c)  # memoised by wald_ratio_ci
-        n_required = required_sample_size(acc, kp, phi, conf)
+        acc = accuracy_from_counts(working)
+        n_required = required_sample_size(acc, kappa_pair(acc, c), phi, conf)
         achieved = False
     return SampleSizePlan(phi=phi, conf=conf, n_required=n_required,
                           achieved=achieved, pilot_n=pilot_n, ci=ci,

@@ -47,6 +47,7 @@ from .inference import (
     check_methods,
     fieller_ratio_ci,  # noqa: F401
     log_ratio_ci,  # noqa: F401
+    require_ordered,
     wald_diff_ci,  # noqa: F401
     wald_ratio_ci,  # noqa: F401
 )
@@ -210,6 +211,7 @@ def _run_replicate(scenario: Scenario, n: int, entries: tuple, shared: set,
                    config: ConfidenceConfig, index: int, correct: bool, cdfs: dict):
     """All per-replicate work; depends only on (scenario, n, config, index).
 
+    ``entries`` are the methods' (tag, true value, call) (_entries).
     ``cdfs`` caches the binomial CDFs of the scenario's samples (sample_counts).
     """
     base = _STREAMS_PER_REPLICATE * index
@@ -223,7 +225,7 @@ def _run_replicate(scenario: Scenario, n: int, entries: tuple, shared: set,
         # all: an empty stratum, or a Youden estimate of zero (the variance
         # divides by Y). Negative-Y samples keep their slot: their intervals
         # are well defined and the small-sample coverage collapse depends on
-        # them. The analysis stays memoised for the closed-form intervals.
+        # them. The analysis stays memoised, so the closed-form bounds read it.
         try:
             _analysis(counts, scenario.c)
         except (NonEstimableError, DegenerateKappaError):
@@ -242,23 +244,38 @@ def _run_replicate(scenario: Scenario, n: int, entries: tuple, shared: set,
     if "draws" in shared:
         draws = PosteriorDraws(counts, config.priors, config.bayes_m,
                                RandomStream(config.seed, base + 2))
+    return redraws, _score(entries, counts, scenario.c, config, tables, draws)
+
+
+def _entries(scenario: Scenario, methods) -> tuple:
+    """(tag, true value, call) of each method, resolved once per range."""
+    return tuple((method, scenario.delta if METHODS[method].target == "difference"
+                  else scenario.theta, METHODS[method].call) for method in methods)
+
+
+def _score(entries: tuple, counts: PairedCounts, c: float, config: ConfidenceConfig,
+           tables: BootstrapTables | None, draws: PosteriorDraws | None) -> dict:
+    """tag -> (covered, length) of each method's interval, or (False, None) when invalid.
+
+    Scores the bounds as ConfidenceInterval.contains and .length score them,
+    and raises its DomainError when they are out of order.
+    """
     outcomes = {}
-    for method, entry in entries:
-        true_value = scenario.delta if entry.target == "difference" else scenario.theta
+    for method, true_value, call in entries:
         try:
-            ci = entry.call(counts, scenario.c, config, tables, draws)
+            lower, upper, _ = call(counts, c, config, tables, draws)
         except _INTERVAL_ERRORS:
             outcomes[method] = (False, None)
         else:
-            outcomes[method] = (ci.contains(true_value), ci.length)
-    return redraws, outcomes
+            require_ordered(lower, upper)
+            outcomes[method] = (lower <= true_value <= upper, upper - lower)
+    return outcomes
 
 
 def _run_range(args):
     scenario, n, methods, config, lo, hi, correct = args
-    # resolved once per range: (tag, registry entry) pairs and the shared draws they read
-    entries = tuple((method, METHODS[method]) for method in methods)
-    shared = {entry.draw for _, entry in entries}
+    entries = _entries(scenario, methods)
+    shared = {METHODS[method].draw for method in methods}  # the shared draws they read
     cdfs: dict = {}  # binomial CDFs of the scenario, shared by the range's samples
     return [_run_replicate(scenario, n, entries, shared, config, i, correct, cdfs)
             for i in range(lo, hi)]

@@ -1,7 +1,26 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from kappacmp.data_model import PairedCounts
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def perfbench_run(monkeypatch):
+    """perfbench/run.py as a module, loaded read-only and dropped after the test."""
+    # run.py imports its sibling spans.py and puts src/ on sys.path
+    monkeypatch.setattr(sys, "path", [str(PERFBENCH), *sys.path])
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look it up
+    spec.loader.exec_module(run)
+    return run
 
 
 @pytest.fixture

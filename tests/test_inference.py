@@ -268,7 +268,9 @@ class TestLogRatio:
         # kappa1 just above 0 at c = 0.9: Var[ln theta] is about 2.2e5, so
         # exp(z * sqrt(Var)) overflows
         counts = PairedCounts(3, 0, 18, 8, 7, 21, 3, 240)
-        _, kp, cov = inference._analysis(counts, 0.9)
+        acc = accuracy_from_counts(counts)
+        kp = kappa_pair(acc, 0.9)
+        cov = kappa_covariance(acc, kp, counts.n)
         assert 0.0 < kp.kappa1 < 1e-2 and cov.var_log_theta > 1e5
         with pytest.raises(LogIntervalError):
             log_ratio_ci(counts, 0.9)
@@ -599,13 +601,15 @@ CLOSED_FORM = (wald_diff_ci, wald_ratio_ci, log_ratio_ci, fieller_ratio_ci, bloc
 class TestSharedAnalysis:
     @pytest.fixture
     def covariance_calls(self, monkeypatch):
+        # the analysis's one float covariance step: (accuracy, kappa1, kappa2, c, n)
         calls = []
+        covariance = inference._covariance
 
         def counted(*args):
             calls.append(args)
-            return kappa_covariance(*args)
+            return covariance(*args)
 
-        monkeypatch.setattr(inference, "kappa_covariance", counted)
+        monkeypatch.setattr(inference, "_covariance", counted)
         return calls
 
     def test_closed_form_coverage_computes_one_covariance_per_replicate(self, covariance_calls):
@@ -629,7 +633,38 @@ class TestSharedAnalysis:
         assert len(covariance_calls) == 3
         wald_diff_ci(table8, 0.6)
         wald_diff_ci(table8, 0.5)
-        assert [args[1].c for args in covariance_calls] == [0.5, 0.5, 0.5, 0.6, 0.5]
+        assert [args[3] for args in covariance_calls] == [0.5, 0.5, 0.5, 0.6, 0.5]
+
+    def test_float_analysis_matches_the_public_objects(self):
+        # bit for bit, or the same error and message, on tiny, sparse,
+        # corrected and non-finite tables
+        rng = np.random.RandomState(31)
+        tables = [PairedCounts(*rng.randint(0, high, size=8))
+                  for high in (2, 4, 30, 400) for _ in range(40)]
+        tables += [apply_continuity_correction(t) for t in tables[:40]]
+        tables += [YOUDEN_ZERO, PairedCounts(math.inf, 1, 1, 1, 1, 1, 1, 1),
+                   PairedCounts(1, 1, 1, 1, 1, 1, 1, math.inf),
+                   PairedCounts(1e300, 1e300, 1, 1, 1, 1, 1, 1)]
+
+        def outcome(call):
+            try:
+                return tuple(x.hex() for x in call())
+            except (DomainError, NonEstimableError, DegenerateKappaError) as exc:
+                return type(exc), str(exc)
+
+        def public(counts, c):
+            acc = accuracy_from_counts(counts)
+            kp = kappa_pair(acc, c)
+            cov = kappa_covariance(acc, kp, counts.n)
+            return kp.kappa1, kp.kappa2, cov.var1, cov.var2, cov.cov12
+
+        kinds = set()
+        for counts in tables:
+            for c in (0.0, 0.3, 1.0, 1.5):
+                expected = outcome(lambda: public(counts, c))
+                assert outcome(lambda: inference._analysis(counts, c)) == expected
+                kinds.add(expected[0] if isinstance(expected[0], type) else "ok")
+        assert kinds == {"ok", DomainError, NonEstimableError, DegenerateKappaError}
 
     def test_failed_analysis_raises_from_every_closed_form_method(self, table8, covariance_calls):
         wald_diff_ci(table8, 0.5)

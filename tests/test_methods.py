@@ -54,22 +54,26 @@ class TestRegistry:
         elif entry.draw == "draws":
             draws = PosteriorDraws(table8, FAST.priors, FAST.bayes_m,
                                    RandomStream(FAST.seed, BAYES_STREAM))
-        ci = entry.call(table8, 0.5, FAST, tables, draws)
-        assert ci.target == entry.target
-        assert ci.lower <= ci.upper
+        lower, upper, point = entry.call(table8, 0.5, FAST, tables, draws)
+        assert lower <= upper
+        ci = entry.interval(table8, 0.5, FAST, tables, draws)
+        assert (ci.target, ci.method) == (entry.target, entry.label)
+        assert (ci.lower, ci.upper, ci.point) == (lower, upper, point)
 
     def test_calls_look_up_the_interval_functions_when_they_run(self, table8, monkeypatch):
         calls = []
-        original = inference.wald_ratio_ci
+        original = inference._wald_ratio
 
         def wrapped(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(inference, "wald_ratio_ci", wrapped)
-        ci = METHODS["wald-ratio"].call(table8, 0.5, FAST, None, None)
+        monkeypatch.setattr(inference, "_wald_ratio", wrapped)
+        bounds = METHODS["wald-ratio"].call(table8, 0.5, FAST, None, None)
         assert calls == [(table8, 0.5, FAST)]
-        assert ci == original(table8, 0.5, FAST)
+        assert bounds == original(table8, 0.5, FAST)
+        ci = inference.wald_ratio_ci(table8, 0.5, FAST)
+        assert len(calls) == 2 and (ci.lower, ci.upper, ci.point) == bounds
 
     def test_check_methods_returns_a_tuple(self):
         assert check_methods(iter(["log-ratio", "wald-diff"])) == ("log-ratio", "wald-diff")

@@ -209,6 +209,22 @@ class TestMultinomial:
         with pytest.raises(DomainError):
             sample_multinomial([1.2, -0.2], 5, stream)
 
+    def test_shared_dict_validates_every_other_vector(self):
+        # the dict remembers only the vector it saw validated
+        stream = RandomStream(0)
+        cdfs = {}
+        pi = [0.5, 0.5]
+        assert sum(sample_multinomial(pi, 5, stream, cdfs)) == 5
+        for invalid in ([0.5, 0.4], [1.2, -0.2], []):
+            with pytest.raises(DomainError):
+                sample_multinomial(invalid, 5, stream, cdfs)
+        pi[1] = 0.6  # the same list, changed since it was validated
+        with pytest.raises(DomainError):
+            sample_multinomial(pi, 5, stream, cdfs)
+        assert sum(sample_multinomial((0.5, 0.5), 5, stream, cdfs)) == 5
+        with pytest.raises(DomainError):
+            sample_multinomial((0.5, 0.5), -1, stream, cdfs)  # the size, on every draw
+
 
 # -- reference sampler: the walk up the binomial CDF from k = 0 on every draw --
 

@@ -14,15 +14,30 @@ import pytest
 
 import kappacmp.simulation as simulation
 from conftest import random_accuracies
+from kappacmp.data_model import PairedCounts, apply_continuity_correction
 from kappacmp.errors import (
     DegenerateKappaError,
     DomainError,
+    FiellerInvalidError,
     InfeasibleScenarioError,
+    KappaCmpError,
+    LogIntervalError,
     NonEstimableError,
     UndefinedRatioError,
     UnsupportedNominalError,
 )
-from kappacmp.inference import ConfidenceConfig
+from kappacmp.inference import (
+    METHODS,
+    BootstrapTables,
+    ConfidenceConfig,
+    PosteriorDraws,
+    bayesian_ci,
+    bootstrap_ci,
+    fieller_ratio_ci,
+    log_ratio_ci,
+    wald_diff_ci,
+    wald_ratio_ci,
+)
 from kappacmp.numerics import RandomStream
 from kappacmp.simulation import (
     BatchRow,
@@ -315,6 +330,108 @@ class TestCoverageStudy:
         sc = build_scenario_from_kappas(0.3, 0.6, 0.8, 0.8, 0.25, 0.5, 0.5)
         with pytest.raises(DomainError):
             coverage_study(sc, 50, 100, ["wald-odds"], ConfidenceConfig())
+
+
+# the populations of demos/06_full_coverage_tables.py: (k0_1, k1_1, k0_2, k1_2, p, c)
+DEMO06 = (
+    (0.21, 0.14, 0.81, 0.72, 0.50, 0.1),
+    (0.20, 0.20, 0.80, 0.80, 0.10, 0.9),
+    (0.38, 0.76, 0.80, 0.80, 0.10, 0.1),
+    (0.30, 0.60, 0.80, 0.80, 0.25, 0.5),
+    (0.60, 0.60, 0.40, 0.90, 0.05, 0.9),
+    (0.90, 0.15, 0.90, 0.40, 0.25, 0.1),
+    (0.30, 0.60, 0.60, 0.30, 0.25, 0.5),
+    (0.10, 0.60, 0.40, 0.40, 0.50, 0.9),
+)
+SCORER_CONFIG = ConfidenceConfig(bootstrap_b=100, bayes_m=1000, seed=4)
+# each tag's public interval function, on (counts, c, tables, draws)
+PUBLIC_CI = {
+    "wald-diff": lambda counts, c, tables, draws: wald_diff_ci(counts, c, SCORER_CONFIG),
+    "boot-diff": lambda counts, c, tables, draws: bootstrap_ci(
+        counts, c, "difference", SCORER_CONFIG, tables),
+    "bayes-diff": lambda counts, c, tables, draws: bayesian_ci(
+        counts, c, "difference", SCORER_CONFIG, draws),
+    "wald-ratio": lambda counts, c, tables, draws: wald_ratio_ci(counts, c, SCORER_CONFIG),
+    "log-ratio": lambda counts, c, tables, draws: log_ratio_ci(counts, c, SCORER_CONFIG),
+    "fieller-ratio": lambda counts, c, tables, draws: fieller_ratio_ci(counts, c, SCORER_CONFIG),
+    "boot-ratio": lambda counts, c, tables, draws: bootstrap_ci(
+        counts, c, "ratio", SCORER_CONFIG, tables),
+    "bayes-ratio": lambda counts, c, tables, draws: bayesian_ci(
+        counts, c, "ratio", SCORER_CONFIG, draws),
+}
+
+
+def _scorer_cases():
+    """(table, scenario) pairs: the table is scored at the scenario's c and true values."""
+    scenarios = [build_scenario_from_kappas(*row, 0.5) for row in DEMO06]
+    stream = RandomStream(77, 0)
+    cases = []
+    for sc in scenarios:
+        for n in (25, 100, 500):
+            cases += [(sample_counts(sc, n, stream), sc) for _ in range(2)]
+    # scenario 2 at n = 300 and 400 draws tables with kappa1 just above 0
+    for n in (300, 400):
+        cases += [(sample_counts(scenarios[1], n, stream), scenarios[1]) for _ in range(6)]
+    cases += [(apply_continuity_correction(sample_counts(sc, 25, stream)), sc)
+              for sc in scenarios]
+    cases += [
+        # kappa1 just above 0 at c = 0.9: the logarithmic interval overflows
+        (PairedCounts(3, 0, 18, 8, 7, 21, 3, 240), scenarios[1]),
+        (PairedCounts(3, 2, 4, 1, 2, 3, 1, 4), scenarios[3]),  # Se1 = Sp1 = 0.5
+        (PairedCounts(3, 4, 2, 1, 2, 1, 3, 4), scenarios[3]),  # Se2 = Sp2 = 0.5: kappa2 = 0
+        (PairedCounts(6, 0, 5, 3, 2, 5, 6, 1), scenarios[3]),  # Fieller invalid at c = 0.5
+    ]
+    return cases
+
+
+def _scored(tag, true_value, counts, c, tables, draws):
+    """The scorer's outcome of one method, or the KappaCmpError it raised."""
+    try:
+        return simulation._score(((tag, true_value, METHODS[tag].call),),
+                                 counts, c, SCORER_CONFIG, tables, draws)[tag]
+    except KappaCmpError as exc:
+        return type(exc)
+
+
+class TestScorer:
+    @pytest.mark.filterwarnings("ignore:.*posterior draws had an undefined")
+    def test_scores_every_method_as_the_public_interval(self):
+        # (covered, length) bit for bit, invalid for an interval error, and
+        # any other KappaCmpError raised, on every method and table
+        errors = set()
+        kappa2_zero = 0
+        for counts, sc in _scorer_cases():
+            c = sc.c
+            tables = BootstrapTables(counts, RandomStream(SCORER_CONFIG.seed, 1))
+            draws = PosteriorDraws(counts, SCORER_CONFIG.priors, SCORER_CONFIG.bayes_m,
+                                   RandomStream(SCORER_CONFIG.seed, 2))
+            for tag, true_value, _ in simulation._entries(sc, METHODS):
+                try:
+                    ci = PUBLIC_CI[tag](counts, c, tables, draws)
+                except KappaCmpError as exc:
+                    errors.add(type(exc))
+                    interval_error = isinstance(exc, simulation._INTERVAL_ERRORS)
+                    expected = (False, None) if interval_error else type(exc)
+                    assert _scored(tag, true_value, counts, c, tables, draws) == expected
+                    continue
+                # the true value, the bounds and the floats just outside them
+                for value in (true_value, ci.lower, ci.upper, math.nextafter(ci.lower, -math.inf),
+                              math.nextafter(ci.upper, math.inf)):
+                    hit, length = _scored(tag, value, counts, c, tables, draws)
+                    assert hit is ci.contains(value)
+                    assert length.hex() == ci.length.hex()
+                if tag == "bayes-ratio" and counts.cells() == (3, 4, 2, 1, 2, 1, 3, 4):
+                    kappa2_zero += 1
+        assert {LogIntervalError, DegenerateKappaError, FiellerInvalidError} <= errors
+        assert kappa2_zero == 1
+
+    def test_bounds_out_of_order_raise_as_the_interval_does(self, table8):
+        def reversed_bounds(counts, c, config, tables, draws):
+            return 1.0, 0.5, 0.75
+
+        entries = (("wald-ratio", 0.7, reversed_bounds),)
+        with pytest.raises(DomainError, match=r"interval bounds out of order: \(1.0, 0.5\)"):
+            simulation._score(entries, table8, 0.5, SCORER_CONFIG, None, None)
 
 
 class TestSharedPool:
