@@ -10,7 +10,7 @@ from . import __version__
 from .data_model import (
     CELL_NAMES,
     PairedCounts,
-    apply_continuity_correction,
+    correct_counts,
     counts_from_records,
     read_records,
     validate_counts,
@@ -19,6 +19,7 @@ from .errors import DomainError, KappaCmpError
 from .inference import (
     BAYES_STREAM,
     BOOTSTRAP_STREAM,
+    DEFAULT_CONFIG,
     METHODS,
     BetaPrior,
     BootstrapTables,
@@ -84,7 +85,6 @@ class AnalysisReport:
 
     counts: PairedCounts
     corrected: bool
-    working_counts: PairedCounts
     conf: float
     accuracy: AccuracyEstimates
     c_prime: float | None
@@ -99,23 +99,15 @@ def build_analysis_report(counts: PairedCounts, cs=None, methods=None,
                           config: ConfidenceConfig | None = None,
                           correct: bool | str = "auto",
                           precision: float = 0.0,
-                          plan_c: float | None = None,
                           include_inverse: bool = False) -> AnalysisReport:
     """Full analysis of one observed table; the CLI is a thin shell over this."""
-    config = config or ConfidenceConfig()
+    config = config or DEFAULT_CONFIG
     methods = check_methods(METHODS if methods is None else methods)
 
     warnings = []
+    recommendation = recommend_method(counts.n)  # raises when n < 1
     validation = validate_counts(counts)
-    recommendation = recommend_method(counts.n) if counts.n >= 1 else None
-    if correct == "auto":
-        # the small-sample rule corrects for precision, never to manufacture
-        # estimability; an empty stratum needs an explicit correction request
-        apply = (recommendation is not None and recommendation.corrected
-                 and validation.estimable)
-    else:
-        apply = bool(correct)
-    working = apply_continuity_correction(counts) if apply else counts
+    working, apply = correct_counts(counts, correct)
     if apply:
         warnings.append("continuity correction applied: 0.5 added to every cell")
     if validation.degenerate_margins:
@@ -195,15 +187,13 @@ def build_analysis_report(counts: PairedCounts, cs=None, methods=None,
 
     plan = None
     if precision > 0.0:
-        if plan_c is None:
-            if len(cs) != 1:
-                raise KappaCmpError("sample-size planning needs a single weighting index; "
-                                    "pass --c")
-            plan_c = cs[0]
-        plan = plan_iteration(counts, plan_c, precision, config.conf, config, correct)
+        if len(cs) != 1:
+            raise KappaCmpError("sample-size planning needs a single weighting index; "
+                                "pass --c")
+        plan = plan_iteration(counts, cs[0], precision, config=config, correct=apply)
         warnings.extend(plan.warnings)
 
-    return AnalysisReport(counts=counts, corrected=apply, working_counts=working,
+    return AnalysisReport(counts=counts, corrected=apply,
                           conf=config.conf, accuracy=accuracy, c_prime=c_prime,
                           verdict=verdict, rows=tuple(rows),
                           recommendation=recommendation, plan=plan,
@@ -434,8 +424,12 @@ def _add_table_options(sub):
                        help="never apply the +0.5 continuity correction")
 
 
-def _add_config_options(sub):
+def _add_conf_option(sub):
     sub.add_argument("--conf", type=float, default=0.95, help="confidence level (default 0.95)")
+
+
+def _add_config_options(sub):
+    _add_conf_option(sub)
     sub.add_argument("--seed", type=int, default=0, help="seed for all resampling (default 0)")
     sub.add_argument("--bootstrap-b", type=int, default=2000,
                      help="bootstrap resamples (default 2000)")
@@ -495,9 +489,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="apply the +0.5 correction to every sampled table")
     simulate.add_argument("--out", default="-", help="coverage report file ('-' for stdout)")
 
+    # a plan builds only a Wald interval, so it takes no resampling options
     plan = subs.add_parser("plan", help="one sample-size planning round")
     _add_table_options(plan)
-    _add_config_options(plan)
+    _add_conf_option(plan)
     plan.add_argument("--c", type=float, required=True, help="weighting index")
     plan.add_argument("--precision", type=float, required=True,
                       help="target half-width for the Wald ratio interval")
@@ -522,7 +517,7 @@ def cmd_analyze(parser, args) -> int:
         parser.error("--precision needs a single weighting index; pass --c")
     report = build_analysis_report(counts, cs=cs, methods=args.methods, config=config,
                                    correct=_correct_mode(args), precision=args.precision,
-                                   plan_c=args.c, include_inverse=args.inverse)
+                                   include_inverse=args.inverse)
     text = render_report(report)
     sys.stdout.write(text)
     if args.out != "-":
@@ -575,11 +570,11 @@ def cmd_simulate(parser, args) -> int:
 
 def cmd_plan(parser, args) -> int:
     counts = _counts_from_args(parser, args)
-    config = _config_from_args(args)
     if not 0.0 <= args.c <= 1.0:
         parser.error(f"--c must be in [0, 1], got {args.c}")
-    plan = plan_iteration(counts, args.c, args.precision, args.conf, config,
-                          _correct_mode(args))
+    plan = plan_iteration(counts, args.c, args.precision,
+                          config=ConfidenceConfig(conf=args.conf),
+                          correct=_correct_mode(args))
     out = []
     out.append(f"pilot n = {plan.pilot_n}; Wald ratio interval "
                f"({plan.ci.lower:.3f}, {plan.ci.upper:.3f}), half-width {plan.ci.half_width:.4f}"

@@ -21,6 +21,8 @@ __all__ = [
     "counts_from_records",
     "validate_counts",
     "apply_continuity_correction",
+    "SMALL_SAMPLE",
+    "correct_counts",
     "read_records",
 ]
 
@@ -151,6 +153,23 @@ def validate_counts(counts: PairedCounts) -> CountsValidation:
 def apply_continuity_correction(counts: PairedCounts) -> PairedCounts:
     """Return a new table with 0.5 added to every cell (n grows by 4)."""
     return PairedCounts(*(cell + 0.5 for cell in counts.cells()))
+
+
+# Below this many subjects the recommended interval is the corrected Wald ratio.
+SMALL_SAMPLE = 100
+
+
+def correct_counts(counts: PairedCounts, correct: bool | str) -> tuple[PairedCounts, bool]:
+    """The working table under ``correct`` (True, False or "auto"), and whether +0.5 was added.
+
+    "auto" corrects tables under SMALL_SAMPLE subjects: for precision, never
+    to manufacture estimability, so an empty stratum stays uncorrected.
+    """
+    if correct == "auto":
+        apply = counts.n < SMALL_SAMPLE and counts.s > 0 and counts.r > 0
+    else:
+        apply = bool(correct)
+    return (apply_continuity_correction(counts) if apply else counts), apply
 
 
 def _parse_record_lines(lines, source: str) -> list[SubjectRecord]:

@@ -131,6 +131,10 @@ class ConfidenceConfig:
         return normal_quantile(1.0 - self.alpha / 2.0)
 
 
+# The config of every call given none; one instance, so its z is computed once.
+DEFAULT_CONFIG = ConfidenceConfig()
+
+
 @dataclass(frozen=True)
 class ConfidenceInterval:
     target: str          # "difference", "ratio" or "inverse-ratio"
@@ -655,8 +659,8 @@ class Method:
     def interval(self, counts: PairedCounts, c: float, config: ConfidenceConfig | None = None,
                  tables: BootstrapTables | None = None,
                  draws: PosteriorDraws | None = None) -> ConfidenceInterval:
-        """The call's bounds as a ConfidenceInterval, by default at ConfidenceConfig()."""
-        lower, upper, point = self.call(counts, c, config or ConfidenceConfig(), tables, draws)
+        """The call's bounds as a ConfidenceInterval, by default at DEFAULT_CONFIG."""
+        lower, upper, point = self.call(counts, c, config or DEFAULT_CONFIG, tables, draws)
         return ConfidenceInterval(self.target, self.label, lower, upper, point)
 
 

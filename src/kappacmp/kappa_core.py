@@ -89,16 +89,6 @@ class AccuracyEstimates:
         return self.se2 + self.sp2 - 1.0
 
     @property
-    def q1(self) -> float:
-        """P(test 1 positive)."""
-        return self.p * self.se1 + self.q * (1.0 - self.sp1)
-
-    @property
-    def q2(self) -> float:
-        """P(test 2 positive)."""
-        return self.p * self.se2 + self.q * (1.0 - self.sp2)
-
-    @property
     def rtpf(self) -> float:
         """Ratio of sensitivities Se1/Se2 (inf when Se2=0<Se1, 1 for 0/0)."""
         return _safe_ratio(self.se1, self.se2)

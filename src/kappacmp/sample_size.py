@@ -11,11 +11,12 @@ enlarged sample until the interval is narrow enough.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .data_model import PairedCounts, apply_continuity_correction
+from .data_model import SMALL_SAMPLE, PairedCounts, correct_counts
 from .errors import DomainError
 from .inference import (
+    DEFAULT_CONFIG,
     ConfidenceConfig,
     ConfidenceInterval,
     kappa_covariance,
@@ -30,16 +31,11 @@ from .kappa_core import (
 )
 
 __all__ = [
-    "SMALL_PILOT",
     "SampleSizePlan",
     "required_sample_size",
     "precision_reached",
     "plan_iteration",
 ]
-
-# Pilot sizes below this get the +0.5 continuity correction before planning.
-SMALL_PILOT = 100
-
 
 @dataclass(frozen=True)
 class SampleSizePlan:
@@ -69,15 +65,13 @@ def required_sample_size(acc: AccuracyEstimates, kp: KappaPair, phi: float,
     """
     if phi <= 0.0:
         raise DomainError(f"precision must be positive, got {phi!r}")
-    if not 0.0 < conf < 1.0:
-        raise DomainError(f"confidence level must be in (0, 1), got {conf!r}")
+    z = ConfidenceConfig(conf=conf).z  # raises on a confidence level outside (0, 1)
     if acc.y1 <= TOL_YOUDEN or acc.y2 <= TOL_YOUDEN or kp.kappa2 <= 0.0:
         raise DomainError("sizing a ratio study needs informative tests "
                           f"(Y1={acc.y1:g}, Y2={acc.y2:g}, kappa2={kp.kappa2:g})")
     cov = kappa_covariance(acc, kp, n=1.0)
     if cov.var_theta is None:
         raise DomainError("kappa2 is zero; the ratio is undefined")
-    z = ConfidenceConfig(conf=conf).z
     n_real = z * z * cov.var_theta / (phi * phi)
     return int(math.ceil(n_real - 1e-9))
 
@@ -89,27 +83,22 @@ def precision_reached(ci: ConfidenceInterval, phi: float) -> bool:
     return ci.half_width <= phi
 
 
-def plan_iteration(counts: PairedCounts, c: float, phi: float, conf: float = 0.95,
+def plan_iteration(counts: PairedCounts, c: float, phi: float, *,
                    config: ConfidenceConfig | None = None,
                    correct: bool | str = "auto") -> SampleSizePlan:
-    """One planning round: check the pilot's precision, else size the sample.
+    """One planning round at ``config.conf``: check the pilot's precision, else size the sample.
 
-    With ``correct="auto"`` the +0.5 correction is applied to pilots smaller
-    than 100 subjects, and the corrected counts feed both the interval and
-    the sample-size formula. The loop over successive samples is driven by
-    the caller acquiring data; this never blocks.
+    data_model.correct_counts applies ``correct``; the working counts feed
+    both the interval and the sample-size formula. The loop over successive
+    samples is driven by the caller acquiring data; this never blocks.
     """
-    config = replace(config, conf=conf) if config is not None else ConfidenceConfig(conf=conf)
+    config = config or DEFAULT_CONFIG
     pilot_n = int(round(counts.n))
-    if correct == "auto":
-        apply = counts.n < SMALL_PILOT
-    else:
-        apply = bool(correct)
-    working = apply_continuity_correction(counts) if apply else counts
+    working, apply = correct_counts(counts, correct)
 
     ci = wald_ratio_ci(working, c, config)
     warnings = []
-    if ci.contains(1.0) and counts.n >= SMALL_PILOT:
+    if ci.contains(1.0) and counts.n >= SMALL_SAMPLE:
         warnings.append(
             "the ratio interval contains 1 on a non-small pilot; the kappas are "
             "not distinguishable, so sizing the sample for their ratio may be moot")
@@ -119,8 +108,8 @@ def plan_iteration(counts: PairedCounts, c: float, phi: float, conf: float = 0.9
         achieved = True
     else:
         acc = accuracy_from_counts(working)
-        n_required = required_sample_size(acc, kappa_pair(acc, c), phi, conf)
+        n_required = required_sample_size(acc, kappa_pair(acc, c), phi, config.conf)
         achieved = False
-    return SampleSizePlan(phi=phi, conf=conf, n_required=n_required,
+    return SampleSizePlan(phi=phi, conf=config.conf, n_required=n_required,
                           achieved=achieved, pilot_n=pilot_n, ci=ci,
                           corrected=apply, warnings=tuple(warnings))

@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
-from .data_model import PairedCounts, apply_continuity_correction
+from .data_model import SMALL_SAMPLE, PairedCounts, apply_continuity_correction
 from .errors import (
     BootstrapFailedError,
     DegenerateKappaError,
@@ -37,6 +37,7 @@ from .errors import (
 )
 from .inference import (
     METHODS,
+    DEFAULT_CONFIG,
     BootstrapTables,
     ConfidenceConfig,
     PosteriorDraws,
@@ -339,7 +340,7 @@ def coverage_study(scenario: Scenario, n: int, n_replicates: int, methods,
     that monkeypatches ``simulation`` or ``inference`` and uses
     ``jobs > 1`` must call ``_drop_pool()`` first.
     """
-    config = config or ConfidenceConfig()
+    config = config or DEFAULT_CONFIG
     if n_replicates < 100:
         raise DomainError(f"need at least 100 replicates, got {n_replicates}")
     methods = check_methods(methods)
@@ -395,7 +396,7 @@ def recommend_method(n: float) -> MethodRecommendation:
     """Interval to prefer at a given sample size."""
     if n < 1:
         raise DomainError(f"sample size must be at least 1, got {n!r}")
-    if n < 100:
+    if n < SMALL_SAMPLE:
         return MethodRecommendation(
             method="wald-ratio", corrected=True,
             note="small sample: Wald interval for the ratio on +0.5-corrected counts")
@@ -456,9 +457,9 @@ def _parse_batch(lines, source: str) -> list[BatchRow]:
         except ValueError as exc:
             raise DomainError(f"{source}:{lineno}: {exc}") from None
         n, n_rep = floats[7], floats[8]
-        if n != int(n) or n < 1:
+        if not (n.is_integer() and n >= 1):
             raise DomainError(f"{source}:{lineno}: n must be a positive integer, got {parts[7]}")
-        if n_rep != int(n_rep) or n_rep < 1:
+        if not (n_rep.is_integer() and n_rep >= 1):
             raise DomainError(f"{source}:{lineno}: N must be a positive integer, got {parts[8]}")
         rows.append(BatchRow(*floats[:7], int(n), int(n_rep)))
     if not header_seen:

@@ -51,6 +51,21 @@ class TestAnalyze:
         assert code == 1
         assert "r = 0" in err or "healthy" in err
 
+    @pytest.mark.parametrize("correct", [[], ["--correct"]])
+    def test_empty_table_is_an_error(self, capsys, tmp_path, correct):
+        code, _, err = run(capsys, ["analyze", *["0"] * 8, *correct,
+                                    "--out", str(tmp_path / "r.txt")])
+        assert code == 1
+        assert err == "error: sample size must be at least 1, got 0.0\n"
+
+    def test_header_only_records_are_an_error(self, capsys, tmp_path):
+        records = tmp_path / "records.csv"
+        records.write_text("d,t1,t2\n", encoding="utf-8")
+        code, _, err = run(capsys, ["analyze", "--records", str(records), "--correct",
+                                    "--out", str(tmp_path / "r.txt")])
+        assert code == 1
+        assert err == "error: sample size must be at least 1, got 0.0\n"
+
     def test_explicit_correction_rescues_empty_stratum(self, capsys, tmp_path):
         code, out, _ = run(capsys, ["analyze", "5", "3", "2", "1", "0", "0", "0", "0",
                                     "--c", "0.5", "--correct", *DET_METHODS,
@@ -308,5 +323,16 @@ class TestPlan:
     def test_small_pilot_corrected(self, capsys):
         code, out, _ = run(capsys, ["plan", "10", "2", "6", "4", "2", "1", "8", "30",
                                     "--c", "0.5", "--precision", "0.05"])
+        assert code == 0
+        assert "[corrected]" in out
+
+    def test_empty_stratum_needs_an_explicit_correction(self, capsys):
+        # the same rule as analyze: "auto" never corrects a table to make it estimable
+        empty_healthy = ["5", "3", "2", "1", "0", "0", "0", "0", "--c", "0.5",
+                         "--precision", "0.1"]
+        code, out, err = run(capsys, ["plan", *empty_healthy])
+        assert code == 1 and out == ""
+        assert err.startswith("error: need both strata non-empty to estimate")
+        code, out, _ = run(capsys, ["plan", *empty_healthy, "--correct"])
         assert code == 0
         assert "[corrected]" in out

@@ -2,9 +2,9 @@
 
 import pytest
 
-from kappacmp import inference, simulation
+from kappacmp import cli, inference, simulation
 from kappacmp.cli import _config_from_args, build_analysis_report, build_parser, main, render_report
-from kappacmp.errors import DomainError
+from kappacmp.errors import DomainError, KappaCmpError
 from kappacmp.inference import (
     BAYES_STREAM,
     BOOTSTRAP_STREAM,
@@ -155,16 +155,35 @@ class TestConfigOptions:
                "--bayes-m", "2000", "--prior", "2,3"]
 
     @pytest.mark.parametrize("options", [[], OPTIONS])
-    def test_analyze_plan_and_simulate_build_equal_configs(self, options):
+    def test_analyze_and_simulate_build_equal_configs(self, options):
         parser = build_parser()
         argvs = (["analyze", *TABLE8, *options],
-                 ["plan", *TABLE8, "--c", "0.5", "--precision", "0.1", *options],
                  ["simulate", "--batch", "b.csv", *options])
         configs = [_config_from_args(parser.parse_args(argv)) for argv in argvs]
-        assert configs[0] == configs[1] == configs[2]
+        assert configs[0] == configs[1]
         if options:
             assert configs[0] == ConfidenceConfig(
                 conf=0.9, seed=7, bootstrap_b=300, bayes_m=2000,
                 priors=inference.Priors(*[inference.BetaPrior(2.0, 3.0)] * 5))
         else:
             assert configs[0] == ConfidenceConfig()
+
+    @pytest.mark.parametrize("options, conf", [([], 0.95), (["--conf", "0.9"], 0.9)])
+    def test_plan_builds_a_conf_only_config(self, options, conf, monkeypatch, capsys):
+        seen = []
+
+        def plan_iteration(*args, config, correct):
+            seen.append(config)
+            raise KappaCmpError("stop")
+
+        monkeypatch.setattr(cli, "plan_iteration", plan_iteration)
+        assert main(["plan", *TABLE8, "--c", "0.5", "--precision", "0.1", *options]) == 1
+        assert seen == [ConfidenceConfig(conf=conf)]
+
+    @pytest.mark.parametrize("option", ["--seed", "--bootstrap-b", "--bayes-m", "--prior"])
+    def test_plan_rejects_resampling_options(self, option, capsys):
+        value = "2,3" if option == "--prior" else "50"
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", *TABLE8, "--c", "0.5", "--precision", "0.1", option, value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + option in capsys.readouterr().err

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kappacmp.data_model import PairedCounts, apply_continuity_correction
-from kappacmp.errors import DomainError
+from kappacmp.errors import DomainError, NonEstimableError
 from kappacmp.inference import ConfidenceConfig, ConfidenceInterval, wald_ratio_ci
 from kappacmp.kappa_core import AccuracyEstimates, accuracy_from_counts, kappa_pair
 from kappacmp.numerics import RandomStream
@@ -115,6 +115,19 @@ class TestPlanIteration:
         assert plan.ci.lower == pytest.approx(manual.lower, abs=1e-15)
         uncorrected = plan_iteration(counts, 0.5, 0.05, correct=False)
         assert not uncorrected.corrected
+
+    def test_auto_leaves_an_empty_stratum_uncorrected(self):
+        counts = PairedCounts(5, 3, 2, 1, 0, 0, 0, 0)  # n = 11, no healthy subjects
+        with pytest.raises(NonEstimableError):
+            plan_iteration(counts, 0.5, 0.1)
+        assert plan_iteration(counts, 0.5, 0.1, correct=True).corrected
+
+    def test_conf_comes_from_the_config(self, table8):
+        plan = plan_iteration(table8, 0.9, 0.10, config=ConfidenceConfig(conf=0.9))
+        assert plan.conf == 0.9
+        assert plan.ci == wald_ratio_ci(table8, 0.9, ConfidenceConfig(conf=0.9))
+        with pytest.raises(TypeError):
+            plan_iteration(table8, 0.9, 0.10, 0.9)
 
     def test_interval_containing_one_warns(self, table8):
         plan = plan_iteration(table8, 0.2, 0.05)  # ratio CI straddles 1 at c = 0.2

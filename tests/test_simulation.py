@@ -541,9 +541,12 @@ class TestBatchIO:
         with pytest.raises(DomainError, match=":2"):
             read_scenario_batch(io.StringIO(text))
 
-    def test_zero_replicates_rejected(self):
-        text = "k0_1,k1_1,k0_2,k1_2,p,c,f,n,N\n0.2,0.2,0.8,0.8,0.1,0.9,0.5,100,0\n"
-        with pytest.raises(DomainError, match="N must be"):
+    @pytest.mark.parametrize("sizes, field", [
+        ("100,0", "N"), ("nan,100", "n"), ("inf,100", "n"), ("100,nan", "N"), ("100,inf", "N"),
+    ])
+    def test_bad_sizes_rejected(self, sizes, field):
+        text = f"k0_1,k1_1,k0_2,k1_2,p,c,f,n,N\n0.2,0.2,0.8,0.8,0.1,0.9,0.5,{sizes}\n"
+        with pytest.raises(DomainError, match=f"<stream>:2: {field} must be a positive integer"):
             read_scenario_batch(io.StringIO(text))
 
     def test_report_rendering(self):
