@@ -30,7 +30,7 @@ kp = kappa_pair(acc, c)
 print(f"kappa1({c}) = {kp.kappa1:.3f}, kappa2({c}) = {kp.kappa2:.3f}")
 print(f"difference = {kp.delta:.3f}, ratio = {kp.theta:.3f}")
 
-test = bloch_test(counts, c, config)
+test = bloch_test(counts, c)
 print(f"\nequality test: z = {test.z_stat:.3f}, two-sided p = {test.p_value:.2g}")
 
 print("\n95% intervals for the difference kappa1 - kappa2")

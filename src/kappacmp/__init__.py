@@ -10,13 +10,11 @@ Monte Carlo harness for coverage-probability studies.
 __version__ = "0.1.0"
 
 from .data_model import (
-    CountsValidation,
     PairedCounts,
     SubjectRecord,
     apply_continuity_correction,
     counts_from_records,
     read_records,
-    validate_counts,
 )
 from .errors import (
     BootstrapFailedError,

@@ -9,11 +9,11 @@ from dataclasses import dataclass
 from . import __version__
 from .data_model import (
     CELL_NAMES,
+    MARGIN_NAMES,
     PairedCounts,
     correct_counts,
     counts_from_records,
     read_records,
-    validate_counts,
 )
 from .errors import DomainError, KappaCmpError
 from .inference import (
@@ -106,21 +106,18 @@ def build_analysis_report(counts: PairedCounts, cs=None, methods=None,
 
     warnings = []
     recommendation = recommend_method(counts.n)  # raises when n < 1
-    validation = validate_counts(counts)
     working, apply = correct_counts(counts, correct)
     if apply:
         warnings.append("continuity correction applied: 0.5 added to every cell")
-    if validation.degenerate_margins:
-        warnings.append(
-            "zero test-pattern margins: " + ", ".join(validation.degenerate_margins))
-    if validation.correction_required and not apply:
+    # margins of the observed table: the correction leaves none at zero
+    zero_margins = [name for name, margin in zip(MARGIN_NAMES, counts.margins())
+                    if margin == 0]
+    if zero_margins:
+        warnings.append("zero test-pattern margins: " + ", ".join(zero_margins))
+    if len(zero_margins) >= 2 and not apply:
         warnings.append("two or more zero margins; frequentist intervals need the +0.5 correction")
-    if not validate_counts(working).estimable:
-        stratum = "diseased (s = 0)" if working.s <= 0 else "healthy (r = 0)"
-        raise KappaCmpError(
-            f"kappa is not estimable: the {stratum} stratum is empty")
 
-    accuracy = accuracy_from_counts(working)
+    accuracy = accuracy_from_counts(working)  # NonEstimableError on an empty stratum
     for label, y in (("test 1", accuracy.y1), ("test 2", accuracy.y2)):
         if y <= 0:
             warnings.append(f"{label} has estimated Youden index {y:.4f} <= 0 "
@@ -152,7 +149,7 @@ def build_analysis_report(counts: PairedCounts, cs=None, methods=None,
         kp = kappa_pair(accuracy, c)
         theta = kp.kappa1 / kp.kappa2 if kp.kappa2 != 0.0 else None
         try:
-            test = bloch_test(working, c, config)
+            test = bloch_test(working, c)
             test_error = None
         except KappaCmpError as exc:
             test, test_error = None, str(exc)

@@ -17,9 +17,7 @@ from .errors import DomainError, IngestionError
 __all__ = [
     "PairedCounts",
     "SubjectRecord",
-    "CountsValidation",
     "counts_from_records",
-    "validate_counts",
     "apply_continuity_correction",
     "SMALL_SAMPLE",
     "correct_counts",
@@ -103,15 +101,6 @@ class PairedCounts:
                             self.r11, self.r01, self.r10, self.r00)
 
 
-@dataclass(frozen=True)
-class CountsValidation:
-    """Advisory validation outcome; downstream operations re-check and raise."""
-
-    estimable: bool
-    degenerate_margins: tuple[str, ...]
-    correction_required: bool
-
-
 def counts_from_records(records) -> PairedCounts:
     """Tabulate per-subject records into the eight cell counts.
 
@@ -132,22 +121,6 @@ def counts_from_records(records) -> PairedCounts:
         prefix = "s" if d == 1 else "r"
         cells[f"{prefix}{t1}{t2}"] += 1
     return PairedCounts(**cells)
-
-
-def validate_counts(counts: PairedCounts) -> CountsValidation:
-    """Report degenerate configurations; never raises.
-
-    The kappas are estimable only when both strata are non-empty; when two
-    or more of the four test-pattern margins are zero the frequentist
-    variances collapse and the +0.5 correction is required.
-    """
-    degenerate = tuple(name for name, margin in zip(MARGIN_NAMES, counts.margins())
-                       if margin == 0)
-    return CountsValidation(
-        estimable=counts.s > 0 and counts.r > 0,
-        degenerate_margins=degenerate,
-        correction_required=len(degenerate) >= 2,
-    )
 
 
 def apply_continuity_correction(counts: PairedCounts) -> PairedCounts:

@@ -301,8 +301,7 @@ def _analysis(counts: PairedCounts, c: float) -> tuple:
     return result
 
 
-def bloch_test(counts: PairedCounts, c: float,
-               config: ConfidenceConfig | None = None) -> TestResult:
+def bloch_test(counts: PairedCounts, c: float) -> TestResult:
     """Asymptotic z test of equal weighted kappas (two-sided)."""
     kappa1, kappa2, var1, var2, cov12 = _analysis(counts, c)
     delta = kappa1 - kappa2

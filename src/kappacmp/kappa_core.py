@@ -32,6 +32,7 @@ __all__ = [
     "ComparisonVerdict",
     "accuracy_from_counts",
     "accuracy_values",
+    "dependence_bounds",
     "weighted_kappa",
     "kappa_ratio",
     "kappa_pair",
@@ -100,11 +101,11 @@ class AccuracyEstimates:
 
     @property
     def eps1_max(self) -> float:
-        return min(self.se1 * (1.0 - self.se2), self.se2 * (1.0 - self.se1))
+        return dependence_bounds(self.se1, self.se2, self.sp1, self.sp2)[0]
 
     @property
     def eps0_max(self) -> float:
-        return min(self.sp1 * (1.0 - self.sp2), self.sp2 * (1.0 - self.sp1))
+        return dependence_bounds(self.se1, self.se2, self.sp1, self.sp2)[1]
 
     @property
     def eps_within_bounds(self) -> bool:
@@ -112,6 +113,15 @@ class AccuracyEstimates:
         tol = 1e-12
         return (-tol <= self.eps1 <= self.eps1_max + tol
                 and -tol <= self.eps0 <= self.eps0_max + tol)
+
+
+def dependence_bounds(se1: float, se2: float, sp1: float, sp2: float) -> tuple[float, float]:
+    """Upper bounds of the two dependence factors (lower bound is 0)."""
+    for name, value in (("se1", se1), ("se2", se2), ("sp1", sp1), ("sp2", sp2)):
+        if not 0.0 <= value <= 1.0:
+            raise DomainError(f"{name} must be in [0, 1], got {value!r}")
+    return (min(se1 * (1.0 - se2), se2 * (1.0 - se1)),
+            min(sp1 * (1.0 - sp2), sp2 * (1.0 - sp1)))
 
 
 def _safe_ratio(num: float, den: float) -> float:

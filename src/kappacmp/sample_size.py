@@ -70,8 +70,6 @@ def required_sample_size(acc: AccuracyEstimates, kp: KappaPair, phi: float,
         raise DomainError("sizing a ratio study needs informative tests "
                           f"(Y1={acc.y1:g}, Y2={acc.y2:g}, kappa2={kp.kappa2:g})")
     cov = kappa_covariance(acc, kp, n=1.0)
-    if cov.var_theta is None:
-        raise DomainError("kappa2 is zero; the ratio is undefined")
     n_real = z * z * cov.var_theta / (phi * phi)
     return int(math.ceil(n_real - 1e-9))
 

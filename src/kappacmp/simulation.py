@@ -55,6 +55,8 @@ from .inference import (
 from .kappa_core import (
     accuracy_from_counts,  # noqa: F401 - perfbench/run.py::trace_targets wraps it here
     accuracy_from_kappa_pair,
+    dependence_bounds,
+    kappa_ratio,
     weighted_kappa,
 )
 from .numerics import RandomStream, sample_multinomial
@@ -104,9 +106,7 @@ class Scenario:
 
     @property
     def theta(self) -> float:
-        if self.kappa2 == 0.0:
-            raise UndefinedRatioError("true kappa2 is zero; the true ratio is undefined")
-        return self.kappa1 / self.kappa2
+        return kappa_ratio(self.kappa1, self.kappa2)
 
 
 @dataclass(frozen=True)
@@ -135,15 +135,6 @@ class MethodRecommendation:
     method: str
     corrected: bool
     note: str
-
-
-def dependence_bounds(se1: float, se2: float, sp1: float, sp2: float) -> tuple[float, float]:
-    """Upper bounds of the two dependence factors (lower bound is 0)."""
-    for name, value in (("se1", se1), ("se2", se2), ("sp1", sp1), ("sp2", sp2)):
-        if not 0.0 <= value <= 1.0:
-            raise DomainError(f"{name} must be in [0, 1], got {value!r}")
-    return (min(se1 * (1.0 - se2), se2 * (1.0 - se1)),
-            min(sp1 * (1.0 - sp2), sp2 * (1.0 - sp1)))
 
 
 def scenario_probabilities(se1: float, sp1: float, se2: float, sp2: float,

@@ -256,7 +256,7 @@ class TestCriterion7Properties:
             counts = PairedCounts(*rng.multinomial(150, probs))
             try:
                 ci = kc.wald_diff_ci(counts, 0.4, config)
-                test = kc.bloch_test(counts, 0.4, config)
+                test = kc.bloch_test(counts, 0.4)
             except (kc.NonEstimableError, DegenerateKappaError):
                 continue
             holds = holds and (ci.contains(0.0) == (test.p_value >= config.alpha))

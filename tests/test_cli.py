@@ -49,7 +49,20 @@ class TestAnalyze:
         code, _, err = run(capsys, ["analyze", "1", "0", "0", "0", "0", "0", "0", "0",
                                     "--c", "0.5", "--out", str(tmp_path / "r.txt")])
         assert code == 1
-        assert "r = 0" in err or "healthy" in err
+        assert err == "error: need both strata non-empty to estimate (s=1, r=0)\n"
+
+    @pytest.mark.parametrize("cells,strata", [
+        (["5", "3", "2", "1", "0", "0", "0", "0"], "s=11, r=0"),
+        (["0", "0", "0", "0", "5", "3", "2", "1"], "s=0, r=11"),
+    ], ids=["healthy-empty", "diseased-empty"])
+    def test_analyze_and_plan_report_an_empty_stratum_alike(self, capsys, tmp_path,
+                                                           cells, strata):
+        expected = f"error: need both strata non-empty to estimate ({strata})\n"
+        code, out, err = run(capsys, ["analyze", *cells, "--c", "0.5",
+                                      "--out", str(tmp_path / "r.txt")])
+        assert (code, out, err) == (1, "", expected)
+        code, out, err = run(capsys, ["plan", *cells, "--c", "0.5", "--precision", "0.1"])
+        assert (code, out, err) == (1, "", expected)
 
     @pytest.mark.parametrize("correct", [[], ["--correct"]])
     def test_empty_table_is_an_error(self, capsys, tmp_path, correct):
@@ -148,8 +161,21 @@ class TestWarnings:
                                     "--c", "0.5", "--no-correct", *DET_METHODS,
                                     "--out", str(tmp_path / "r.txt")])
         assert code == 0
-        assert "zero test-pattern margins" in out
-        assert "+0.5" in out
+        assert "zero test-pattern margins: 10, 01" in out
+        assert "two or more zero margins" in out and "+0.5" in out
+
+    def test_single_zero_margin_flagged(self, capsys, tmp_path):
+        code, out, _ = run(capsys, ["analyze", "5", "0", "1", "3", "2", "0", "3", "7",
+                                    "--c", "0.5", "--no-correct", *DET_METHODS,
+                                    "--out", str(tmp_path / "r.txt")])
+        assert code == 0
+        assert "zero test-pattern margins: 10\n" in out
+        assert "two or more zero margins" not in out  # no +0.5 warning
+
+    def test_worked_table_is_clean(self, table8):
+        report = build_analysis_report(table8, cs=[0.5], methods=["wald-diff"])
+        assert not report.corrected
+        assert report.warnings == ()
 
     def test_anti_informative_test_flagged(self, capsys, tmp_path):
         # test 1 scores below chance on this table (negative Youden estimate)

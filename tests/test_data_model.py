@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
+from kappacmp.cli import build_analysis_report
 from kappacmp.data_model import (
+    MARGIN_NAMES,
     PairedCounts,
     SubjectRecord,
     apply_continuity_correction,
+    correct_counts,
     counts_from_records,
     read_records,
-    validate_counts,
 )
-from kappacmp.errors import DomainError, IngestionError
+from kappacmp.errors import DomainError, IngestionError, NonEstimableError
+from kappacmp.kappa_core import accuracy_from_counts
 
 
 def table8_records():
@@ -75,32 +78,21 @@ class TestCountsFromRecords:
 
 
 class TestValidateCounts:
-    def test_table8_is_clean(self, table8):
-        v = validate_counts(table8)
-        assert v.estimable
-        assert v.degenerate_margins == ()
-        assert not v.correction_required
-
     def test_all_diseased_not_estimable(self):
-        v = validate_counts(PairedCounts(3, 2, 1, 4, 0, 0, 0, 0))
-        assert not v.estimable
+        counts = PairedCounts(3, 2, 1, 4, 0, 0, 0, 0)
+        working, applied = correct_counts(counts, "auto")
+        assert not applied and working == counts  # no correction to manufacture estimability
+        with pytest.raises(NonEstimableError):
+            accuracy_from_counts(working)
 
     def test_two_zero_margins_need_correction(self):
         # s10+r10 = s01+r01 = 0 with both strata populated
-        v = validate_counts(PairedCounts(5, 0, 0, 3, 2, 0, 0, 7))
-        assert v.estimable
-        assert v.degenerate_margins == ("10", "01")
-        assert v.correction_required
-
-    def test_single_zero_margin_is_fine(self):
-        v = validate_counts(PairedCounts(5, 0, 1, 3, 2, 0, 3, 7))
-        assert v.degenerate_margins == ("10",)
-        assert not v.correction_required
-
-    def test_corrected_counts_always_estimable(self):
-        for cells in [(0,) * 8, (3, 0, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 2, 0, 0, 0)]:
-            corrected = apply_continuity_correction(PairedCounts(*cells))
-            assert validate_counts(corrected).estimable
+        counts = PairedCounts(5, 0, 0, 3, 2, 0, 0, 7)
+        accuracy_from_counts(counts)  # estimable
+        zero = tuple(name for name, m in zip(MARGIN_NAMES, counts.margins()) if m == 0)
+        assert zero == ("10", "01")
+        report = build_analysis_report(counts, cs=[0.5], methods=["wald-diff"], correct=False)
+        assert any("+0.5 correction" in w for w in report.warnings)
 
 
 class TestContinuityCorrection:
@@ -119,6 +111,10 @@ class TestContinuityCorrection:
     def test_twice_adds_one(self, table8):
         twice = apply_continuity_correction(apply_continuity_correction(table8))
         assert twice.cells() == tuple(c + 1.0 for c in table8.cells())
+
+    def test_corrected_counts_always_estimable(self):
+        for cells in [(0,) * 8, (3, 0, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 2, 0, 0, 0)]:
+            accuracy_from_counts(apply_continuity_correction(PairedCounts(*cells)))
 
     def test_preserves_cell_differences(self, table8):
         corrected = apply_continuity_correction(table8)

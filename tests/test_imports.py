@@ -1,6 +1,12 @@
-"""Every name a package module imports is used there, exported or marked ``# noqa: F401``."""
+"""Imports and exports of the package modules stay consistent.
+
+Every name a module imports is used there, exported or marked
+``# noqa: F401``; every ``__all__`` entry is bound; and the package
+re-exports only names its modules list in ``__all__``.
+"""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -9,12 +15,21 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kappacmp"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 
 
+def module_all(source: str) -> list:
+    """The literal ``__all__`` of a module's source, or [] when it has none."""
+    for node in ast.parse(source).body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return ast.literal_eval(node.value)
+    return []
+
+
 def unused_imports(source: str) -> list:
     """(line, name) of each imported name that is neither used, in __all__ nor marked."""
     lines = source.splitlines()
     tree = ast.parse(source)
     imported = {}
-    exported = set()
+    exported = set(module_all(source))
     used = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -25,9 +40,6 @@ def unused_imports(source: str) -> list:
                     imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif (isinstance(node, ast.Assign)
-              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            exported.update(ast.literal_eval(node.value))
     return sorted((line, name) for name, line in imported.items()
                   if name not in used and name not in exported)
 
@@ -42,3 +54,21 @@ def test_checker_flags_only_unused_unmarked_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_export_is_bound(path):
+    module = importlib.import_module(f"kappacmp.{path.stem}")
+    assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == []
+
+
+def test_package_imports_only_exported_names():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    unexported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            exported = module_all((PACKAGE / f"{node.module}.py").read_text(encoding="utf-8"))
+            if exported:
+                unexported += [f"{node.module}.{alias.name}" for alias in node.names
+                               if alias.name not in exported]
+    assert unexported == []

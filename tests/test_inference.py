@@ -228,7 +228,7 @@ class TestWaldDiff:
             counts = random_counts(rng)
             try:
                 ci = wald_diff_ci(counts, 0.3, config)
-                test = bloch_test(counts, 0.3, config)
+                test = bloch_test(counts, 0.3)
             except DegenerateKappaError:
                 continue
             assert ci.contains(0.0) == (test.p_value >= config.alpha)
