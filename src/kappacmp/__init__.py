@@ -66,7 +66,6 @@ from .kappa_core import (
 )
 from .numerics import (
     RandomStream,
-    empirical_quantile,
     normal_cdf,
     normal_quantile,
     sample_beta,

@@ -276,11 +276,12 @@ def kappa_covariance(acc: AccuracyEstimates, kp: KappaPair, n: float) -> KappaCo
 _last_analysis: tuple = (None, None, None)
 
 
-def _analysis(counts: PairedCounts, c: float) -> tuple:
+def _analysis(counts: PairedCounts | tuple, c: float) -> tuple:
     """(kappa1, kappa2, var1, var2, cov12) of ``counts`` at ``c``, as plain floats.
 
-    One pass from the eight cells through accuracy_values, weighted_kappa
-    and _covariance: the arithmetic of accuracy_from_counts, kappa_pair and
+    ``counts`` is a PairedCounts or the tuple of its eight cells. One pass
+    from the cells through accuracy_values, weighted_kappa and _covariance:
+    the arithmetic of accuracy_from_counts, kappa_pair and
     kappa_covariance, with their errors, and no objects built. The latest
     result is memoised, keyed on the identity of ``counts`` and on ``c``,
     so the intervals and the test of one table at one c share one
@@ -291,11 +292,14 @@ def _analysis(counts: PairedCounts, c: float) -> tuple:
     last_counts, last_c, result = _last_analysis
     if counts is last_counts and c == last_c:
         return result
-    accuracy = accuracy_values(*counts.cells())
+    cells = counts if isinstance(counts, tuple) else counts.cells()
+    accuracy = accuracy_values(*cells)
     se1, sp1, se2, sp2, p, _, _ = accuracy
     kappa1 = weighted_kappa(se1, sp1, p, c)
     kappa2 = weighted_kappa(se2, sp2, p, c)
-    var1, var2, cov12, _, _ = _covariance(accuracy, kappa1, kappa2, c, counts.n)
+    s11, s10, s01, s00, r11, r10, r01, r00 = cells
+    n = (s11 + s10 + s01 + s00) + (r11 + r10 + r01 + r00)  # PairedCounts.n
+    var1, var2, cov12, _, _ = _covariance(accuracy, kappa1, kappa2, c, n)
     result = kappa1, kappa2, var1, var2, cov12
     _last_analysis = (counts, c, result)
     return result
@@ -317,7 +321,8 @@ def bloch_test(counts: PairedCounts, c: float) -> TestResult:
 
 # The interval bounds: each returns (lower, upper, point) and needs a
 # config. METHODS calls them; the public *_ci functions wrap them in a
-# ConfidenceInterval through METHODS.
+# ConfidenceInterval through METHODS. The four closed-form bounds read the
+# table only through _analysis, so they also take the tuple of its cells.
 
 def _wald_diff(counts: PairedCounts, c: float, config: ConfidenceConfig) -> tuple:
     kappa1, kappa2, var1, var2, cov12 = _analysis(counts, c)

@@ -24,7 +24,6 @@ __all__ = [
     "sample_beta",
     "sample_beta_rows",
     "sample_multinomial",
-    "empirical_quantile",
     "sorted_quantile",
 ]
 
@@ -338,17 +337,17 @@ def sample_beta_rows(params, m: int, stream: RandomStream) -> array:
 _BINOM_CHUNK = 1000
 
 
-def _binomial_chunk(n: int, p: float, stream: RandomStream, cdfs: dict) -> int:
-    # CDF inversion on the stored CDF of (n, p) in ``cdfs``; requires
-    # p <= 0.5 and n <= _BINOM_CHUNK so that the starting mass (1-p)^n stays
-    # a normal double. The CDF is extended, with the float steps of a walk
-    # up from k = 0, only as far as a uniform needs, so the draw is the
-    # smallest k with u < CDF(k), or n when there is none: the walk's k.
-    u = stream.uniform()
-    table = cdfs.get((n, p))
+def _binomial_chunk(tables: dict, n: int, p: float, u: float) -> int:
+    # CDF inversion of the uniform ``u`` on the stored CDF of Binomial(n, p),
+    # tables[n] = [CDF(0..k), pmf(k)]; requires p <= 0.5 and n <= _BINOM_CHUNK
+    # so that the starting mass (1-p)^n stays a normal double. The CDF is
+    # built, with the float steps of a walk up from k = 0, only as far as u
+    # needs, so the draw is the smallest k with u < CDF(k), or n when there
+    # is none: the walk's k.
+    table = tables.get(n)
     if table is None:
         pmf = (1.0 - p) ** n
-        table = cdfs[n, p] = [[pmf], pmf]  # CDF(0..k), pmf(k)
+        table = tables[n] = [[pmf], pmf]
     cdf = table[0]
     if u >= cdf[-1]:
         k = len(cdf) - 1
@@ -364,42 +363,54 @@ def _binomial_chunk(n: int, p: float, stream: RandomStream, cdfs: dict) -> int:
     return bisect_right(cdf, u)
 
 
-def _binomial(n: int, p: float, stream: RandomStream, cdfs: dict) -> int:
-    if n <= 0:
-        return 0
-    if p <= 0.0:
-        return 0
-    if p >= 1.0:
-        return n
-    if p > 0.5:
-        return n - _binomial(n, 1.0 - p, stream, cdfs)
-    total = 0
-    while n > _BINOM_CHUNK:
-        total += _binomial_chunk(_BINOM_CHUNK, p, stream, cdfs)
-        n -= _BINOM_CHUNK
-    return total + _binomial_chunk(n, p, stream, cdfs)
+# the cdfs key of (pi as a tuple, its plan) for the last vector
+# sample_multinomial validated
+_PLAN = "plan"
 
 
-# the cdfs key of (pi as a tuple, its float probabilities) for the last
-# vector sample_multinomial validated; binomial CDFs are keyed by (size, p)
-_VALIDATED_PI = "pi"
+def _plan(probs: list, cdfs: dict) -> list:
+    """The conditional binomial of each cell but the last, worked out once per vector.
+
+    Each step is None (the cell draws 0), True (it takes all that remain)
+    or (p, flip, tables): a Binomial(remaining, p) draw with p <= 0.5, taken
+    as remaining minus the draw when ``flip`` (the conditional probability
+    was 1 - p > 0.5). ``tables`` holds the CDFs of that p by size
+    (_binomial_chunk) and lives in ``cdfs`` under p, so vectors that share a
+    conditional probability share its CDFs.
+    """
+    plan = []
+    mass = 1.0
+    for pj in probs[:-1]:
+        cond = 0.0 if mass <= 0.0 else min(max(pj / mass, 0.0), 1.0)
+        if cond <= 0.0:
+            plan.append(None)
+        elif cond >= 1.0:
+            plan.append(True)
+        else:
+            flip = cond > 0.5
+            p = 1.0 - cond if flip else cond
+            plan.append((p, flip, cdfs.setdefault(p, {})))
+        mass -= pj
+    return plan
 
 
 def sample_multinomial(pi, n: int, stream: RandomStream, cdfs: dict | None = None) -> list[int]:
     """One multinomial draw of size ``n`` via sequential conditional binomials.
 
-    ``cdfs`` holds the binomial CDFs built so far, keyed by (size, p); a
-    caller that draws many times from one ``pi`` passes the same dict to
-    every call to reuse them. It also remembers the last ``pi`` it saw
-    validated, so an equal vector is not checked again and any other is.
-    The counts and the stream's state afterwards do not depend on it.
+    Each binomial is drawn by inverting its CDF (Devroye 1986, ch. III)
+    with one uniform per block of _BINOM_CHUNK trials. ``cdfs`` holds the
+    plan of the last ``pi`` it saw validated (_plan) and the binomial CDFs
+    built so far; a caller that draws many times from one ``pi`` passes
+    the same dict to every call to reuse them, and an equal vector is not
+    checked again while any other is. The counts and the stream's state
+    afterwards do not depend on it.
     """
     if cdfs is None:
         cdfs = {}
     key = tuple(pi)
-    validated = cdfs.get(_VALIDATED_PI)
-    if validated is not None and validated[0] == key:
-        probs = validated[1]
+    planned = cdfs.get(_PLAN)
+    if planned is not None and planned[0] == key:
+        plan = planned[1]
     else:
         probs = [float(x) for x in key]
         if not probs:
@@ -408,34 +419,44 @@ def sample_multinomial(pi, n: int, stream: RandomStream, cdfs: dict | None = Non
             raise DomainError("multinomial probabilities must be non-negative")
         if abs(sum(probs) - 1.0) > 1e-9:
             raise DomainError(f"multinomial probabilities must sum to 1, got {sum(probs)!r}")
-        cdfs[_VALIDATED_PI] = (key, probs)
+        plan = _plan(probs, cdfs)
+        cdfs[_PLAN] = (key, plan)
     if n < 0 or n != int(n):
         raise DomainError(f"multinomial size must be a non-negative integer, got {n!r}")
+    uniform = stream.uniform
     counts: list[int] = []
     remaining = int(n)
-    mass = 1.0
-    for pj in probs[:-1]:
-        if remaining == 0 or mass <= 0.0:
+    for step in plan:
+        if step is None or remaining == 0:
             counts.append(0)
+        elif step is True:
+            counts.append(remaining)
+            remaining = 0
         else:
-            cond = min(max(pj / mass, 0.0), 1.0)
-            k = _binomial(remaining, cond, stream, cdfs)
+            p, flip, tables = step
+            k = 0
+            size = remaining
+            while size:
+                chunk = size if size <= _BINOM_CHUNK else _BINOM_CHUNK
+                size -= chunk
+                u = uniform()
+                table = tables.get(chunk)
+                if table is not None and u < (cdf := table[0])[-1]:
+                    k += bisect_right(cdf, u)
+                else:
+                    k += _binomial_chunk(tables, chunk, p, u)
+            if flip:
+                k = remaining - k
             counts.append(k)
             remaining -= k
-        mass -= pj
     counts.append(remaining)
     return counts
 
 
-def empirical_quantile(values, q: float) -> float:
-    """Interpolating empirical quantile at one-based index q*(m-1)+1."""
-    return sorted_quantile(sorted(values), q)
-
-
 def sorted_quantile(vals, q: float) -> float:
-    """``empirical_quantile`` of a sequence already in ascending order."""
+    """Interpolating empirical quantile of ascending ``vals`` at one-based index q*(m-1)+1."""
     if not vals:
-        raise DomainError("empirical_quantile needs a non-empty sequence")
+        raise DomainError("sorted_quantile needs a non-empty sequence")
     if not 0.0 <= q <= 1.0:
         raise DomainError(f"quantile level must be in [0, 1], got {q}")
     pos = q * (len(vals) - 1)

@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
-from .data_model import SMALL_SAMPLE, PairedCounts, apply_continuity_correction
+from .data_model import SMALL_SAMPLE, PairedCounts
 from .errors import (
     BootstrapFailedError,
     DegenerateKappaError,
@@ -187,11 +187,16 @@ def sample_counts(scenario: Scenario, n: int, stream: RandomStream,
     """One multinomial sample of size ``n`` from the scenario.
 
     ``cdfs`` is passed on to sample_multinomial: one dict shared by the
-    samples of a scenario reuses their binomial CDFs.
+    samples of a scenario reuses their plan and binomial CDFs.
     """
+    _check_size(n)
+    return PairedCounts(*sample_multinomial(scenario.pi, n, stream, cdfs))
+
+
+def _check_size(n) -> None:
+    """DomainError when a sample of ``n`` subjects cannot be drawn."""
     if n < 1:
         raise DomainError(f"sample size must be at least 1, got {n!r}")
-    return PairedCounts(*sample_multinomial(scenario.pi, n, stream, cdfs))
 
 
 # substream roles per replicate index i: 3i sample, 3i+1 bootstrap, 3i+2 posterior
@@ -203,16 +208,22 @@ def _run_replicate(scenario: Scenario, n: int, entries: tuple, shared: set,
                    config: ConfidenceConfig, index: int, correct: bool, cdfs: dict):
     """All per-replicate work; depends only on (scenario, n, config, index).
 
-    ``entries`` are the methods' (tag, true value, call) (_entries).
-    ``cdfs`` caches the binomial CDFs of the scenario's samples (sample_counts).
+    ``entries`` are the methods' (tag, true value, call) (_entries) and
+    ``shared`` the draws they read. ``cdfs`` caches the multinomial plan and
+    binomial CDFs of the scenario's samples (sample_multinomial).
+
+    The table is the plain tuple of the sampled cells, +0.5 each when
+    ``correct``. The analysis and the closed-form bounds read its cells as
+    they read a PairedCounts of it, to the same floats (integer cells have
+    exact sums and products below 2**53), so a PairedCounts is built only
+    for the bootstrap tables and the posterior draws.
     """
     base = _STREAMS_PER_REPLICATE * index
     sample_stream = RandomStream(config.seed, base)
     redraws = 0
     while True:
-        counts = sample_counts(scenario, n, sample_stream, cdfs)
-        if correct:
-            counts = apply_continuity_correction(counts)
+        cells = sample_multinomial(scenario.pi, n, sample_stream, cdfs)
+        counts = tuple([cell + 0.5 for cell in cells] if correct else cells)
         # redraw when the kappas or their variances cannot be estimated at
         # all: an empty stratum, or a Youden estimate of zero (the variance
         # divides by Y). Negative-Y samples keep their slot: their intervals
@@ -231,11 +242,13 @@ def _run_replicate(scenario: Scenario, n: int, entries: tuple, shared: set,
     # one bootstrap set and one posterior per replicate, shared by the
     # difference and the ratio; built only when a method needs them
     tables = draws = None
-    if "tables" in shared:
-        tables = BootstrapTables(counts, RandomStream(config.seed, base + 1))
-    if "draws" in shared:
-        draws = PosteriorDraws(counts, config.priors, config.bayes_m,
-                               RandomStream(config.seed, base + 2))
+    if shared:
+        counts = PairedCounts(*counts)
+        if "tables" in shared:
+            tables = BootstrapTables(counts, RandomStream(config.seed, base + 1))
+        if "draws" in shared:
+            draws = PosteriorDraws(counts, config.priors, config.bayes_m,
+                                   RandomStream(config.seed, base + 2))
     return redraws, _score(entries, counts, scenario.c, config, tables, draws)
 
 
@@ -245,7 +258,7 @@ def _entries(scenario: Scenario, methods) -> tuple:
                   else scenario.theta, METHODS[method].call) for method in methods)
 
 
-def _score(entries: tuple, counts: PairedCounts, c: float, config: ConfidenceConfig,
+def _score(entries: tuple, counts: PairedCounts | tuple, c: float, config: ConfidenceConfig,
            tables: BootstrapTables | None, draws: PosteriorDraws | None) -> dict:
     """tag -> (covered, length) of each method's interval, or (False, None) when invalid.
 
@@ -267,8 +280,8 @@ def _score(entries: tuple, counts: PairedCounts, c: float, config: ConfidenceCon
 def _run_range(args):
     scenario, n, methods, config, lo, hi, correct = args
     entries = _entries(scenario, methods)
-    shared = {METHODS[method].draw for method in methods}  # the shared draws they read
-    cdfs: dict = {}  # binomial CDFs of the scenario, shared by the range's samples
+    shared = {METHODS[method].draw for method in methods} - {None}  # the draws they read
+    cdfs: dict = {}  # the scenario's multinomial plan and CDFs, shared by the range's samples
     return [_run_replicate(scenario, n, entries, shared, config, i, correct, cdfs)
             for i in range(lo, hi)]
 
@@ -332,6 +345,7 @@ def coverage_study(scenario: Scenario, n: int, n_replicates: int, methods,
     ``jobs > 1`` must call ``_drop_pool()`` first.
     """
     config = config or DEFAULT_CONFIG
+    _check_size(n)
     if n_replicates < 100:
         raise DomainError(f"need at least 100 replicates, got {n_replicates}")
     methods = check_methods(methods)

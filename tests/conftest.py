@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kappacmp.data_model import PairedCounts
+from kappacmp.numerics import sorted_quantile
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -50,3 +51,9 @@ def random_counts(rng: np.random.RandomState, n: int = 200) -> PairedCounts:
         counts = PairedCounts(*cells)
         if counts.s > 0 and counts.r > 0 and all(c > 0 for c in counts.cells()):
             return counts
+
+
+def empirical_quantile(values, q: float) -> float:
+    """Interpolating empirical quantile at one-based index q*(m-1)+1: the oracle
+    that sorts ``values`` for numerics.sorted_quantile."""
+    return sorted_quantile(sorted(values), q)

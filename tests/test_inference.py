@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import kappacmp.inference as inference
-from conftest import random_accuracies, random_counts
+from conftest import empirical_quantile, random_accuracies, random_counts
 from kappacmp.cli import DEFAULT_C_GRID
 from kappacmp.data_model import PairedCounts, apply_continuity_correction
 from kappacmp.errors import (
@@ -47,7 +47,6 @@ from kappacmp.kappa_core import (
 )
 from kappacmp.numerics import (
     RandomStream,
-    empirical_quantile,
     normal_cdf,
     normal_quantile,
     sample_beta,

@@ -6,6 +6,7 @@ from itertools import chain, islice
 import numpy as np
 import pytest
 
+from conftest import empirical_quantile
 from kappacmp.errors import DomainError
 from kappacmp.numerics import (
     _BINOM_CHUNK,
@@ -17,7 +18,7 @@ from kappacmp.numerics import (
     _binomial_chunk,
     _BlockUniforms,
     _mix64,
-    empirical_quantile,
+    _plan,
     normal_cdf,
     normal_quantile,
     sample_beta,
@@ -290,21 +291,37 @@ class TestMultinomialMatchesWalk:
         [0.0, 0.62, 0.0, 0.03, 0.2, 0.0, 0.15, 0.0],
         [0.97, 0.01, 0.005, 0.005, 0.004, 0.003, 0.002, 0.001],
         [0.25, 0.25, 0.25, 0.25],
+        # the second conditional is exactly 1, and the mass left is then 0
+        [0.2, 0.8, 0.0, 0.0],
+        # the mass left falls to -2.8e-17 before the end: the third
+        # conditional, 0.1 / 0.09999999999999998, is clamped to 1
+        [0.3, 0.6, 0.1, 0.0, 0.0],
     )
 
-    @pytest.mark.parametrize("shared", [False, True])
+    # no dict, a fresh dict for every draw, or one dict shared by the draws
+    @pytest.mark.parametrize("shared", [False, True, "cold"])
     def test_counts_and_stream_state(self, shared):
         for pi in self.PIS:
-            cdfs = {} if shared else None
+            cdfs = {} if shared is True else None
             stream, reference = RandomStream(9, 4), RandomStream(9, 4)
             for n in self.SIZES:
                 for _ in range(40):
-                    assert sample_multinomial(pi, n, stream, cdfs) == walk_multinomial(pi, n, reference)
-            assert stream._state == reference._state
-            assert not shared or cdfs
+                    draw = sample_multinomial(pi, n, stream, {} if shared == "cold" else cdfs)
+                    assert draw == walk_multinomial(pi, n, reference)
+                assert stream._state == reference._state
+            assert shared is not True or cdfs
+
+    def test_plan_takes_each_kind_of_step(self):
+        tables = {}
+        assert _plan([0.2, 0.8, 0.0, 0.0], tables) == [(0.2, False, tables[0.2]), True, None]
+        # a conditional above 0.5 is drawn as its complement, and flipped
+        (p, flip, cdfs), = _plan([0.7, 0.3], tables)
+        assert (p, flip) == (1.0 - 0.7, True) and cdfs is tables[p]
+        *_, take_all, zero = _plan([0.3, 0.6, 0.1, 0.0, 0.0], tables)
+        assert take_all is True and zero is None  # a clamped conditional, then no mass left
 
     def test_shared_cdfs_serve_another_probability_vector(self):
-        # the key is (size, conditional p), so vectors may share one dict
+        # CDFs are keyed by conditional p and then size, so vectors may share one dict
         cdfs = {}
         stream, reference = RandomStream(3, 3), RandomStream(3, 3)
         for _ in range(200):
@@ -315,10 +332,13 @@ class TestMultinomialMatchesWalk:
     @pytest.mark.parametrize("n, p", [(1, 0.3), (17, 0.3), (300, 0.5), (1000, 0.01)])
     def test_uniform_beyond_the_final_cdf_value_gives_n(self, n, p):
         assert walk_binomial_chunk(n, p, _TopUniform()) == n
-        cdfs = {}
-        assert _binomial_chunk(n, p, _TopUniform(), cdfs) == n  # extends the CDF to k = n
-        assert len(cdfs[n, p][0]) == n + 1
-        assert _binomial_chunk(n, p, _TopUniform(), cdfs) == n  # the complete CDF
+        u = _TopUniform().uniform()
+        tables = {}
+        assert _binomial_chunk(tables, n, p, u) == n  # extends the CDF to k = n
+        assert len(tables[n][0]) == n + 1
+        assert _binomial_chunk(tables, n, p, u) == n  # the complete CDF
+        assert _binomial_chunk(tables, n, p, 0.0) == 0  # a stored CDF is read, not extended
+        assert len(tables[n][0]) == n + 1
 
     def test_top_uniform_multinomial_matches_walk(self):
         for pi in self.PIS:

@@ -34,10 +34,12 @@ from kappacmp.inference import (
     bayesian_ci,
     bootstrap_ci,
     fieller_ratio_ci,
+    kappa_covariance,
     log_ratio_ci,
     wald_diff_ci,
     wald_ratio_ci,
 )
+from kappacmp.kappa_core import accuracy_from_counts, kappa_pair
 from kappacmp.numerics import RandomStream
 from kappacmp.simulation import (
     BatchRow,
@@ -432,6 +434,91 @@ class TestScorer:
         entries = (("wald-ratio", 0.7, reversed_bounds),)
         with pytest.raises(DomainError, match=r"interval bounds out of order: \(1.0, 0.5\)"):
             simulation._score(entries, table8, 0.5, SCORER_CONFIG, None, None)
+
+
+CLOSED_FORM = ("wald-diff", "wald-ratio", "log-ratio", "fieller-ratio")
+
+
+def object_route(sc, n, n_replicates, methods, config, correct):
+    """(redraws, {tag: (covered, length)}) of each replicate, through the public objects.
+
+    sample_counts, then apply_continuity_correction when ``correct``; a
+    table whose kappas or covariance cannot be estimated is redrawn; each
+    interval is scored by ConfidenceInterval.contains and .length.
+    """
+    cdfs = {}
+    replicates = []
+    for index in range(n_replicates):
+        stream = RandomStream(config.seed, simulation._STREAMS_PER_REPLICATE * index)
+        redraws = 0
+        while True:
+            counts = sample_counts(sc, n, stream, cdfs)
+            if correct:
+                counts = apply_continuity_correction(counts)
+            try:
+                acc = accuracy_from_counts(counts)
+                kappa_covariance(acc, kappa_pair(acc, sc.c), counts.n)
+            except (NonEstimableError, DegenerateKappaError):
+                redraws += 1
+            else:
+                break
+        outcomes = {}
+        for tag in methods:
+            true_value = sc.delta if METHODS[tag].target == "difference" else sc.theta
+            try:
+                ci = METHODS[tag].interval(counts, sc.c, config)
+            except simulation._INTERVAL_ERRORS:
+                outcomes[tag] = (False, None)
+            else:
+                outcomes[tag] = (ci.contains(true_value), ci.length)
+        replicates.append((redraws, outcomes))
+    return replicates
+
+
+class TestReplicateRoute:
+    # demo-06 scenario 5 (p = 5%) at n = 25: many redraws and invalid intervals
+    SCENARIO = build_scenario_from_kappas(*DEMO06[4], 0.5)
+    CONFIG = ConfidenceConfig(seed=21)
+
+    @pytest.mark.parametrize("correct", [False, True])
+    def test_replicates_match_the_object_route(self, correct):
+        sc, config = self.SCENARIO, self.CONFIG
+        expected = object_route(sc, 25, 200, CLOSED_FORM, config, correct)
+        # +0.5 leaves no stratum empty; uncorrected, empty strata are redrawn
+        assert correct or sum(redraws for redraws, _ in expected) > 0
+        assert any(outcomes[tag][1] is None for _, outcomes in expected for tag in CLOSED_FORM)
+        assert simulation._run_range((sc, 25, CLOSED_FORM, config, 0, 200, correct)) == expected
+        for jobs in (1, 2):
+            results = coverage_study(sc, 25, 200, CLOSED_FORM, config, jobs=jobs, correct=correct)
+            for res in results:
+                lengths = [outcomes[res.method][1] for _, outcomes in expected
+                           if outcomes[res.method][1] is not None]
+                covered = sum(outcomes[res.method][0] for _, outcomes in expected)
+                assert (res.cp, res.al, res.invalid, res.failures) == (
+                    covered / 200, math.fsum(lengths) / len(lengths), 200 - len(lengths),
+                    sum(redraws for redraws, _ in expected))
+
+    def test_paired_counts_are_built_only_for_the_resampled_methods(self, monkeypatch):
+        built = []
+        post_init = PairedCounts.__post_init__
+
+        def counted(counts):
+            built.append(counts)
+            post_init(counts)
+
+        monkeypatch.setattr(PairedCounts, "__post_init__", counted)
+        sc = build_scenario_from_kappas(0.3, 0.6, 0.8, 0.8, 0.25, 0.5, 0.5)
+        config = ConfidenceConfig(seed=2, bootstrap_b=100)
+        for correct in (False, True):
+            coverage_study(sc, 60, 100, CLOSED_FORM, config, correct=correct)
+        assert built == []
+        coverage_study(sc, 60, 100, ("wald-diff", "boot-diff"), config, correct=True)
+        assert len(built) == 100
+
+    def test_zero_size_rejected_before_any_replicate(self, monkeypatch):
+        monkeypatch.setattr(simulation, "_run_range", None)
+        with pytest.raises(DomainError, match="sample size must be at least 1, got 0"):
+            coverage_study(self.SCENARIO, 0, 100, CLOSED_FORM, self.CONFIG)
 
 
 class TestSharedPool:
