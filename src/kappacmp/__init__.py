@@ -44,7 +44,6 @@ from .inference import (
     bootstrap_ci,
     fieller_interval,
     fieller_ratio_ci,
-    invert_ratio_ci,
     kappa_covariance,
     log_ratio_ci,
     reciprocal_ratio_ci,

@@ -34,7 +34,6 @@ from .inference import (
     bootstrap_ci,  # noqa: F401
     check_methods,
     fieller_ratio_ci,  # noqa: F401
-    invert_ratio_ci,
     log_ratio_ci,  # noqa: F401
     reciprocal_ratio_ci,
     wald_diff_ci,  # noqa: F401
@@ -167,10 +166,13 @@ def build_analysis_report(counts: PairedCounts, cs=None, methods=None,
                 if ci is None or ci.target != "ratio":
                     continue
                 try:
-                    label = method + (" (scaled)" if ci.method == "wald" else "")
-                    inverse[label] = invert_ratio_ci(ci, theta)
-                    if ci.method == "wald":
-                        inverse[method + " (reciprocal)"] = reciprocal_ratio_ci(ci, theta)
+                    label = method
+                    if method == "wald-ratio":
+                        # the Wald interval of kappa2/kappa1: the swapped table's Wald ratio
+                        inverse[method + " (scaled)"] = METHODS[method].interval(
+                            working.swap_tests(), c, config)
+                        label += " (reciprocal)"
+                    inverse[label] = reciprocal_ratio_ci(ci, theta)
                 except KappaCmpError as exc:
                     errors["inverse-" + method] = str(exc)
         rows.append(AnalysisRow(c=c, kappa1=kp.kappa1, kappa2=kp.kappa2,
@@ -357,17 +359,15 @@ def render_machine(report: AnalysisReport) -> str:
 
 
 def _parse_prior(text: str) -> Priors:
-    parts = [p.strip() for p in text.split(",")]
     try:
-        values = [float(p) for p in parts]
+        values = [float(part) for part in text.split(",")]
+        if len(values) in (2, 10):
+            values *= 10 // len(values)  # 'a,b' is the prior of all five parameters
+            return Priors(*(BetaPrior(values[i], values[i + 1]) for i in range(0, 10, 2)))
+    except DomainError as exc:  # a ValueError, so caught first
+        raise argparse.ArgumentTypeError(f"prior {text!r}: {exc}") from None
     except ValueError:
         raise argparse.ArgumentTypeError(f"prior must be numeric, got {text!r}") from None
-    if len(values) == 2:
-        prior = BetaPrior(*values)
-        return Priors(se1=prior, sp1=prior, se2=prior, sp2=prior, p=prior)
-    if len(values) == 10:
-        pairs = [BetaPrior(values[i], values[i + 1]) for i in range(0, 10, 2)]
-        return Priors(se1=pairs[0], sp1=pairs[1], se2=pairs[2], sp2=pairs[3], p=pairs[4])
     raise argparse.ArgumentTypeError(
         "prior takes 'a,b' (all five parameters) or 10 values 'a1,b1,...,a5,b5' "
         "in order se1, sp1, se2, sp2, prevalence")

@@ -180,11 +180,19 @@ def normal_quantile(q: float) -> float:
     return -x if d < 0.0 else x
 
 
+_BETA_MAX_REJECTS = 10_000  # Beta draws in a row on 0 or 1 before the parameters are refused
+
+
+def _beta_rejected(alpha: float, beta: float) -> DomainError:
+    return DomainError(f"Beta({alpha}, {beta}) draws landed on 0 or 1 {_BETA_MAX_REJECTS} "
+                       "times in a row; the parameters are too extreme for double precision")
+
+
 def sample_beta(alpha: float, beta: float, stream: RandomStream) -> float:
-    """Beta(alpha, beta) draw in the open interval (0, 1)."""
-    if alpha <= 0.0 or beta <= 0.0:
+    """Beta(alpha, beta) draw in (0, 1); DomainError after _BETA_MAX_REJECTS on 0 or 1 in a row."""
+    if not (alpha > 0.0 and beta > 0.0):
         raise DomainError(f"beta parameters must be positive, got ({alpha}, {beta})")
-    while True:
+    for _ in range(_BETA_MAX_REJECTS):
         ga = stream.gamma(alpha)
         gb = stream.gamma(beta)
         total = ga + gb
@@ -192,6 +200,7 @@ def sample_beta(alpha: float, beta: float, stream: RandomStream) -> float:
             x = ga / total
             if 0.0 < x < 1.0:
                 return x
+    raise _beta_rejected(alpha, beta)
 
 
 _BLOCK = 1024  # counters mixed per block by _BlockUniforms
@@ -274,9 +283,10 @@ def sample_beta_rows(params, m: int, stream: RandomStream) -> array:
     inline on the same uniforms, read in blocks (_BlockUniforms), with the
     constants of each shape computed once.
     """
+    params = list(params)
     pairs = []
     for alpha, beta in params:
-        if alpha <= 0.0 or beta <= 0.0:
+        if not (alpha > 0.0 and beta > 0.0):
             raise DomainError(f"beta parameters must be positive, got ({alpha}, {beta})")
         pairs.append((_gamma_constants(alpha), _gamma_constants(beta)))
     log, sqrt = math.log, math.sqrt
@@ -284,6 +294,7 @@ def sample_beta_rows(params, m: int, stream: RandomStream) -> array:
     source = _BlockUniforms(stream)
     uniform = chain.from_iterable(source.blocks()).__next__
     spare = stream._spare_gauss
+    retried = rejects = 0  # the draw (its index in rows) landing on 0 or 1, and how often
     try:
         for _ in range(m):
             for pair in pairs:
@@ -328,6 +339,10 @@ def sample_beta_rows(params, m: int, stream: RandomStream) -> array:
                         if 0.0 < x < 1.0:
                             rows.append(x)
                             break
+                    rejects = rejects + 1 if retried == len(rows) else 1
+                    retried = len(rows)
+                    if rejects == _BETA_MAX_REJECTS:
+                        raise _beta_rejected(*params[retried % len(params)])
     finally:
         source.rewind()
         stream._spare_gauss = spare
@@ -415,9 +430,10 @@ def sample_multinomial(pi, n: int, stream: RandomStream, cdfs: dict | None = Non
         probs = [float(x) for x in key]
         if not probs:
             raise DomainError("multinomial needs at least one category")
-        if any(x < 0.0 for x in probs):
+        # written so that a NaN fails both checks
+        if any(not x >= 0.0 for x in probs):
             raise DomainError("multinomial probabilities must be non-negative")
-        if abs(sum(probs) - 1.0) > 1e-9:
+        if not abs(sum(probs) - 1.0) <= 1e-9:
             raise DomainError(f"multinomial probabilities must sum to 1, got {sum(probs)!r}")
         plan = _plan(probs, cdfs)
         cdfs[_PLAN] = (key, plan)

@@ -147,6 +147,22 @@ class TestAnalyze:
         assert "wald-ratio (scaled)" in out
         assert "wald-ratio (reciprocal)" in out
 
+    def test_scaled_inverse_is_the_wald_ratio_of_the_swapped_table(self, capsys, tmp_path):
+        machine, swapped = tmp_path / "machine.txt", tmp_path / "swapped.txt"
+        for cells, extra, path in ((TABLE8, ["--inverse"], machine),
+                                   (["41", "40", "0", "8", "5", "24", "1", "181"], [], swapped)):
+            code, _, _ = run(capsys, ["analyze", *cells, "--methods", "wald-ratio", *extra,
+                                      "--out", "-", "--machine-out", str(path)])
+            assert code == 0
+        values, want = parse_machine(machine), parse_machine(swapped)
+        rows = [key[:-2] for key in values if key.endswith(".c")]
+        assert len(rows) == 10
+        for row in rows:
+            assert values[f"{row}.c"] == want[f"{row}.c"]
+            for bound in ("lower", "upper"):
+                assert (values[f"{row}.inverse.wald-ratio.scaled.{bound}"]
+                        == want[f"{row}.ci.wald-ratio.{bound}"])
+
 
 class TestWarnings:
     def test_negative_dependence_flagged(self, capsys, tmp_path):

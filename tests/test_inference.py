@@ -30,7 +30,6 @@ from kappacmp.inference import (
     bootstrap_ci,
     fieller_interval,
     fieller_ratio_ci,
-    invert_ratio_ci,
     kappa_covariance,
     log_ratio_ci,
     reciprocal_ratio_ci,
@@ -676,12 +675,14 @@ class TestSharedAnalysis:
 
 class TestInversion:
     def test_wald_scaled_inversion(self, table8):
-        acc = accuracy_from_counts(table8)
-        theta = kappa_pair(acc, 0.9).theta
+        # the Wald interval of kappa2/kappa1 is the Wald ratio of the swapped
+        # table: the original bounds divided by theta^2, around 1/theta
         ci = wald_ratio_ci(table8, 0.9)
-        inv = invert_ratio_ci(ci, theta)
-        assert inv.target == "inverse-ratio"
-        assert inv.lower == pytest.approx(ci.lower / theta ** 2, abs=1e-15)
+        theta = ci.point
+        inv = wald_ratio_ci(table8.swap_tests(), 0.9)
+        scaled = (ci.lower / theta ** 2, ci.upper / theta ** 2, 1.0 / theta)
+        for got, want in zip((inv.lower, inv.upper, inv.point), scaled):
+            assert got == pytest.approx(want, rel=1e-12)
         assert round(inv.lower, 2) == 1.60
         assert round(inv.upper, 2) == 2.73
 
@@ -697,7 +698,7 @@ class TestInversion:
     def test_fieller_reciprocal(self, table8):
         acc = accuracy_from_counts(table8)
         theta = kappa_pair(acc, 0.9).theta
-        inv = invert_ratio_ci(fieller_ratio_ci(table8, 0.9), theta)
+        inv = reciprocal_ratio_ci(fieller_ratio_ci(table8, 0.9), theta)
         # direct reciprocal arithmetic on the published bounds
         assert inv.lower == pytest.approx(1 / 0.584, abs=4e-3)
         assert inv.upper == pytest.approx(1 / 0.342, abs=4e-3)
@@ -705,7 +706,7 @@ class TestInversion:
     def test_symmetric_log_interval_maps_to_itself(self):
         ci = ConfidenceInterval(target="ratio", method="logarithmic",
                                 lower=1 / 1.6, upper=1.6, point=1.0)
-        inv = invert_ratio_ci(ci, 1.0)
+        inv = reciprocal_ratio_ci(ci, 1.0)
         assert inv.lower == pytest.approx(ci.lower, abs=1e-15)
         assert inv.upper == pytest.approx(ci.upper, abs=1e-15)
 
@@ -713,24 +714,12 @@ class TestInversion:
         ci = ConfidenceInterval(target="ratio", method="fieller",
                                 lower=-0.2, upper=0.4, point=0.1)
         with pytest.raises(InversionUndefinedError):
-            invert_ratio_ci(ci, 0.1)
+            reciprocal_ratio_ci(ci, 0.1)
 
     def test_only_ratio_targets(self, table8):
         ci = wald_diff_ci(table8, 0.5)
         with pytest.raises(DomainError):
-            invert_ratio_ci(ci, 1.0)
-
-    @pytest.mark.parametrize("method", ["logarithmic", "fieller", "bootstrap-bc",
-                                        "bayesian-quantile"])
-    def test_non_wald_inversion_is_the_plain_reciprocal(self, method):
-        ci = ConfidenceInterval(target="ratio", method=method, lower=0.3, upper=0.7,
-                                point=0.5)
-        assert invert_ratio_ci(ci, 0.5) == reciprocal_ratio_ci(ci, 0.5)
-        assert invert_ratio_ci(ci, 0.0) == reciprocal_ratio_ci(ci, 0.0)
-        straddling = ConfidenceInterval(target="ratio", method=method, lower=-0.1,
-                                        upper=0.7, point=0.5)
-        with pytest.raises(InversionUndefinedError):
-            invert_ratio_ci(straddling, 0.5)
+            reciprocal_ratio_ci(ci, 1.0)
 
 
 class TestConfig:
@@ -746,5 +735,13 @@ class TestConfig:
             ConfidenceConfig(bootstrap_b=50)
         with pytest.raises(DomainError):
             ConfidenceConfig(bayes_m=10)
-        with pytest.raises(DomainError):
-            BetaPrior(0.0, 1.0)
+        # B and M count draws: a float, however large, is rejected up front
+        for options in ({"bootstrap_b": 150.5}, {"bootstrap_b": 2000.0},
+                        {"bayes_m": math.inf}, {"bayes_m": 10000.0}):
+            with pytest.raises(DomainError):
+                ConfidenceConfig(**options)
+        assert ConfidenceConfig(bootstrap_b=np.int64(150), bayes_m=np.int64(1000)).bayes_m == 1000
+        for alpha, beta in ((0.0, 1.0), (math.nan, 1.0), (1.0, math.nan),
+                            (math.inf, 1.0), (1.0, math.inf)):
+            with pytest.raises(DomainError):
+                BetaPrior(alpha, beta)

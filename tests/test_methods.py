@@ -180,6 +180,23 @@ class TestConfigOptions:
         assert main(["plan", *TABLE8, "--c", "0.5", "--precision", "0.1", *options]) == 1
         assert seen == [ConfidenceConfig(conf=conf)]
 
+    @pytest.mark.parametrize("prior", ["nan,1", "inf,1", "1,1,1,1,1,nan,1,1,1,1"])
+    def test_non_finite_prior_is_a_usage_error(self, prior, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", *TABLE8, "--c", "0.5", "--methods", "bayes-diff",
+                  "--out", "-", "--prior", prior])
+        assert exc.value.code == 2
+        assert f"argument --prior: prior {prior!r}: " in capsys.readouterr().err
+
+    def test_huge_prior_leaves_the_bayesian_cell_invalid(self, capsys, tmp_path):
+        machine = tmp_path / "machine.txt"
+        assert main(["analyze", *TABLE8, "--c", "0.5", "--methods", "bayes-diff",
+                     "--out", "-", "--prior", "1e308,1", "--machine-out", str(machine)]) == 0
+        assert "invalid" in capsys.readouterr().out
+        errors = [line for line in machine.read_text(encoding="utf-8").splitlines()
+                  if line.startswith("row.0.ci.bayes-diff.error=")]
+        assert len(errors) == 1 and "0 or 1 10000 times in a row" in errors[0]
+
     @pytest.mark.parametrize("option", ["--seed", "--bootstrap-b", "--bayes-m", "--prior"])
     def test_plan_rejects_resampling_options(self, option, capsys):
         value = "2,3" if option == "--prior" else "50"

@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 from itertools import chain, islice
@@ -114,12 +115,29 @@ class TestBeta:
         for _ in range(2000):
             assert 0.0 < sample_beta(0.4, 0.7, stream) < 1.0
 
-    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, 0.0), (-1.0, 2.0)])
+    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, 0.0), (-1.0, 2.0), (math.nan, 1.0)])
     def test_domain(self, a, b):
         with pytest.raises(DomainError):
             sample_beta(a, b, RandomStream(0))
         with pytest.raises(DomainError):
             sample_beta_rows([(1.0, 1.0), (a, b)], 3, RandomStream(0))
+
+    @pytest.mark.parametrize("a,b", [(math.inf, 1.0), (1.0, math.inf), (1e308, 1.0),
+                                     (1e18, 1.0)])
+    def test_draws_stuck_on_zero_or_one_raise(self, a, b):
+        # every draw rounds to 0 or 1 (or is NaN): a bounded run of them
+        # raises instead of retrying forever
+        message = re.escape(f"Beta({a}, {b}) draws landed on 0 or 1")
+        with pytest.raises(DomainError, match=message):
+            sample_beta(a, b, RandomStream(0))
+        with pytest.raises(DomainError, match=message):
+            sample_beta_rows([(1.0, 1.0), (a, b)], 3, RandomStream(0))
+
+    def test_only_a_run_of_rejections_raises(self):
+        # about half the draws of Beta(0.001, 1) underflow to 0: far more than
+        # _BETA_MAX_REJECTS rejections in all, but never that many in a row
+        rows = sample_beta_rows([(0.001, 1.0)], 25_000, RandomStream(2))
+        assert len(rows) == 25_000 and min(rows) > 0.0
 
 
 def _stream_state(stream):
@@ -209,6 +227,9 @@ class TestMultinomial:
             sample_multinomial([0.5, 0.5], -1, stream)
         with pytest.raises(DomainError):
             sample_multinomial([1.2, -0.2], 5, stream)
+        for pi in ([math.nan, 0.5, 0.5], [0.5, 0.5, math.nan], [math.inf, 0.5, 0.5]):
+            with pytest.raises(DomainError):
+                sample_multinomial(pi, 5, stream)
 
     def test_shared_dict_validates_every_other_vector(self):
         # the dict remembers only the vector it saw validated
