@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 import warnings
 from array import array
-from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from numbers import Integral
 
 from .data_model import PairedCounts
@@ -41,12 +41,13 @@ from .kappa_core import (
 )
 from .numerics import (
     RandomStream,
+    _BlockUniforms,
     normal_cdf,
     normal_quantile,
     sample_beta,  # noqa: F401 - perfbench/run.py traces inference.sample_beta
     sample_beta_rows,
     sample_multinomial,
-    sorted_quantile,
+    select_quantile,
 )
 
 __all__ = [
@@ -443,28 +444,33 @@ def _add_coefficients(columns, accuracies) -> None:
         n2s.append(p * q * (se2 + sp2 - 1.0))
 
 
-def _target_stats(columns, c: float, ratio: bool, start: int = 0,
-                  stop: int | None = None) -> list:
-    """kappa1 - kappa2 (or, with ``ratio``, kappa1 / kappa2) at ``c`` of rows start:stop.
+def _kappa_stats(columns, c: float, start: int = 0, stop: int | None = None) -> tuple:
+    """(differences, ratios) at ``c`` of rows start:stop, as two arrays.
 
-    ``columns`` are c-free coefficients (see _add_coefficients). A row whose
-    denominator is not positive at ``c`` (where kappa_pair raises
-    DegenerateKappaError) is skipped, and so, for the ratio, is a row with
-    kappa2 = 0. The kappas are divided as kappa_pair divides them, so the
-    statistics are bit-identical to those of kappa_pair.
+    ``columns`` are c-free coefficients (see _add_coefficients). The
+    differences are kappa1 - kappa2 and the ratios kappa1 / kappa2, of one
+    pass over the rows. A row whose denominator is not positive at ``c``
+    (where kappa_pair raises DegenerateKappaError) is skipped by both, and a
+    row with kappa2 = 0 by the ratios. The kappas are divided as kappa_pair
+    divides them, so the statistics are bit-identical to those of
+    kappa_pair.
     """
     d = 1.0 - c
-    stats = []
-    for a1, b1, n1, a2, b2, n2 in zip(*(column[start:stop] for column in columns)):
+    differences = array("d")
+    ratios = array("d")
+    add_difference = differences.append
+    add_ratio = ratios.append
+    for a1, b1, n1, a2, b2, n2 in islice(zip(*columns), start, stop):
         den1 = a1 * c + b1 * d
         den2 = a2 * c + b2 * d
         if den1 <= 0.0 or den2 <= 0.0:
             continue
-        if not ratio:
-            stats.append(n1 / den1 - n2 / den2)
-        elif (k2 := n2 / den2) != 0.0:
-            stats.append(n1 / den1 / k2)
-    return stats
+        k1 = n1 / den1
+        k2 = n2 / den2
+        add_difference(k1 - k2)
+        if k2 != 0.0:
+            add_ratio(k1 / k2)
+    return differences, ratios
 
 
 def _coefficient_columns() -> tuple:
@@ -479,10 +485,11 @@ class BootstrapTables:
     size round(n): n + 4 on a continuity-corrected table. Tables are drawn
     from ``stream`` only when first asked for, in stream order, and each
     keeps only the six c-free coefficients of its kappas (zeros when a
-    stratum is empty).
+    stratum is empty). The statistics of the latest c are kept too
+    (``statistics``), so the difference and the ratio at one c share them.
     """
 
-    __slots__ = ("counts", "size", "probs", "_stream", "_cdfs", "_coefficients")
+    __slots__ = ("counts", "size", "probs", "_stream", "_cdfs", "_coefficients", "_stats")
 
     def __init__(self, counts: PairedCounts, stream: RandomStream):
         if counts.n <= 0:
@@ -493,25 +500,47 @@ class BootstrapTables:
         self._stream = stream
         self._cdfs: dict = {}  # binomial CDFs shared by every resample (sample_multinomial)
         self._coefficients = _coefficient_columns()
+        self._stats: tuple = (None, None)  # ((c, B, budget), (differences, ratios))
 
     def coefficients(self, count: int) -> tuple:
-        """The coefficient columns of at least the first ``count`` tables."""
+        """The coefficient columns of at least the first ``count`` tables.
+
+        The tables of one call read their uniforms in blocks
+        (numerics._BlockUniforms), and the stream is left just past the
+        last uniform read, as scalar draws would leave it.
+        """
         columns = self._coefficients
         drawn = []
-        for _ in range(count - len(columns[0])):
-            s11, s10, s01, s00, r11, r10, r01, r00 = sample_multinomial(
-                self.probs, self.size, self._stream, self._cdfs)
-            # accuracy_from_counts on the integer cells: sums below 2**53 are
-            # exact, so the quotients are those of the float cells
-            s = s11 + s10 + s01 + s00
-            r = r11 + r10 + r01 + r00
-            if s <= 0 or r <= 0:
-                drawn.append(None)
-            else:
-                drawn.append(((s11 + s10) / s, (r01 + r00) / r, (s11 + s01) / s,
-                              (r10 + r00) / r, s / (s + r)))
+        source = _BlockUniforms(self._stream)
+        try:
+            for _ in range(count - len(columns[0])):
+                s11, s10, s01, s00, r11, r10, r01, r00 = sample_multinomial(
+                    self.probs, self.size, source, self._cdfs)
+                # accuracy_from_counts on the integer cells: sums below 2**53
+                # are exact, so the quotients are those of the float cells
+                s = s11 + s10 + s01 + s00
+                r = r11 + r10 + r01 + r00
+                if s <= 0 or r <= 0:
+                    drawn.append(None)
+                else:
+                    drawn.append(((s11 + s10) / s, (r01 + r00) / r, (s11 + s01) / s,
+                                  (r10 + r00) / r, s / (s + r)))
+        finally:
+            source.rewind()
         _add_coefficients(columns, drawn)
         return columns
+
+    def statistics(self, c: float, b: int, budget: int) -> tuple:
+        """_kappa_stats at ``c`` of the first min(b, budget) tables.
+
+        The pair of the latest (c, b, budget) is kept, so the difference
+        and the ratio at one c share one pass.
+        """
+        key = (c, b, budget)
+        if self._stats[0] != key:
+            count = min(b, budget)
+            self._stats = key, _kappa_stats(self.coefficients(count), c, 0, count)
+        return self._stats[1]
 
 
 def bootstrap_ci(counts: PairedCounts, c: float, target: str,
@@ -539,38 +568,39 @@ def bootstrap_ci(counts: PairedCounts, c: float, target: str,
 def _bootstrap(counts: PairedCounts, c: float, target: str, config: ConfidenceConfig,
                tables: BootstrapTables | None) -> tuple:
     kappa1, kappa2, _, _, _ = _analysis(counts, c)
-    need_ratio = target == "ratio"
-    point = kappa_ratio(kappa1, kappa2) if need_ratio else kappa1 - kappa2
+    ratio = target == "ratio"
+    point = kappa_ratio(kappa1, kappa2) if ratio else kappa1 - kappa2
     if tables is None:
         tables = BootstrapTables(counts, RandomStream(config.seed, BOOTSTRAP_STREAM))
     elif tables.counts != counts:
         raise DomainError("the bootstrap tables were drawn from another table")
     b = config.bootstrap_b
     budget = _BOOTSTRAP_DRAW_FACTOR * b  # read per call, so a patched factor applies
-    stats: list[float] = []
-    scanned = 0
+    # the first B tables serve both targets; a target short of B accepted
+    # scans on alone, into a new array, so the shared pair stays as it was
+    stats = tables.statistics(c, b, budget)[ratio]
+    scanned = min(b, budget)
     while len(stats) < b and scanned < budget:
         end = min(scanned + b - len(stats), budget)
-        stats += _target_stats(tables.coefficients(end), c, need_ratio, scanned, end)
+        stats = stats + _kappa_stats(tables.coefficients(end), c, scanned, end)[ratio]
         scanned = end
     if len(stats) < b:
         raise BootstrapFailedError(
             f"only {len(stats)} of {b} replicates were estimable within {budget} draws")
-    stats.sort()
     lower, upper = _bias_corrected_bounds(stats, point, config.z)
     return lower, upper, point
 
 
-def _bias_corrected_bounds(stats: list[float], point: float, z: float) -> tuple[float, float]:
-    """BC percentile bounds from replicate statistics in ascending order.
+def _bias_corrected_bounds(stats, point: float, z: float) -> tuple[float, float]:
+    """BC percentile bounds from replicate statistics, in any order.
 
     A counts the statistics strictly below ``point``: ties are not counted.
     """
     b = len(stats)
-    a_count = min(max(bisect_left(stats, point), 1), b - 1)
+    a_count = min(max(len([x for x in stats if x < point]), 1), b - 1)
     z0 = normal_quantile(a_count / b)
-    return (sorted_quantile(stats, normal_cdf(2.0 * z0 - z)),
-            sorted_quantile(stats, normal_cdf(2.0 * z0 + z)))
+    return (select_quantile(stats, normal_cdf(2.0 * z0 - z)),
+            select_quantile(stats, normal_cdf(2.0 * z0 + z)))
 
 
 def _posterior_params(counts: PairedCounts, priors: Priors):
@@ -589,26 +619,45 @@ class PosteriorDraws:
 
     The five proportions have independent conjugate Beta posteriors. The M
     tuples are drawn from ``stream`` on first use (sample_beta_rows) and
-    kept only as the six c-free coefficients of their kappas.
+    kept only as the six c-free coefficients of their kappas; a draw that
+    fails is not tried again. The statistics of the latest c are kept too
+    (``statistics``), so the difference and the ratio at one c share them.
     """
 
-    __slots__ = ("counts", "priors", "m", "_stream", "_coefficients")
+    __slots__ = ("counts", "priors", "m", "_stream", "_coefficients", "_stats")
 
     def __init__(self, counts: PairedCounts, priors: Priors, m: int, stream: RandomStream):
         self.counts = counts
         self.priors = priors
         self.m = m
         self._stream = stream
-        self._coefficients: tuple | None = None
+        self._coefficients: tuple | DomainError | None = None
+        self._stats: tuple = (None, None)  # (c, (differences, ratios))
 
     def coefficients(self) -> tuple:
-        """The coefficient columns of the M draws."""
+        """The coefficient columns of the M draws.
+
+        DomainError when the draws cannot be made; every later call raises
+        the same error without drawing again.
+        """
         if self._coefficients is None:
             params = _posterior_params(self.counts, self.priors)
-            draws = iter(sample_beta_rows(params, self.m, self._stream))
-            self._coefficients = _coefficient_columns()
-            _add_coefficients(self._coefficients, zip(draws, draws, draws, draws, draws))
+            try:
+                draws = iter(sample_beta_rows(params, self.m, self._stream))
+            except DomainError as error:
+                self._coefficients = error
+            else:
+                self._coefficients = _coefficient_columns()
+                _add_coefficients(self._coefficients, zip(draws, draws, draws, draws, draws))
+        if isinstance(self._coefficients, DomainError):
+            raise self._coefficients.with_traceback(None)
         return self._coefficients
+
+    def statistics(self, c: float) -> tuple:
+        """_kappa_stats at ``c`` of the M draws; the latest c's pair is kept."""
+        if self._stats[0] != c:
+            self._stats = c, _kappa_stats(self.coefficients(), c)
+        return self._stats[1]
 
 
 def bayesian_ci(counts: PairedCounts, c: float, target: str,
@@ -638,15 +687,14 @@ def _bayesian(counts: PairedCounts, c: float, target: str, config: ConfidenceCon
                                RandomStream(config.seed, BAYES_STREAM))
     elif (draws.counts, draws.priors, draws.m) != (counts, config.priors, config.bayes_m):
         raise DomainError("the posterior draws were made for another table, prior or M")
-    stats = _target_stats(draws.coefficients(), c, target == "ratio")
+    stats = draws.statistics(c)[target == "ratio"]
     excluded = config.bayes_m - len(stats)  # measure-zero events; excluded but counted
     if excluded:
         warnings.warn(f"{excluded} of {config.bayes_m} posterior draws had an undefined "
                       f"{target} (kappa2 exactly 0, or a zero kappa denominator) and "
                       "were excluded from its quantiles", stacklevel=2)
-    stats.sort()
     alpha = config.alpha
-    return (sorted_quantile(stats, alpha / 2.0), sorted_quantile(stats, 1.0 - alpha / 2.0),
+    return (select_quantile(stats, alpha / 2.0), select_quantile(stats, 1.0 - alpha / 2.0),
             math.fsum(stats) / len(stats))
 
 

@@ -24,7 +24,7 @@ __all__ = [
     "sample_beta",
     "sample_beta_rows",
     "sample_multinomial",
-    "sorted_quantile",
+    "select_quantile",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -227,38 +227,47 @@ class _BlockUniforms:
     the SplitMix64 steps of _BLOCK consecutive counters run on one Python
     int that holds each counter in its own 128-bit lane: a 64x64-bit
     product fits in its lane, and masking after every shift-xor and product
-    drops what crossed in from the lane above. The values are those of
-    ``stream.uniform()``, in order. Each block advances the stream's
-    counter past it; ``rewind`` steps it back over the uniforms not read.
+    drops what crossed in from the lane above. ``uniform()`` returns the
+    values of ``stream.uniform()``, in order, so it stands in for the stream
+    wherever only its uniforms are read. Each block advances the stream's
+    counter past it; ``rewind`` steps it back over the uniforms not read,
+    after which this object is done with.
     """
 
-    __slots__ = ("stream", "_block")
+    __slots__ = ("stream", "_block", "uniform")
 
     def __init__(self, stream: RandomStream):
         self.stream = stream
-        self._block = iter(())
-
-    def blocks(self):
-        """Iterators over successive blocks of uniforms (chain them to read one at a time)."""
-        ones, steps, mask = _lanes()
-        stream = self.stream
-        while True:
-            state = stream._state
-            stream._state = (state + _BLOCK * _GOLDEN) & _MASK64
-            z = (state * ones + steps) & mask
-            z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
-            z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
-            z = ((z ^ (z >> 31)) & mask) >> 11
-            words = array("Q", z.to_bytes(16 * _BLOCK, "little"))
-            if sys.byteorder == "big":
-                words.byteswap()
-            self._block = iter([w * _INV_2_53 for w in words[::2]])
-            yield self._block
+        # the block being read, shared with the generator, which holds no
+        # reference to this object (so no cycle outlives a batch)
+        self._block = [iter(())]
+        self.uniform = chain.from_iterable(_uniform_blocks(stream, self._block)).__next__
 
     def rewind(self) -> None:
         """Leave the stream's counter just past the last uniform read."""
-        unread = length_hint(self._block)
+        unread = length_hint(self._block[0])
         self.stream._state = (self.stream._state - unread * _GOLDEN) & _MASK64
+
+
+def _uniform_blocks(stream: RandomStream, current: list):
+    """Iterators over successive blocks of ``stream``'s uniforms (_BlockUniforms).
+
+    Each block advances the stream's counter past it and is put in
+    ``current[0]`` before it is yielded.
+    """
+    ones, steps, mask = _lanes()
+    while True:
+        state = stream._state
+        stream._state = (state + _BLOCK * _GOLDEN) & _MASK64
+        z = (state * ones + steps) & mask
+        z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+        z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
+        z = ((z ^ (z >> 31)) & mask) >> 11
+        words = array("Q", z.to_bytes(16 * _BLOCK, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        current[0] = iter([w * _INV_2_53 for w in words[::2]])
+        yield current[0]
 
 
 def _gamma_constants(shape: float) -> tuple[float, float, float]:
@@ -292,7 +301,7 @@ def sample_beta_rows(params, m: int, stream: RandomStream) -> array:
     log, sqrt = math.log, math.sqrt
     rows = array("d")
     source = _BlockUniforms(stream)
-    uniform = chain.from_iterable(source.blocks()).__next__
+    uniform = source.uniform
     spare = stream._spare_gauss
     retried = rejects = 0  # the draw (its index in rows) landing on 0 or 1, and how often
     try:
@@ -469,16 +478,48 @@ def sample_multinomial(pi, n: int, stream: RandomStream, cdfs: dict | None = Non
     return counts
 
 
-def sorted_quantile(vals, q: float) -> float:
-    """Interpolating empirical quantile of ascending ``vals`` at one-based index q*(m-1)+1."""
-    if not vals:
-        raise DomainError("sorted_quantile needs a non-empty sequence")
+_SAMPLE_STRIDE = 16  # select_quantile takes its threshold from every 16th value
+
+
+def select_quantile(values, q: float) -> float:
+    """Interpolating empirical quantile of ``values`` at one-based index q*(m-1)+1.
+
+    Bit-identical to interpolating between the two order statistics around
+    that index in ``sorted(values)``, but found by selection (after Floyd &
+    Rivest 1975): a threshold is read from a sorted strided sample, and only
+    the values on the near side of it are kept and sorted. When fewer are
+    kept than the index needs, all the values are sorted. The kept values
+    keep their order among equals, so the result is that of the full sort
+    even for ties and signed zeros. ``values`` is a sequence without NaN.
+    """
+    m = len(values)
+    if not m:
+        raise DomainError("select_quantile needs a non-empty sequence")
     if not 0.0 <= q <= 1.0:
         raise DomainError(f"quantile level must be in [0, 1], got {q}")
-    pos = q * (len(vals) - 1)
+    pos = q * (m - 1)
     lo = math.floor(pos)
     hi = math.ceil(pos)
+    # the sample value at rank r bounds about 16 * (r + 1) values, give or
+    # take about 16 * sqrt(r): the threshold sits two such errors (plus two)
+    # past the rank needed, so that the full sort is rarely wanted
+    sample = sorted(values[::_SAMPLE_STRIDE])
+    if lo + hi < m - 1:  # nearer the bottom: keep the values up to a threshold
+        rank = (hi + 1) // _SAMPLE_STRIDE
+        rank += 2 + 2 * math.isqrt(rank)
+        threshold = sample[min(rank, len(sample) - 1)]
+        kept = sorted([x for x in values if x <= threshold])
+        skipped = 0
+    else:  # nearer the top: keep the values from a threshold up
+        rank = (m - lo) // _SAMPLE_STRIDE
+        rank += 2 + 2 * math.isqrt(rank)
+        threshold = sample[max(len(sample) - 1 - rank, 0)]
+        kept = sorted([x for x in values if x >= threshold])
+        skipped = m - len(kept)
+    if not (skipped <= lo and hi - skipped < len(kept)):
+        kept, skipped = sorted(values), 0
+    low = float(kept[lo - skipped])
     if lo == hi:
-        return float(vals[lo])
+        return low
     w = pos - lo
-    return float(vals[lo]) * (1.0 - w) + float(vals[hi]) * w
+    return low * (1.0 - w) + float(kept[hi - skipped]) * w

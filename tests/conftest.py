@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from kappacmp.data_model import PairedCounts
-from kappacmp.numerics import sorted_quantile
+from kappacmp.errors import DomainError
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -54,6 +55,17 @@ def random_counts(rng: np.random.RandomState, n: int = 200) -> PairedCounts:
 
 
 def empirical_quantile(values, q: float) -> float:
-    """Interpolating empirical quantile at one-based index q*(m-1)+1: the oracle
-    that sorts ``values`` for numerics.sorted_quantile."""
-    return sorted_quantile(sorted(values), q)
+    """Interpolating empirical quantile at one-based index q*(m-1)+1 of
+    ``sorted(values)``: the sort oracle of numerics.select_quantile."""
+    vals = sorted(values)
+    if not vals:
+        raise DomainError("empirical_quantile needs a non-empty sequence")
+    if not 0.0 <= q <= 1.0:
+        raise DomainError(f"quantile level must be in [0, 1], got {q}")
+    pos = q * (len(vals) - 1)
+    lo = math.floor(pos)
+    hi = math.ceil(pos)
+    if lo == hi:
+        return float(vals[lo])
+    w = pos - lo
+    return float(vals[lo]) * (1.0 - w) + float(vals[hi]) * w

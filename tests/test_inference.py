@@ -1,13 +1,14 @@
 import hashlib
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import kappacmp.inference as inference
 from conftest import empirical_quantile, random_accuracies, random_counts
-from kappacmp.cli import DEFAULT_C_GRID
+from kappacmp.cli import DEFAULT_C_GRID, build_analysis_report
 from kappacmp.data_model import PairedCounts, apply_continuity_correction
 from kappacmp.errors import (
     BootstrapFailedError,
@@ -417,7 +418,7 @@ def _reference_stats(accuracies, c, ratio):
     """The difference (or ratio) at ``c`` of each estimate through kappa_pair.
 
     Estimates where kappa_pair raises and, for the ratio, kappa2 = 0 are
-    skipped, as _target_stats skips them.
+    skipped, as _kappa_stats skips them.
     """
     stats = []
     for acc in accuracies:
@@ -435,9 +436,12 @@ def _reference_stats(accuracies, c, ratio):
 class _HandBuiltTables:
     """Stands in for BootstrapTables with fixed coefficient rows (A1, B1, N1, A2, B2, N2)."""
 
+    statistics = BootstrapTables.statistics
+
     def __init__(self, counts, rows):
         self.counts = counts
         self.columns = tuple(zip(*rows))
+        self._stats = (None, None)
 
     def coefficients(self, count):
         return self.columns
@@ -446,9 +450,12 @@ class _HandBuiltTables:
 class _HandBuiltDraws:
     """Stands in for PosteriorDraws with fixed coefficient rows (A1, B1, N1, A2, B2, N2)."""
 
+    statistics = PosteriorDraws.statistics
+
     def __init__(self, counts, config, rows):
         self.counts, self.priors, self.m = counts, config.priors, config.bayes_m
         self.columns = tuple(zip(*rows))
+        self._stats = (None, None)
 
     def coefficients(self):
         return self.columns
@@ -482,7 +489,7 @@ class TestSharedDraws:
                  + [point + 0.01 * i for i in range(1, 31)])
         # both denominators are 1 at c = 0.5 and kappa2 = 0, so each row's difference is its N1
         tables = _HandBuiltTables(table8, [(1.0, 1.0, k1, 1.0, 1.0, 0.0) for k1 in stats])
-        assert inference._target_stats(tables.columns, 0.5, False) == stats
+        assert inference._kappa_stats(tables.columns, 0.5)[0].tolist() == stats
         ci = bootstrap_ci(table8, 0.5, "difference", config, tables)
         assert stats.count(point) == 40
 
@@ -509,7 +516,7 @@ class TestSharedDraws:
         for ratio in (False, True):
             expected = _reference_stats(accuracies, 0.3, ratio)
             assert len(expected) > 40
-            got = inference._target_stats(tables.coefficients(50), 0.3, ratio, 0, 50)
+            got = inference._kappa_stats(tables.coefficients(50), 0.3, 0, 50)[ratio]
             assert _bits(got) == _bits(expected)
         assert tables._stream._state == stream._state
 
@@ -566,7 +573,7 @@ class TestSharedDraws:
             for ratio in (False, True):
                 expected = _reference_stats(accuracies, c, ratio)
                 assert len(expected) == m
-                got = inference._target_stats(draws.coefficients(), c, ratio)
+                got = inference._kappa_stats(draws.coefficients(), c)[ratio]
                 assert _bits(got) == _bits(expected)
         assert (draws._stream._state, draws._stream._spare_gauss) == (stream._state,
                                                                       stream._spare_gauss)
@@ -590,6 +597,76 @@ class TestSharedDraws:
             warnings.simplefilter("error")
             for target in ("difference", "ratio"):
                 bayesian_ci(table8, 0.5, target, config, draws)
+
+
+class TestOnePassPerC:
+    """One statistics pass per resample set and c serves the difference and the ratio."""
+
+    def test_analyze_makes_one_pass_per_resample_set_and_c(self, table8, monkeypatch):
+        passes = Counter()  # by the identity of the coefficient columns read
+        kappa_stats = inference._kappa_stats
+
+        def counting(columns, c, start=0, stop=None):
+            passes[id(columns)] += 1
+            return kappa_stats(columns, c, start, stop)
+
+        monkeypatch.setattr(inference, "_kappa_stats", counting)
+        report = build_analysis_report(table8)
+        assert len(report.rows) == len(DEFAULT_C_GRID) + 1
+        assert all(not row.interval_errors for row in report.rows)
+        assert sorted(passes.values()) == [len(report.rows)] * 2
+
+    @pytest.mark.parametrize("counts", [PairedCounts(41, 0, 40, 8, 5, 1, 24, 181), SPARSE])
+    def test_another_b_on_shared_tables_matches_fresh_calls(self, counts):
+        tables = BootstrapTables(counts, RandomStream(5, inference.BOOTSTRAP_STREAM))
+        for b in (300, 200, 300, 1000):
+            config = ConfidenceConfig(bootstrap_b=b, seed=5)
+            for target in ("difference", "ratio"):
+                assert (bootstrap_ci(counts, 0.4, target, config, tables)
+                        == bootstrap_ci(counts, 0.4, target, config))
+
+    # SPARSE's first 200 resamples include non-estimable ones; table8's do not
+    @pytest.mark.parametrize("counts, factors", [(SPARSE, (1, 0)),
+                                                 (PairedCounts(41, 0, 40, 8, 5, 1, 24, 181), (0,))])
+    def test_patched_draw_factor_fails_on_shared_tables(self, counts, factors, monkeypatch):
+        config = ConfidenceConfig(bootstrap_b=200, seed=5)
+        tables = BootstrapTables(counts, RandomStream(5, inference.BOOTSTRAP_STREAM))
+        bootstrap_ci(counts, 0.5, "difference", config, tables)  # keeps the pair at c = 0.5
+        for factor in factors:
+            monkeypatch.setattr(inference, "_BOOTSTRAP_DRAW_FACTOR", factor)
+            for target in ("difference", "ratio", "difference"):
+                with pytest.raises(BootstrapFailedError):
+                    bootstrap_ci(counts, 0.5, target, config, tables)
+
+    def test_growing_batches_leave_the_stream_where_scalar_draws_do(self, table8):
+        tables = BootstrapTables(table8, RandomStream(9, inference.BOOTSTRAP_STREAM))
+        stream = RandomStream(9, inference.BOOTSTRAP_STREAM)
+        drawn = 0
+        for count in (1, 1, 37, 150, 149, 2000, 2300):
+            columns = tables.coefficients(count)
+            for _ in range(count - drawn):
+                sample_multinomial(tables.probs, tables.size, stream)
+            drawn = max(drawn, count)
+            assert len(columns[0]) == drawn
+            assert tables._stream._state == stream._state
+
+    def test_failed_posterior_is_drawn_once(self, table8, monkeypatch):
+        calls = []
+        draw = inference.sample_beta_rows
+
+        def counting(*args):
+            calls.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(inference, "sample_beta_rows", counting)
+        config = ConfidenceConfig(priors=Priors(*[BetaPrior(1e308, 1.0)] * 5))
+        report = build_analysis_report(table8, methods=("bayes-diff", "bayes-ratio"),
+                                       config=config)
+        assert len(calls) == 1
+        errors = [row.interval_errors.get(method) for row in report.rows
+                  for method in ("bayes-diff", "bayes-ratio")]
+        assert len(errors) == 2 * (len(DEFAULT_C_GRID) + 1)
+        assert len(set(errors)) == 1 and "landed on 0 or 1" in errors[0]
 
 
 YOUDEN_ZERO = PairedCounts(3, 2, 4, 1, 2, 3, 1, 4)  # Se1 = Sp1 = 0.5

@@ -1,13 +1,15 @@
 import math
+import random
 import re
 import subprocess
 import sys
-from itertools import chain, islice
+from array import array
 
 import numpy as np
 import pytest
 
 from conftest import empirical_quantile
+from kappacmp import numerics
 from kappacmp.errors import DomainError
 from kappacmp.numerics import (
     _BINOM_CHUNK,
@@ -25,6 +27,7 @@ from kappacmp.numerics import (
     sample_beta,
     sample_beta_rows,
     sample_multinomial,
+    select_quantile,
 )
 
 
@@ -425,7 +428,7 @@ class TestStreams:
     def test_block_uniforms_match_scalar_uniforms(self, seed, tag, read):
         scalar, batch = RandomStream(seed, tag), RandomStream(seed, tag)
         source = _BlockUniforms(batch)
-        got = list(islice(chain.from_iterable(source.blocks()), read))
+        got = [source.uniform() for _ in range(read)]
         assert got == [scalar.uniform() for _ in range(read)]
         source.rewind()
         assert batch._state == scalar._state
@@ -453,3 +456,84 @@ class TestStreams:
         draws = np.array([stream.gauss() for _ in range(100_000)])
         assert draws.mean() == pytest.approx(0.0, abs=0.02)
         assert draws.std() == pytest.approx(1.0, abs=0.02)
+
+
+def _quantile_levels(m):
+    """0, the 95% tails, the median, 1, and bias-corrected levels far from the tails."""
+    levels = [0.0, 0.025, 0.5, 0.975, 1.0]
+    z = normal_quantile(0.975)
+    for z0 in (-1.4, -0.6, 0.45, 1.7):
+        levels += [normal_cdf(2.0 * z0 - z), normal_cdf(2.0 * z0 + z)]
+    levels.append((m // 3) / max(m - 1, 1))  # an exact index: no interpolation
+    return levels
+
+
+def _selection_cases():
+    rng = random.Random(20260)
+    for m in (1, 2, 3, 2000, 10_000):
+        yield f"normal-{m}", [rng.gauss(0.0, 1.0) for _ in range(m)]
+    values = [rng.uniform(-1.0, 1.0) for _ in range(2000)]
+    yield "ascending", sorted(values)
+    yield "descending", sorted(values, reverse=True)
+    yield "all-tied", [0.37] * 2000
+    yield "every-16th-smallest", [-5.0 if i % 16 == 0 else v for i, v in enumerate(values)]
+    yield "coarse-ties", [float(rng.randrange(7)) for _ in range(2000)]
+    yield "signed-zeros", [rng.choice((-0.0, 0.0, 1.0, -1.0)) for _ in range(2000)]
+    with_inf = [rng.gauss(0.0, 1.0) for _ in range(2000)]
+    for i in rng.sample(range(2000), 120):
+        with_inf[i] = rng.choice((math.inf, -math.inf))
+    yield "infinities", with_inf
+    yield "inf-only", [math.inf, -math.inf, math.inf]
+    yield "array", array("d", (rng.expovariate(1.0) for _ in range(3001)))
+
+
+def _count_sorts(monkeypatch):
+    """The length of each list numerics sorts from now on, in call order."""
+    sizes = []
+
+    def counting_sorted(items):
+        items = list(items)
+        sizes.append(len(items))
+        return sorted(items)
+
+    monkeypatch.setattr(numerics, "sorted", counting_sorted, raising=False)
+    return sizes
+
+
+class TestSelectQuantile:
+    """select_quantile against the sort oracle, bit for bit."""
+
+    @pytest.mark.parametrize("name, values", list(_selection_cases()))
+    def test_matches_the_sort_oracle(self, name, values):
+        for q in _quantile_levels(len(values)):
+            assert select_quantile(values, q).hex() == empirical_quantile(values, q).hex(), q
+
+    def test_threshold_short_of_the_rank_sorts_everything(self, monkeypatch):
+        # every 16th value is the smallest, so the sample is all minima and
+        # the lower threshold keeps only those 125: too few for the ranks of
+        # the 10% and 30% quantiles of 2000 values, so all the values are sorted
+        rng = random.Random(7)
+        values = [0.0 if i % numerics._SAMPLE_STRIDE == 0 else rng.uniform(1.0, 2.0)
+                  for i in range(2000)]
+        sizes = _count_sorts(monkeypatch)
+        for q in (0.1, 0.3):
+            sizes.clear()
+            assert select_quantile(values, q).hex() == empirical_quantile(values, q).hex()
+            assert sizes == [125, 125, 2000]
+
+    def test_tail_sorts_only_the_kept_values(self, monkeypatch):
+        rng = random.Random(8)
+        values = [rng.gauss(0.0, 1.0) for _ in range(10_000)]
+        sizes = _count_sorts(monkeypatch)
+        for q in (0.025, 0.975):
+            sizes.clear()
+            assert select_quantile(values, q).hex() == empirical_quantile(values, q).hex()
+            assert sizes[0] == 625 and sizes[1] < 1000 and len(sizes) == 2
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            select_quantile([], 0.5)
+        with pytest.raises(DomainError):
+            select_quantile([1.0], 1.5)
+        with pytest.raises(DomainError):
+            select_quantile([1.0], -0.1)
