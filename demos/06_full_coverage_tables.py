@@ -24,7 +24,7 @@ import time
 from kappacmp import (
     ConfidenceConfig,
     build_scenario_from_kappas,
-    coverage_study,
+    coverage_grid,
     render_coverage_report,
 )
 from kappacmp.inference import METHODS, check_methods
@@ -62,8 +62,8 @@ def main(argv=None) -> int:
                         help="+0.5-corrected variant at n = 25, 50, 100, ratio methods")
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes, started once and shared by every cell "
-                             "(results identical for any value)")
+                        help="worker processes, at most the CPU count, started once and "
+                             "shared by every cell (results identical for any value)")
     parser.add_argument("--out", default="-", help="report file ('-' for stdout)")
     args = parser.parse_args(argv)
 
@@ -72,23 +72,29 @@ def main(argv=None) -> int:
              else (SMALL_SIZES if args.small_sample else SIZES))
     if args.small_sample:
         methods = tuple(m for m in methods if METHODS[m].target == "ratio") or ("wald-ratio",)
-    picks = (range(len(SCENARIOS)) if args.scenarios is None
-             else [int(i) - 1 for i in args.scenarios.split(",")])
+    try:
+        picks = (range(len(SCENARIOS)) if args.scenarios is None
+                 else [int(i) - 1 for i in args.scenarios.split(",")])
+    except ValueError:
+        parser.error(f"--scenarios must be a comma list of numbers, got {args.scenarios!r}")
+    if any(not 0 <= idx < len(SCENARIOS) for idx in picks):
+        parser.error(f"--scenarios must be numbers from 1 to {len(SCENARIOS)}, "
+                     f"got {args.scenarios!r}")
 
     config = ConfidenceConfig(seed=args.seed)
+    scenarios = [(idx, build_scenario_from_kappas(*SCENARIOS[idx][1:], args.dependence))
+                 for idx in picks]
+    cells = [(scenario, n, args.replicates) for _, scenario in scenarios for n in sizes]
+    grid = coverage_grid(cells, methods, config, jobs=args.jobs, correct=args.small_sample)
     results = []
     start = time.time()
-    for idx in picks:
-        label, k0_1, k1_1, k0_2, k1_2, p, c = SCENARIOS[idx]
-        scenario = build_scenario_from_kappas(k0_1, k1_1, k0_2, k1_2, p, c,
-                                              args.dependence)
-        print(f"scenario {idx + 1}: {label}  "
+    for idx, scenario in scenarios:
+        print(f"scenario {idx + 1}: {SCENARIOS[idx][0]}  "
               f"(Se1={scenario.se1:.3f} Sp1={scenario.sp1:.3f} "
               f"Se2={scenario.se2:.3f} Sp2={scenario.sp2:.3f} "
               f"eps1={scenario.eps1:.4f} eps0={scenario.eps0:.4f})", file=sys.stderr)
-        for n in sizes:
-            rows = coverage_study(scenario, n, args.replicates, methods, config,
-                                  jobs=args.jobs, correct=args.small_sample)
+        # the grid yields the scenario's cells in order, each as it finishes
+        for n, rows in zip(sizes, grid):
             results.extend(rows)
             cp_text = "  ".join(f"{r.method} {r.cp:.3f}/{r.al:.3f}" for r in rows)
             print(f"  n={n:5d}  {cp_text}", file=sys.stderr)

@@ -81,6 +81,7 @@ from .simulation import (
     MethodRecommendation,
     Scenario,
     build_scenario_from_kappas,
+    coverage_grid,
     coverage_study,
     dependence_bounds,
     evaluate_failure,

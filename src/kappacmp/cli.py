@@ -53,7 +53,7 @@ from .sample_size import SampleSizePlan, plan_iteration
 from .simulation import (
     MethodRecommendation,
     build_scenario_from_kappas,
-    coverage_study,
+    coverage_grid,
     read_scenario_batch,
     recommend_method,
     render_coverage_report,
@@ -480,8 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="comma list of methods (default wald-diff,wald-ratio)")
     _add_config_options(simulate)
     simulate.add_argument("--jobs", type=int, default=1,
-                          help="worker processes, started once and shared by every row "
-                               "of the batch (results identical for any value)")
+                          help="worker processes, at most the CPU count, started once and "
+                               "shared by every row of the batch (results identical for "
+                               "any value)")
     simulate.add_argument("--correct", action="store_true",
                           help="apply the +0.5 correction to every sampled table")
     simulate.add_argument("--out", default="-", help="coverage report file ('-' for stdout)")
@@ -554,13 +555,13 @@ def cmd_curve(parser, args) -> int:
 def cmd_simulate(parser, args) -> int:
     rows = read_scenario_batch(args.batch)
     config = _config_from_args(args)
-    results = []
-    for row in rows:
-        scenario = build_scenario_from_kappas(row.k0_1, row.k1_1, row.k0_2, row.k1_2,
-                                              row.p, row.c, row.f)
-        results.extend(coverage_study(scenario, row.n, row.n_replicates,
-                                      args.methods, config, jobs=args.jobs,
-                                      correct=args.correct))
+    # every row is built and checked before the first replicate of any row runs
+    cells = [(build_scenario_from_kappas(row.k0_1, row.k1_1, row.k0_2, row.k1_2,
+                                         row.p, row.c, row.f), row.n, row.n_replicates)
+             for row in rows]
+    results = [result for cell in coverage_grid(cells, args.methods, config, jobs=args.jobs,
+                                                correct=args.correct)
+               for result in cell]
     _write_out(render_coverage_report(results), args.out)
     return 0
 

@@ -56,14 +56,8 @@ class RandomStream:
         self._state = _mix64(self.seed ^ _mix64((self.stream + 1) * _GOLDEN))
         self._spare_gauss: float | None = None
 
-    # next_u64 and uniform inline the _mix64 step (the state is already a
-    # 64-bit word, so its first mask is dropped): same words, fewer calls.
-    def next_u64(self) -> int:
-        z = self._state = (self._state + _GOLDEN) & _MASK64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
+    # uniform inlines the _mix64 step (the state is already a 64-bit word,
+    # so its first mask is dropped): the same word, fewer calls.
     def uniform(self) -> float:
         """Uniform draw in [0, 1)."""
         z = self._state = (self._state + _GOLDEN) & _MASK64

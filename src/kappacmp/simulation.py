@@ -69,6 +69,7 @@ __all__ = [
     "scenario_probabilities",
     "build_scenario_from_kappas",
     "sample_counts",
+    "coverage_grid",
     "coverage_study",
     "evaluate_failure",
     "recommend_method",
@@ -286,8 +287,8 @@ def _run_range(args):
             for i in range(lo, hi)]
 
 
-# The process's worker pool, shared by every parallel coverage_study call:
-# built on the first one, replaced when a call needs another worker count or
+# The process's worker pool, shared by every parallel coverage_grid cell:
+# built on the first one, replaced when a cell needs another worker count or
 # when the pool broke (a worker died). Workers are forked, so they run the
 # code as it stood when the pool was built.
 _pool: ProcessPoolExecutor | None = None
@@ -324,67 +325,86 @@ def _map_ranges(ranges) -> list:
         return _map_ranges(ranges)
 
 
-def coverage_study(scenario: Scenario, n: int, n_replicates: int, methods,
-                   config: ConfidenceConfig | None = None,
-                   jobs: int = 1, correct: bool = False) -> list[CoverageResult]:
-    """Coverage probability and average length of each method on a scenario.
+def coverage_grid(cells, methods, config: ConfidenceConfig | None = None,
+                  jobs: int = 1, correct: bool = False):
+    """Coverage of each method on an ordered grid of cells, one cell at a time.
+
+    ``cells`` is an iterable of ``(scenario, n, n_replicates)``. Every cell
+    is checked before the first replicate of any cell runs; the generator
+    then yields each cell's CoverageResult list, in order, as the cell
+    finishes. The checks run at the first ``next()``.
 
     Every replicate derives its random streams from (seed, replicate
     index) and results are aggregated in index order, so the output is
-    bitwise identical for any ``jobs`` count. With ``correct=True`` the
-    +0.5 continuity correction is applied to every sampled table before
-    the intervals are built (the small-sample variant of the experiment).
+    bitwise identical for any ``jobs`` count and any grouping of cells.
+    With ``correct=True`` the +0.5 continuity correction is applied to
+    every sampled table before the intervals are built (the small-sample
+    variant of the experiment).
 
-    With ``jobs > 1`` the replicates are split into at most ``jobs``
-    ranges and run on one worker pool per process, with a worker per
-    range. The first parallel call builds the pool and later calls reuse
-    it. It is replaced when a call needs another worker count or when a
-    worker has died, and it lives until the process exits. Its workers
-    are forked when it is built and run the code as it was then: a test
-    that monkeypatches ``simulation`` or ``inference`` and uses
-    ``jobs > 1`` must call ``_drop_pool()`` first.
+    With ``jobs > 1`` each cell's replicates are split into at most
+    ``jobs`` ranges, and ``jobs`` is at most the CPU count. The ranges run
+    on one worker pool per process, with a worker per range. The first
+    parallel cell builds the pool and later cells and calls reuse it. It
+    is replaced when a cell needs another worker count or when a worker
+    has died, and it lives until the process exits. Its workers are
+    forked when it is built and run the code as it was then: a test that
+    monkeypatches ``simulation`` or ``inference`` and uses ``jobs > 1``
+    must call ``_drop_pool()`` first.
     """
     config = config or DEFAULT_CONFIG
-    _check_size(n)
-    if n_replicates < 100:
-        raise DomainError(f"need at least 100 replicates, got {n_replicates}")
     methods = check_methods(methods)
-    if any(METHODS[m].target == "ratio" for m in methods):
-        _ = scenario.theta  # raises when the true ratio is undefined
-
-    if jobs <= 1:
-        per_replicate = _run_range((scenario, n, methods, config, 0, n_replicates, correct))
-    else:
-        chunk = max(1, math.ceil(n_replicates / jobs))
-        ranges = [(scenario, n, methods, config, lo, min(lo + chunk, n_replicates), correct)
-                  for lo in range(0, n_replicates, chunk)]
-        per_replicate = [replicate for part in _map_ranges(ranges) for replicate in part]
-
-    total_redraws = sum(redraws for redraws, _ in per_replicate)
-    results = []
+    cells = list(cells)
+    ratio = any(METHODS[m].target == "ratio" for m in methods)
+    for scenario, n, n_replicates in cells:
+        _check_size(n)
+        if n_replicates < 100:
+            raise DomainError(f"need at least 100 replicates, got {n_replicates}")
+        if ratio:
+            _ = scenario.theta  # raises when the true ratio is undefined
+    jobs = min(jobs, os.cpu_count() or 1)
     nominal_95 = abs(config.conf - 0.95) <= 1e-12
-    for method in methods:
-        covered = 0
-        invalid = 0
-        lengths = []
-        for _, outcomes in per_replicate:
-            hit, length = outcomes[method]
-            if length is None:
-                invalid += 1
-            else:
-                lengths.append(length)
-                if hit:
-                    covered += 1
-        cp = covered / n_replicates
-        al = math.fsum(lengths) / len(lengths) if lengths else math.nan
-        cp_valid = covered / len(lengths) if lengths else math.nan
-        results.append(CoverageResult(
-            method=method, target=METHODS[method].target, n=n,
-            n_replicates=n_replicates, cp=cp, al=al, failures=total_redraws,
-            invalid=invalid, cp_valid=cp_valid,
-            failed=evaluate_failure(cp, config.conf) if nominal_95 else None,
-        ))
-    return results
+
+    for scenario, n, n_replicates in cells:
+        if jobs <= 1:
+            per_replicate = _run_range((scenario, n, methods, config, 0, n_replicates, correct))
+        else:
+            chunk = max(1, math.ceil(n_replicates / jobs))
+            ranges = [(scenario, n, methods, config, lo, min(lo + chunk, n_replicates), correct)
+                      for lo in range(0, n_replicates, chunk)]
+            per_replicate = [replicate for part in _map_ranges(ranges) for replicate in part]
+
+        total_redraws = sum(redraws for redraws, _ in per_replicate)
+        results = []
+        for method in methods:
+            covered = 0
+            invalid = 0
+            lengths = []
+            for _, outcomes in per_replicate:
+                hit, length = outcomes[method]
+                if length is None:
+                    invalid += 1
+                else:
+                    lengths.append(length)
+                    if hit:
+                        covered += 1
+            cp = covered / n_replicates
+            al = math.fsum(lengths) / len(lengths) if lengths else math.nan
+            cp_valid = covered / len(lengths) if lengths else math.nan
+            results.append(CoverageResult(
+                method=method, target=METHODS[method].target, n=n,
+                n_replicates=n_replicates, cp=cp, al=al, failures=total_redraws,
+                invalid=invalid, cp_valid=cp_valid,
+                failed=evaluate_failure(cp, config.conf) if nominal_95 else None,
+            ))
+        yield results
+
+
+def coverage_study(scenario: Scenario, n: int, n_replicates: int, methods,
+                   config: ConfidenceConfig | None = None,
+                   jobs: int = 1, correct: bool = False) -> list[CoverageResult]:
+    """Coverage probability and average length of each method on a scenario:
+    the one-cell case of coverage_grid."""
+    return next(coverage_grid([(scenario, n, n_replicates)], methods, config, jobs, correct))
 
 
 def evaluate_failure(cp: float, nominal: float = 0.95) -> bool:

@@ -1,7 +1,11 @@
 import hashlib
+import importlib.util
+import json
+from pathlib import Path
 
 import pytest
 
+import kappacmp.simulation as simulation
 from kappacmp.cli import build_analysis_report, main
 from kappacmp.data_model import PairedCounts
 from kappacmp.errors import FiellerInvalidError
@@ -10,6 +14,15 @@ from kappacmp.inference import ConfidenceConfig, fieller_ratio_ci
 TABLE8 = ["41", "0", "40", "8", "5", "1", "24", "181"]
 FAST = ["--bootstrap-b", "100", "--bayes-m", "1000"]
 DET_METHODS = ["--methods", "wald-diff,wald-ratio,log-ratio,fieller-ratio"]
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_demo(name):
+    """A demo script as a module, without running its main()."""
+    spec = importlib.util.spec_from_file_location(Path(name).stem, ROOT / "demos" / name)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    return demo
 
 
 def run(capsys, argv):
@@ -315,6 +328,44 @@ class TestSimulate:
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "08d4dfe3f1eac56b8d7ffea02f303954b473c7cd00ec870127f4b5d88a4b6151")
+
+    @pytest.mark.parametrize("last, error", [
+        ("0.21,0.14,0.81,0.72,0.5,0.1,0.5,60,50", "need at least 100 replicates, got 50"),
+        ("0.21,0.14,0.81,0.72,0.5,0.1,1.5,60,100", "dependence fraction must be in [0, 1]"),
+    ], ids=["N=50", "f=1.5"])
+    def test_bad_last_row_fails_before_any_replicate(self, last, error, capsys, tmp_path,
+                                                     monkeypatch):
+        calls = []
+        run_range = simulation._run_range
+
+        def counted(args):
+            calls.append(args)
+            return run_range(args)
+
+        monkeypatch.setattr(simulation, "_run_range", counted)
+        batch = tmp_path / "batch.csv"
+        batch.write_text(BATCH + last + "\n", encoding="utf-8")
+        out = tmp_path / "report.txt"
+        code, _, err = run(capsys, ["simulate", "--batch", str(batch), "--out", str(out)])
+        assert code == 1
+        assert err.startswith(f"error: {error}")
+        assert calls == [] and not out.exists()
+
+    def test_demo06_grid_matches_the_recorded_digest(self, capsys, tmp_path):
+        # the demo-06 grid less scenario 2, written as a batch: its report is
+        # the one the benchmark's coverage_closed_grid digest records
+        demo = load_demo("06_full_coverage_tables.py")
+        rows = [",".join(map(str, (*demo.SCENARIOS[i][1:], 0.5, n, 500)))
+                for i in (0, 2, 3, 4, 5, 6, 7) for n in demo.SIZES]
+        batch = tmp_path / "batch.csv"
+        batch.write_text("\n".join(["k0_1,k1_1,k0_2,k1_2,p,c,f,n,N", *rows]) + "\n",
+                         encoding="utf-8")
+        out = tmp_path / "report.txt"
+        code, _, _ = run(capsys, ["simulate", "--batch", str(batch), *DET_METHODS,
+                                  "--seed", "0", "--out", str(out)])
+        assert code == 0
+        recorded = json.loads((ROOT / "perfbench" / "digests.json").read_text(encoding="utf-8"))
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == recorded["coverage_closed_grid"]
 
     def test_zero_replicates_is_usage_error(self, capsys, tmp_path):
         batch = tmp_path / "batch.csv"

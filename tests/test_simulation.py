@@ -44,6 +44,7 @@ from kappacmp.numerics import RandomStream
 from kappacmp.simulation import (
     BatchRow,
     build_scenario_from_kappas,
+    coverage_grid,
     coverage_study,
     dependence_bounds,
     evaluate_failure,
@@ -191,8 +192,13 @@ class TestSampleCounts:
 
 
 @pytest.fixture
-def no_cached_pool():
-    """Drop the process's shared coverage pool before and after the test."""
+def no_cached_pool(monkeypatch):
+    """Drop the process's shared coverage pool before and after the test.
+
+    The worker count is capped at the CPU count; a count of 64 keeps the
+    pools of these tests the same on any host.
+    """
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     simulation._drop_pool()
     yield
     simulation._drop_pool()
@@ -268,6 +274,17 @@ class TestCoverageStudy:
         assert coverage_study(sc, 60, 100, ["wald-diff"], config, jobs=3) == serial
         assert fake_pools.sizes == [50, 3]  # 50 ranges of 2 replicates; 34 + 34 + 32
 
+    def test_pool_has_no_more_workers_than_cpus(self, fake_pools, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        sc = build_scenario_from_kappas(0.3, 0.6, 0.8, 0.8, 0.25, 0.5, 0.5)
+        config = ConfidenceConfig(seed=6)
+        serial = coverage_study(sc, 60, 100, ["wald-diff"], config, jobs=1)
+        assert coverage_study(sc, 60, 100, ["wald-diff"], config, jobs=64) == serial
+        assert coverage_study(sc, 60, 100, ["wald-diff"], config, jobs=3) == serial
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one worker, no pool
+        assert coverage_study(sc, 60, 100, ["wald-diff"], config, jobs=64) == serial
+        assert fake_pools.sizes == [4, 3]  # 4 ranges of 25 replicates; 34 + 34 + 32
+
     def test_bootstrap_and_bayes_methods_run(self):
         sc = build_scenario_from_kappas(0.3, 0.6, 0.8, 0.8, 0.25, 0.5, 0.5)
         config = ConfidenceConfig(seed=7, bootstrap_b=100, bayes_m=1000)
@@ -332,6 +349,44 @@ class TestCoverageStudy:
         sc = build_scenario_from_kappas(0.3, 0.6, 0.8, 0.8, 0.25, 0.5, 0.5)
         with pytest.raises(DomainError):
             coverage_study(sc, 50, 100, ["wald-odds"], ConfidenceConfig())
+
+
+class TestCoverageGrid:
+    CELLS = (
+        (build_scenario_from_kappas(0.3, 0.6, 0.8, 0.8, 0.25, 0.5, 0.5), 60, 100),
+        (build_scenario_from_kappas(0.21, 0.14, 0.81, 0.72, 0.5, 0.1, 0.5), 40, 120),
+        (build_scenario_from_kappas(0.3, 0.6, 0.8, 0.8, 0.25, 0.5, 0.5), 80, 100),
+    )
+    METHODS = ("wald-diff", "wald-ratio", "log-ratio")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cells_match_the_one_cell_studies(self, jobs, no_cached_pool):
+        config = ConfidenceConfig(seed=4)
+        expected = [coverage_study(sc, n, reps, self.METHODS, config, jobs=jobs)
+                    for sc, n, reps in self.CELLS]
+        assert list(coverage_grid(self.CELLS, self.METHODS, config, jobs=jobs)) == expected
+
+    @pytest.mark.parametrize("last, error", [
+        ((0, 100), "sample size must be at least 1, got 0"),
+        ((60, 50), "need at least 100 replicates, got 50"),
+        (None, "kappa2 is zero"),
+    ], ids=["n=0", "N=50", "theta"])
+    def test_bad_last_cell_fails_before_any_replicate(self, last, error, monkeypatch):
+        calls = []
+        run_range = simulation._run_range
+
+        def counted(args):
+            calls.append(args)
+            return run_range(args)
+
+        monkeypatch.setattr(simulation, "_run_range", counted)
+        if last is None:  # a scenario whose true ratio is undefined
+            bad = (scenario_probabilities(0.7, 0.7, 0.65, 0.35, 0.4, 0.0, 0.0, c=0.5), 60, 100)
+        else:
+            bad = (self.CELLS[0][0], *last)
+        with pytest.raises(KappaCmpError, match=error):
+            list(coverage_grid([*self.CELLS, bad], self.METHODS, ConfidenceConfig(seed=4)))
+        assert calls == []
 
 
 # the populations of demos/06_full_coverage_tables.py: (k0_1, k1_1, k0_2, k1_2, p, c)
