@@ -30,5 +30,5 @@ print("The asymptotic intervals need a few hundred subjects before their")
 print("coverage settles near 95%. Below that the log interval both fails and")
 print("produces absurd average lengths: whenever a sample's kappa1 estimate")
 print("lands near zero its log-scale variance explodes. The +0.5 correction")
-print("(simulate --correct, or demo 06 --small-sample) repairs the Wald")
-print("ratio interval, which is why it is the small-sample recommendation.")
+print("(kappacmp simulate --batch grids/paper_small.csv --correct) repairs the")
+print("Wald ratio interval, which is why it is the small-sample recommendation.")

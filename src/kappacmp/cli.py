@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from dataclasses import dataclass
 
 from . import __version__
@@ -555,14 +556,22 @@ def cmd_curve(parser, args) -> int:
 def cmd_simulate(parser, args) -> int:
     rows = read_scenario_batch(args.batch)
     config = _config_from_args(args)
-    # every row is built and checked before the first replicate of any row runs
+    # every row is built and checked, and --out opened, before the first
+    # replicate of any row runs: a bad row or path fails now, not days later
     cells = [(build_scenario_from_kappas(row.k0_1, row.k1_1, row.k0_2, row.k1_2,
                                          row.p, row.c, row.f), row.n, row.n_replicates)
              for row in rows]
-    results = [result for cell in coverage_grid(cells, args.methods, config, jobs=args.jobs,
-                                                correct=args.correct)
-               for result in cell]
+    grid = coverage_grid(cells, args.methods, config, jobs=args.jobs, correct=args.correct)
+    if args.out != "-":
+        open(args.out, "a", encoding="utf-8").close()
+    start = time.monotonic()
+    results = []
+    for k, ((_, n, n_replicates), cell_results) in enumerate(zip(cells, grid), start=1):
+        results.extend(cell_results)
+        scores = "  ".join(f"{r.method} {r.cp:.3f}/{r.al:.3f}" for r in cell_results)
+        print(f"row {k}/{len(cells)} n={n} N={n_replicates}  {scores}", file=sys.stderr)
     _write_out(render_coverage_report(results), args.out)
+    print(f"done in {time.monotonic() - start:.0f} s", file=sys.stderr)
     return 0
 
 
@@ -595,7 +604,7 @@ def main(argv=None) -> int:
                "simulate": cmd_simulate, "plan": cmd_plan}[args.command]
     try:
         return handler(parser, args)
-    except KappaCmpError as exc:
+    except (KappaCmpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -330,9 +330,9 @@ def coverage_grid(cells, methods, config: ConfidenceConfig | None = None,
     """Coverage of each method on an ordered grid of cells, one cell at a time.
 
     ``cells`` is an iterable of ``(scenario, n, n_replicates)``. Every cell
-    is checked before the first replicate of any cell runs; the generator
-    then yields each cell's CoverageResult list, in order, as the cell
-    finishes. The checks run at the first ``next()``.
+    is checked when the call is made, before the first replicate of any
+    cell runs; the returned generator then yields each cell's
+    CoverageResult list, in order, as the cell finishes.
 
     Every replicate derives its random streams from (seed, replicate
     index) and results are aggregated in index order, so the output is
@@ -361,9 +361,12 @@ def coverage_grid(cells, methods, config: ConfidenceConfig | None = None,
             raise DomainError(f"need at least 100 replicates, got {n_replicates}")
         if ratio:
             _ = scenario.theta  # raises when the true ratio is undefined
-    jobs = min(jobs, os.cpu_count() or 1)
-    nominal_95 = abs(config.conf - 0.95) <= 1e-12
+    return _run_cells(cells, methods, config, min(jobs, os.cpu_count() or 1), correct)
 
+
+def _run_cells(cells, methods, config: ConfidenceConfig, jobs: int, correct: bool):
+    """The generator of coverage_grid, on cells it has checked."""
+    nominal_95 = abs(config.conf - 0.95) <= 1e-12
     for scenario, n, n_replicates in cells:
         if jobs <= 1:
             per_replicate = _run_range((scenario, n, methods, config, 0, n_replicates, correct))

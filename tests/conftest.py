@@ -8,9 +8,12 @@ import pytest
 
 from kappacmp.data_model import PairedCounts
 from kappacmp.errors import DomainError
+from kappacmp.simulation import build_scenario_from_kappas, read_scenario_batch
 
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+PAPER_GRID = ROOT / "grids" / "paper.csv"
 
 
 @pytest.fixture
@@ -23,6 +26,13 @@ def perfbench_run(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look it up
     spec.loader.exec_module(run)
     return run
+
+
+def paper_scenarios():
+    """The populations of grids/paper.csv in file order, one Scenario each."""
+    params = dict.fromkeys((row.k0_1, row.k1_1, row.k0_2, row.k1_2, row.p, row.c, row.f)
+                           for row in read_scenario_batch(PAPER_GRID))
+    return [build_scenario_from_kappas(*values) for values in params]
 
 
 @pytest.fixture

@@ -1,11 +1,12 @@
 import hashlib
-import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 import kappacmp.simulation as simulation
+from conftest import PAPER_GRID
 from kappacmp.cli import build_analysis_report, main
 from kappacmp.data_model import PairedCounts
 from kappacmp.errors import FiellerInvalidError
@@ -15,14 +16,6 @@ TABLE8 = ["41", "0", "40", "8", "5", "1", "24", "181"]
 FAST = ["--bootstrap-b", "100", "--bayes-m", "1000"]
 DET_METHODS = ["--methods", "wald-diff,wald-ratio,log-ratio,fieller-ratio"]
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def load_demo(name):
-    """A demo script as a module, without running its main()."""
-    spec = importlib.util.spec_from_file_location(Path(name).stem, ROOT / "demos" / name)
-    demo = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(demo)
-    return demo
 
 
 def run(capsys, argv):
@@ -351,21 +344,50 @@ class TestSimulate:
         assert err.startswith(f"error: {error}")
         assert calls == [] and not out.exists()
 
-    def test_demo06_grid_matches_the_recorded_digest(self, capsys, tmp_path):
-        # the demo-06 grid less scenario 2, written as a batch: its report is
-        # the one the benchmark's coverage_closed_grid digest records
-        demo = load_demo("06_full_coverage_tables.py")
-        rows = [",".join(map(str, (*demo.SCENARIOS[i][1:], 0.5, n, 500)))
-                for i in (0, 2, 3, 4, 5, 6, 7) for n in demo.SIZES]
+    def test_unwritable_out_fails_before_any_replicate(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(simulation, "_run_range", calls.append)
         batch = tmp_path / "batch.csv"
-        batch.write_text("\n".join(["k0_1,k1_1,k0_2,k1_2,p,c,f,n,N", *rows]) + "\n",
-                         encoding="utf-8")
+        batch.write_text(BATCH, encoding="utf-8")
+        out = tmp_path / "missing" / "report.txt"
+        code, _, err = run(capsys, ["simulate", "--batch", str(batch), "--out", str(out)])
+        assert code == 1
+        assert err.startswith("error: [Errno 2] No such file or directory")
+        assert calls == []
+
+    def test_demo06_grid_matches_the_recorded_digest(self, capsys, tmp_path):
+        # grids/paper.csv less scenario 2, at N = 500: its report is the one
+        # the benchmark's coverage_closed_grid digest records
+        lines, skip = [], False
+        for line in PAPER_GRID.read_text(encoding="utf-8").splitlines():
+            if line.startswith("# scenario"):
+                skip = line.startswith("# scenario 2:")
+            if not skip:
+                lines.append(re.sub(r",2000$", ",500", line))
+        batch = tmp_path / "batch.csv"
+        batch.write_text("\n".join(lines) + "\n", encoding="utf-8")
         out = tmp_path / "report.txt"
         code, _, _ = run(capsys, ["simulate", "--batch", str(batch), *DET_METHODS,
                                   "--seed", "0", "--out", str(out)])
         assert code == 0
         recorded = json.loads((ROOT / "perfbench" / "digests.json").read_text(encoding="utf-8"))
         assert hashlib.sha256(out.read_bytes()).hexdigest() == recorded["coverage_closed_grid"]
+
+    def test_small_sample_grid_matches_the_recorded_digest(self, capsys, tmp_path):
+        # sha256 of the +0.5-corrected ratio-method tables at N = 100, recorded
+        # from the scenario list that grids/paper_small.csv replaced
+        text = PAPER_GRID.with_name("paper_small.csv").read_text(encoding="utf-8")
+        batch = tmp_path / "batch.csv"
+        batch.write_text(re.sub(r",2000$", ",100", text, flags=re.MULTILINE), encoding="utf-8")
+        code, out, err = run(capsys, ["simulate", "--batch", str(batch), "--correct",
+                                      "--methods", "wald-ratio,log-ratio,fieller-ratio",
+                                      "--seed", "0"])
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "f9afcb88c1d21e37f981c7cebf6cce8350cb8e052032ee2e2c53b269124be834")
+        progress = err.splitlines()
+        assert len(progress) == 25 and progress[-1].startswith("done in ")
+        assert progress[2].startswith("row 3/24 n=100 N=100  wald-ratio ")
 
     def test_zero_replicates_is_usage_error(self, capsys, tmp_path):
         batch = tmp_path / "batch.csv"
@@ -397,6 +419,25 @@ class TestSimulate:
         assert lines[0].startswith("method,target,n,N,cp,al")
         cp = float(lines[1].split(",")[4])
         assert 0.8 <= cp <= 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--batch", "{missing}"],
+    ["simulate", "--batch", "{directory}"],
+    ["analyze", "--records", "{missing}"],
+    ["curve", "--records", "{missing}"],
+    ["simulate", "--batch", "{batch}", "--out", "{unwritable}"],
+    ["analyze", *TABLE8, *DET_METHODS, "--out", "{unwritable}"],
+], ids=["simulate-batch", "simulate-batch-dir", "analyze-records", "curve-records",
+        "simulate-out", "analyze-out"])
+def test_file_errors_are_usage_errors(argv, capsys, tmp_path):
+    batch = tmp_path / "batch.csv"
+    batch.write_text(BATCH, encoding="utf-8")
+    paths = dict(missing=tmp_path / "nope.csv", directory=tmp_path, batch=batch,
+                 unwritable=tmp_path / "missing" / "x.txt")
+    code, _, err = run(capsys, [arg.format(**paths) for arg in argv])
+    assert code == 1
+    assert err.splitlines()[-1].startswith("error: [Errno ")
 
 
 class TestPlan:

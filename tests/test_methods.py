@@ -24,7 +24,7 @@ TABLE8 = ["41", "0", "40", "8", "5", "1", "24", "181"]
 
 @pytest.fixture
 def scenario():
-    # demo-06 scenario 4: diff -0.4 / ratio 0.5, c = 0.5, p = 25%
+    # paper-grid scenario 4: diff -0.4 / ratio 0.5, c = 0.5, p = 25%
     return build_scenario_from_kappas(0.30, 0.60, 0.80, 0.80, 0.25, 0.5, 0.5)
 
 

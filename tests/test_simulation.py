@@ -3,6 +3,7 @@ import io
 import math
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import kappacmp.simulation as simulation
-from conftest import random_accuracies
+from conftest import PAPER_GRID, paper_scenarios, random_accuracies
 from kappacmp.data_model import PairedCounts, apply_continuity_correction
 from kappacmp.errors import (
     DegenerateKappaError,
@@ -312,7 +313,7 @@ class TestCoverageStudy:
         assert res.cp_valid == pytest.approx(covered / (res.n_replicates - res.invalid))
 
     def test_redraw_rule_is_pinned(self, monkeypatch):
-        # demo-06 scenario 5 at n = 25 redraws both kinds of table that the
+        # paper-grid scenario 5 at n = 25 redraws both kinds of table that the
         # analysis rejects: an empty stratum and a Youden estimate of zero
         reasons = []
         analysis = simulation._analysis
@@ -389,17 +390,6 @@ class TestCoverageGrid:
         assert calls == []
 
 
-# the populations of demos/06_full_coverage_tables.py: (k0_1, k1_1, k0_2, k1_2, p, c)
-DEMO06 = (
-    (0.21, 0.14, 0.81, 0.72, 0.50, 0.1),
-    (0.20, 0.20, 0.80, 0.80, 0.10, 0.9),
-    (0.38, 0.76, 0.80, 0.80, 0.10, 0.1),
-    (0.30, 0.60, 0.80, 0.80, 0.25, 0.5),
-    (0.60, 0.60, 0.40, 0.90, 0.05, 0.9),
-    (0.90, 0.15, 0.90, 0.40, 0.25, 0.1),
-    (0.30, 0.60, 0.60, 0.30, 0.25, 0.5),
-    (0.10, 0.60, 0.40, 0.40, 0.50, 0.9),
-)
 SCORER_CONFIG = ConfidenceConfig(bootstrap_b=100, bayes_m=1000, seed=4)
 # each tag's public interval function, on (counts, c, tables, draws)
 PUBLIC_CI = {
@@ -420,7 +410,7 @@ PUBLIC_CI = {
 
 def _scorer_cases():
     """(table, scenario) pairs: the table is scored at the scenario's c and true values."""
-    scenarios = [build_scenario_from_kappas(*row, 0.5) for row in DEMO06]
+    scenarios = paper_scenarios()
     stream = RandomStream(77, 0)
     cases = []
     for sc in scenarios:
@@ -531,8 +521,8 @@ def object_route(sc, n, n_replicates, methods, config, correct):
 
 
 class TestReplicateRoute:
-    # demo-06 scenario 5 (p = 5%) at n = 25: many redraws and invalid intervals
-    SCENARIO = build_scenario_from_kappas(*DEMO06[4], 0.5)
+    # paper-grid scenario 5 (p = 5%) at n = 25: many redraws and invalid intervals
+    SCENARIO = paper_scenarios()[4]
     CONFIG = ConfidenceConfig(seed=21)
 
     @pytest.mark.parametrize("correct", [False, True])
@@ -667,6 +657,43 @@ class TestRecommendMethod:
     def test_domain(self):
         with pytest.raises(DomainError):
             recommend_method(0)
+
+
+LABEL = re.compile(r"# scenario (\d+): diff +(-?[\d.]+) / ratio ([\d.]+), c=([\d.]+), p=(\d+)%")
+
+
+def half_unit(shown: str) -> float:
+    """Half a unit in the last decimal place of a number as printed."""
+    return 0.5 * 10.0 ** -len(shown.partition(".")[2])
+
+
+class TestPaperGrid:
+    @pytest.mark.parametrize("name, sizes", [
+        ("paper.csv", [25, 50, 100, 200, 300, 400, 500, 1000]),
+        ("paper_small.csv", [25, 50, 100]),
+    ])
+    def test_scenario_labels_match_their_rows(self, name, sizes):
+        # each row sits under the "# scenario k: diff ... / ratio ..., c=..., p=...%"
+        # line of its population, and the label holds to the precision shown
+        path = PAPER_GRID.with_name(name)
+        labels, label = [], None
+        for line in path.read_text(encoding="utf-8").splitlines():
+            if line.startswith("# scenario"):
+                label = LABEL.fullmatch(line)
+            elif line and not line.startswith(("#", "k0_1")):
+                labels.append(label)
+        rows = read_scenario_batch(path)
+        assert len(labels) == len(rows) == 8 * len(sizes)
+        for k, (label, row) in enumerate(zip(labels, rows)):
+            number, delta, theta, c, p = label.groups()
+            assert (int(number), row.n, row.f, row.n_replicates) == (
+                k // len(sizes) + 1, sizes[k % len(sizes)], 0.5, 2000)
+            sc = build_scenario_from_kappas(row.k0_1, row.k1_1, row.k0_2, row.k1_2,
+                                            row.p, row.c, row.f)
+            assert abs(sc.delta - float(delta)) <= half_unit(delta)
+            assert abs(sc.theta - float(theta)) <= half_unit(theta)
+            assert abs(sc.c - float(c)) <= half_unit(c)
+            assert abs(100 * sc.p - float(p)) <= half_unit(p)
 
 
 class TestBatchIO:
