@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .data_model import (
     PairedCounts,
-    SubjectRecord,
     apply_continuity_correction,
     counts_from_records,
     read_records,

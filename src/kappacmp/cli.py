@@ -53,7 +53,6 @@ from .numerics import RandomStream
 from .sample_size import SampleSizePlan, plan_iteration
 from .simulation import (
     MethodRecommendation,
-    build_scenario_from_kappas,
     coverage_grid,
     read_scenario_batch,
     recommend_method,
@@ -98,9 +97,13 @@ class AnalysisReport:
 def build_analysis_report(counts: PairedCounts, cs=None, methods=None,
                           config: ConfidenceConfig | None = None,
                           correct: bool | str = "auto",
-                          precision: float = 0.0,
+                          precision: float | None = None,
                           include_inverse: bool = False) -> AnalysisReport:
-    """Full analysis of one observed table; the CLI is a thin shell over this."""
+    """Full analysis of one observed table; the CLI is a thin shell over this.
+
+    A ``precision`` (target half-width of the Wald ratio interval) adds a
+    sample-size plan at the one weighting index in ``cs``; None plans nothing.
+    """
     config = config or DEFAULT_CONFIG
     methods = check_methods(METHODS if methods is None else methods)
 
@@ -186,7 +189,7 @@ def build_analysis_report(counts: PairedCounts, cs=None, methods=None,
             warnings.append(f"Fieller interval invalid at c={row.c:g}: {error}")
 
     plan = None
-    if precision > 0.0:
+    if precision is not None:
         if len(cs) != 1:
             raise KappaCmpError("sample-size planning needs a single weighting index; "
                                 "pass --c")
@@ -450,8 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_options(analyze)
     analyze.add_argument("--c", type=float, default=None,
                          help="weighting index; omit to tabulate c = 0.1 ... 0.9 plus c'")
-    analyze.add_argument("--precision", type=float, default=0.0,
-                         help="target half-width for the ratio; > 0 adds a sample-size plan")
+    analyze.add_argument("--precision", type=float, default=None,
+                         help="target half-width for the ratio; adds a sample-size plan")
     analyze.add_argument("--methods", type=_parse_methods, default=tuple(METHODS),
                          help="comma list of interval methods (default: all)")
     analyze.add_argument("--inverse", action="store_true",
@@ -512,7 +515,7 @@ def cmd_analyze(parser, args) -> int:
     cs = None if args.c is None else [args.c]
     if args.c is not None and not 0.0 <= args.c <= 1.0:
         parser.error(f"--c must be in [0, 1], got {args.c}")
-    if args.precision > 0.0 and args.c is None:
+    if args.precision is not None and args.c is None:
         parser.error("--precision needs a single weighting index; pass --c")
     report = build_analysis_report(counts, cs=cs, methods=args.methods, config=config,
                                    correct=_correct_mode(args), precision=args.precision,
@@ -554,13 +557,10 @@ def cmd_curve(parser, args) -> int:
 
 
 def cmd_simulate(parser, args) -> int:
-    rows = read_scenario_batch(args.batch)
+    cells = read_scenario_batch(args.batch)
     config = _config_from_args(args)
     # every row is built and checked, and --out opened, before the first
     # replicate of any row runs: a bad row or path fails now, not days later
-    cells = [(build_scenario_from_kappas(row.k0_1, row.k1_1, row.k0_2, row.k1_2,
-                                         row.p, row.c, row.f), row.n, row.n_replicates)
-             for row in rows]
     grid = coverage_grid(cells, args.methods, config, jobs=args.jobs, correct=args.correct)
     if args.out != "-":
         open(args.out, "a", encoding="utf-8").close()

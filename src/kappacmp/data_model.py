@@ -16,11 +16,11 @@ from .errors import DomainError, IngestionError
 
 __all__ = [
     "PairedCounts",
-    "SubjectRecord",
     "counts_from_records",
     "apply_continuity_correction",
     "SMALL_SAMPLE",
     "correct_counts",
+    "read_table",
     "read_records",
 ]
 
@@ -28,21 +28,6 @@ CELL_NAMES = ("s11", "s10", "s01", "s00", "r11", "r10", "r01", "r00")
 MARGIN_NAMES = ("11", "10", "01", "00")
 
 RECORD_HEADER = "d,t1,t2"
-
-
-@dataclass(frozen=True)
-class SubjectRecord:
-    """One subject: gold-standard status and the two test results, all 0/1."""
-
-    d: int
-    t1: int
-    t2: int
-
-    def __post_init__(self):
-        for name in ("d", "t1", "t2"):
-            value = getattr(self, name)
-            if value not in (0, 1):
-                raise DomainError(f"record field {name} must be 0 or 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -104,18 +89,15 @@ class PairedCounts:
 def counts_from_records(records) -> PairedCounts:
     """Tabulate per-subject records into the eight cell counts.
 
-    Accepts SubjectRecord instances or (d, t1, t2) triples. A non-binary
-    field raises IngestionError naming the offending row (0-based).
+    Accepts (d, t1, t2) triples. A non-binary field raises IngestionError
+    naming the offending row (0-based).
     """
     cells = {name: 0 for name in CELL_NAMES}
     for i, rec in enumerate(records):
-        if isinstance(rec, SubjectRecord):
-            d, t1, t2 = rec.d, rec.t1, rec.t2
-        else:
-            try:
-                d, t1, t2 = rec
-            except (TypeError, ValueError):
-                raise IngestionError(f"record {i}: expected (d, t1, t2), got {rec!r}") from None
+        try:
+            d, t1, t2 = rec
+        except (TypeError, ValueError):
+            raise IngestionError(f"record {i}: expected (d, t1, t2), got {rec!r}") from None
         if d not in (0, 1) or t1 not in (0, 1) or t2 not in (0, 1):
             raise IngestionError(f"record {i}: fields must be 0 or 1, got {(d, t1, t2)!r}")
         prefix = "s" if d == 1 else "r"
@@ -145,37 +127,59 @@ def correct_counts(counts: PairedCounts, correct: bool | str) -> tuple[PairedCou
     return (apply_continuity_correction(counts) if apply else counts), apply
 
 
-def _parse_record_lines(lines, source: str) -> list[SubjectRecord]:
-    records = []
+def read_table(path_or_file, header: str) -> list[tuple[str, list[str]]]:
+    """``("<file>:<line>", fields)`` of each data row of a delimited text file.
+
+    Blank lines and ``#`` lines are skipped. The first other line must be
+    ``header``; every later line must split on commas into as many fields
+    as the header has, each stripped of surrounding whitespace. The text
+    must be UTF-8. A path is opened here; any other argument is read as an
+    iterable of lines. Every parse error is an IngestionError naming the
+    file and, where one is at fault, the line.
+    """
+    is_path = isinstance(path_or_file, (str, os.PathLike))
+    source = str(path_or_file) if is_path else "<stream>"
+    width = header.count(",") + 1
+    rows = []
     header_seen = False
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if not header_seen:
-            if line != RECORD_HEADER:
-                raise IngestionError(
-                    f"{source}:{lineno}: expected header {RECORD_HEADER!r}, got {line!r}")
-            header_seen = True
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise IngestionError(f"{source}:{lineno}: expected 3 comma-separated values")
-        values = []
-        for part in parts:
-            part = part.strip()
-            if part not in ("0", "1"):
-                raise IngestionError(f"{source}:{lineno}: values must be 0 or 1, got {part!r}")
-            values.append(int(part))
-        records.append(SubjectRecord(*values))
+    lineno = 0
+    lines = io.open(path_or_file, "r", encoding="utf-8") if is_path else path_or_file
+    try:
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if not header_seen:
+                if line != header:
+                    raise IngestionError(
+                        f"{source}:{lineno}: expected header {header!r}, got {line!r}")
+                header_seen = True
+                continue
+            fields = [field.strip() for field in line.split(",")]
+            if len(fields) != width:
+                raise IngestionError(f"{source}:{lineno}: expected {width} comma-separated "
+                                     f"values, got {len(fields)}")
+            rows.append((f"{source}:{lineno}", fields))
+    except UnicodeDecodeError as exc:
+        # text is decoded in blocks: the bad byte lies somewhere past the
+        # last line read, not necessarily on the next one
+        past = f" past line {lineno}" if lineno else ""
+        raise IngestionError(f"{source}: not UTF-8 text{past} ({exc.reason})") from None
+    finally:
+        if is_path:
+            lines.close()
     if not header_seen:
-        raise IngestionError(f"{source}: empty file, expected header {RECORD_HEADER!r}")
+        raise IngestionError(f"{source}: empty file, expected header {header!r}")
+    return rows
+
+
+def read_records(path_or_file) -> list[tuple[int, int, int]]:
+    """The (d, t1, t2) triple of each subject of a record file (header ``d,t1,t2``)."""
+    records = []
+    for where, fields in read_table(path_or_file, RECORD_HEADER):
+        for field in fields:
+            if field not in ("0", "1"):
+                raise IngestionError(f"{where}: values must be 0 or 1, got {field!r}")
+        d, t1, t2 = fields
+        records.append((int(d), int(t1), int(t2)))
     return records
-
-
-def read_records(path_or_file) -> list[SubjectRecord]:
-    """Read subject records from a delimited text file (header ``d,t1,t2``)."""
-    if isinstance(path_or_file, (str, os.PathLike)):
-        with io.open(path_or_file, "r", encoding="utf-8") as fh:
-            return _parse_record_lines(fh, str(path_or_file))
-    return _parse_record_lines(path_or_file, "<stream>")

@@ -9,8 +9,8 @@ class DomainError(KappaCmpError, ValueError):
     """An argument is outside the domain of the operation."""
 
 
-class IngestionError(KappaCmpError, ValueError):
-    """A subject record or record file could not be parsed."""
+class IngestionError(DomainError):
+    """An input file could not be parsed."""
 
 
 class NonEstimableError(KappaCmpError, ValueError):

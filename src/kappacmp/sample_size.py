@@ -63,7 +63,7 @@ def required_sample_size(acc: AccuracyEstimates, kp: KappaPair, phi: float,
     delta-method variance at n=1 yields the scale-free n*Var(theta_hat),
     so z^2 * Var_hat(theta_hat) / phi^2 = n holds identically.
     """
-    if phi <= 0.0:
+    if not phi > 0.0:  # rejects NaN as well
         raise DomainError(f"precision must be positive, got {phi!r}")
     z = ConfidenceConfig(conf=conf).z  # raises on a confidence level outside (0, 1)
     if acc.y1 <= TOL_YOUDEN or acc.y2 <= TOL_YOUDEN or kp.kappa2 <= 0.0:
@@ -76,7 +76,7 @@ def required_sample_size(acc: AccuracyEstimates, kp: KappaPair, phi: float,
 
 def precision_reached(ci: ConfidenceInterval, phi: float) -> bool:
     """True when the interval half-width is at most ``phi``."""
-    if phi <= 0.0:
+    if not phi > 0.0:  # rejects NaN as well
         raise DomainError(f"precision must be positive, got {phi!r}")
     return ci.half_width <= phi
 

@@ -15,7 +15,6 @@ when its coverage probability is 93% or less.
 
 from __future__ import annotations
 
-import io
 import math
 import os
 import threading
@@ -23,13 +22,15 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
-from .data_model import SMALL_SAMPLE, PairedCounts
+from .data_model import SMALL_SAMPLE, PairedCounts, read_table
 from .errors import (
     BootstrapFailedError,
     DegenerateKappaError,
     DomainError,
     FiellerInvalidError,
     InfeasibleScenarioError,
+    IngestionError,
+    KappaCmpError,
     LogIntervalError,
     NonEstimableError,
     UndefinedRatioError,
@@ -437,62 +438,32 @@ def recommend_method(n: float) -> MethodRecommendation:
         note="large sample: any of the difference or ratio intervals")
 
 
-@dataclass(frozen=True)
-class BatchRow:
-    """One scenario/run specification from a batch file."""
-
-    k0_1: float
-    k1_1: float
-    k0_2: float
-    k1_2: float
-    p: float
-    c: float
-    f: float
-    n: int
-    n_replicates: int
-
-
 BATCH_HEADER = "k0_1,k1_1,k0_2,k1_2,p,c,f,n,N"
 REPORT_HEADER = "method,target,n,N,cp,al,failed,redraws,invalid,cp_valid"
 
 
-def read_scenario_batch(path_or_file) -> list[BatchRow]:
-    """Parse a scenario batch file; errors carry the offending line number."""
-    if isinstance(path_or_file, (str, os.PathLike)):
-        with io.open(path_or_file, "r", encoding="utf-8") as fh:
-            return _parse_batch(fh, str(path_or_file))
-    return _parse_batch(path_or_file, "<stream>")
+def read_scenario_batch(path_or_file) -> list[tuple[Scenario, int, int]]:
+    """The ``(scenario, n, n_replicates)`` cells of a batch file, in file order.
 
-
-def _parse_batch(lines, source: str) -> list[BatchRow]:
-    rows = []
-    header_seen = False
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            if line != BATCH_HEADER:
-                raise DomainError(
-                    f"{source}:{lineno}: expected header {BATCH_HEADER!r}, got {line!r}")
-            header_seen = True
-            continue
-        parts = line.split(",")
-        if len(parts) != 9:
-            raise DomainError(f"{source}:{lineno}: expected 9 comma-separated values")
+    Each row ``k0_1,k1_1,k0_2,k1_2,p,c,f,n,N`` goes through
+    build_scenario_from_kappas; the cells are what coverage_grid takes. Any
+    error in a row is raised with its ``"<file>:<line>: "`` prefix.
+    """
+    cells = []
+    for where, fields in read_table(path_or_file, BATCH_HEADER):
         try:
-            floats = [float(x) for x in parts]
-        except ValueError as exc:
-            raise DomainError(f"{source}:{lineno}: {exc}") from None
-        n, n_rep = floats[7], floats[8]
-        if not (n.is_integer() and n >= 1):
-            raise DomainError(f"{source}:{lineno}: n must be a positive integer, got {parts[7]}")
-        if not (n_rep.is_integer() and n_rep >= 1):
-            raise DomainError(f"{source}:{lineno}: N must be a positive integer, got {parts[8]}")
-        rows.append(BatchRow(*floats[:7], int(n), int(n_rep)))
-    if not header_seen:
-        raise DomainError(f"{source}: empty batch file, expected header {BATCH_HEADER!r}")
-    return rows
+            values = [float(field) for field in fields]
+            n, n_replicates = values[7], values[8]
+            if not (n.is_integer() and n >= 1):
+                raise DomainError(f"n must be a positive integer, got {fields[7]}")
+            if not (n_replicates.is_integer() and n_replicates >= 1):
+                raise DomainError(f"N must be a positive integer, got {fields[8]}")
+            cells.append((build_scenario_from_kappas(*values[:7]), int(n), int(n_replicates)))
+        except KappaCmpError as exc:
+            raise type(exc)(f"{where}: {exc}") from None
+        except ValueError as exc:  # float() of a field that is not a number
+            raise IngestionError(f"{where}: {exc}") from None
+    return cells
 
 
 def render_coverage_report(results) -> str:

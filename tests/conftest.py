@@ -8,7 +8,7 @@ import pytest
 
 from kappacmp.data_model import PairedCounts
 from kappacmp.errors import DomainError
-from kappacmp.simulation import build_scenario_from_kappas, read_scenario_batch
+from kappacmp.simulation import read_scenario_batch
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -30,9 +30,7 @@ def perfbench_run(monkeypatch):
 
 def paper_scenarios():
     """The populations of grids/paper.csv in file order, one Scenario each."""
-    params = dict.fromkeys((row.k0_1, row.k1_1, row.k0_2, row.k1_2, row.p, row.c, row.f)
-                           for row in read_scenario_batch(PAPER_GRID))
-    return [build_scenario_from_kappas(*values) for values in params]
+    return list(dict.fromkeys(scenario for scenario, _, _ in read_scenario_batch(PAPER_GRID)))
 
 
 @pytest.fixture

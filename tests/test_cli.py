@@ -324,7 +324,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("last, error", [
         ("0.21,0.14,0.81,0.72,0.5,0.1,0.5,60,50", "need at least 100 replicates, got 50"),
-        ("0.21,0.14,0.81,0.72,0.5,0.1,1.5,60,100", "dependence fraction must be in [0, 1]"),
+        ("0.21,0.14,0.81,0.72,0.5,0.1,1.5,60,100",
+         "{batch}:3: dependence fraction must be in [0, 1]"),
     ], ids=["N=50", "f=1.5"])
     def test_bad_last_row_fails_before_any_replicate(self, last, error, capsys, tmp_path,
                                                      monkeypatch):
@@ -341,7 +342,7 @@ class TestSimulate:
         out = tmp_path / "report.txt"
         code, _, err = run(capsys, ["simulate", "--batch", str(batch), "--out", str(out)])
         assert code == 1
-        assert err.startswith(f"error: {error}")
+        assert err.startswith("error: " + error.format(batch=batch))
         assert calls == [] and not out.exists()
 
     def test_unwritable_out_fails_before_any_replicate(self, capsys, tmp_path, monkeypatch):
@@ -438,6 +439,65 @@ def test_file_errors_are_usage_errors(argv, capsys, tmp_path):
     code, _, err = run(capsys, [arg.format(**paths) for arg in argv])
     assert code == 1
     assert err.splitlines()[-1].startswith("error: [Errno ")
+
+
+RECORDS = "d,t1,t2\n1,1,1\n"
+
+
+@pytest.mark.parametrize("option, text, error", [
+    ("--records", "t1,t2,d\n1,1,1\n", "1: expected header 'd,t1,t2', got 't1,t2,d'"),
+    ("--records", RECORDS + "1,1\n", "3: expected 3 comma-separated values, got 2"),
+    ("--records", RECORDS + "\n# a comment\n0,2,0\n", "5: values must be 0 or 1, got '2'"),
+    ("--batch", "k0_1,k1_1,k0_2,k1_2,p,c,f,n\n",
+     "1: expected header 'k0_1,k1_1,k0_2,k1_2,p,c,f,n,N', got 'k0_1,k1_1,k0_2,k1_2,p,c,f,n'"),
+    ("--batch", BATCH + "0.3,0.6,0.8,0.8,0.25,0.5,0.5,80\n",
+     "3: expected 9 comma-separated values, got 8"),
+    ("--batch", BATCH + "0.3,0.6,0.8,0.8,0.25,0.5,0.5,zap,120\n",
+     "3: could not convert string to float: 'zap'"),
+    ("--batch", BATCH + "0.3,0.6,0.8,0.8,0.25,0.5,1.5,80,120\n",
+     "3: dependence fraction must be in [0, 1], got 1.5"),
+    ("--batch", BATCH + "0.3,0.6,0.8,0.8,1.5,0.5,0.5,80,120\n",
+     "3: prevalence must be in (0, 1), got 1.5"),
+    ("--batch", BATCH + "1e-11,1e-11,0.8,0.8,0.25,0.5,0.5,80,120\n",
+     "3: implied Youden index 1e-11 is not positive"),
+], ids=["records-header", "records-fields", "records-value", "batch-header",
+        "batch-fields", "batch-n", "batch-f", "batch-p", "batch-infeasible"])
+def test_malformed_input_file_names_file_and_line(option, text, error, capsys, tmp_path):
+    path = tmp_path / "input.csv"
+    path.write_text(text, encoding="utf-8")
+    command = "analyze" if option == "--records" else "simulate"
+    code, out, err = run(capsys, [command, option, str(path)])
+    assert (code, out, err) == (1, "", f"error: {path}:{error}\n")
+
+
+@pytest.mark.parametrize("option", ["--records", "--batch"])
+def test_non_utf8_input_file_is_an_error(option, capsys, tmp_path):
+    path = tmp_path / "input.csv"
+    path.write_bytes(b"d,t1,t2\n\x89PNG\r\n\x1a\n\x00\xff\xfe")
+    command = "analyze" if option == "--records" else "simulate"
+    code, out, err = run(capsys, [command, option, str(path)])
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+
+
+def test_record_comment_lines_do_not_count(capsys, tmp_path):
+    lines = ["d,t1,t2"] + ["1,1,0"] * 30 + ["1,0,1"] * 25 + ["0,0,0"] * 150 + ["0,1,1"] * 5
+    plain, commented = tmp_path / "plain.csv", tmp_path / "commented.csv"
+    plain.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    commented.write_text("# exported subjects\n" + "\n# next subject\n".join(lines) + "\n",
+                         encoding="utf-8")
+    reports = [run(capsys, ["analyze", "--records", str(path), "--c", "0.5", *DET_METHODS,
+                            "--out", "-"]) for path in (plain, commented)]
+    assert reports[0] == reports[1] and reports[0][0] == 0
+    assert "n = 210" in reports[0][1]
+
+
+@pytest.mark.parametrize("precision", ["0", "-1", "nan"])
+def test_analyze_and_plan_reject_a_bad_precision_alike(precision, capsys):
+    expected = f"error: precision must be positive, got {float(precision)!r}\n"
+    for argv in (["analyze", *TABLE8, "--c", "0.5", *DET_METHODS, "--out", "-"],
+                 ["plan", *TABLE8, "--c", "0.5"]):
+        assert run(capsys, [*argv, "--precision", precision]) == (1, "", expected)
 
 
 class TestPlan:

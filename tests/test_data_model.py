@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,11 @@ from kappacmp.cli import build_analysis_report
 from kappacmp.data_model import (
     MARGIN_NAMES,
     PairedCounts,
-    SubjectRecord,
     apply_continuity_correction,
     correct_counts,
     counts_from_records,
     read_records,
+    read_table,
 )
 from kappacmp.errors import DomainError, IngestionError, NonEstimableError
 from kappacmp.kappa_core import accuracy_from_counts
@@ -22,7 +24,7 @@ def table8_records():
     records = []
     for (stratum, t1, t2), count in cells.items():
         d = 1 if stratum == "s" else 0
-        records.extend([SubjectRecord(d, t1, t2)] * count)
+        records.extend([(d, t1, t2)] * count)
     return records
 
 
@@ -53,7 +55,7 @@ class TestCountsFromRecords:
         assert counts_from_records(table8_records()) == table8
 
     def test_single_record(self):
-        counts = counts_from_records([SubjectRecord(1, 1, 0)])
+        counts = counts_from_records([(1, 1, 0)])
         assert counts.s10 == 1
         assert sum(counts.cells()) == 1
 
@@ -71,10 +73,6 @@ class TestCountsFromRecords:
     def test_bad_row_named(self):
         with pytest.raises(IngestionError, match="record 2"):
             counts_from_records([(1, 1, 1), (0, 0, 0), (1, 2, 0)])
-
-    def test_record_construction_rejects_non_binary(self):
-        with pytest.raises(DomainError):
-            SubjectRecord(1, 1, 3)
 
 
 class TestValidateCounts:
@@ -129,8 +127,9 @@ class TestRecordFile:
     def test_round_trip(self, tmp_path, table8):
         path = tmp_path / "records.csv"
         lines = ["d,t1,t2"]
-        lines += [f"{r.d},{r.t1},{r.t2}" for r in table8_records()]
+        lines += [f"{d},{t1},{t2}" for d, t1, t2 in table8_records()]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert read_records(path) == table8_records()
         assert counts_from_records(read_records(path)) == table8
 
     def test_bad_header(self, tmp_path):
@@ -150,3 +149,38 @@ class TestRecordFile:
         path.write_text("", encoding="utf-8")
         with pytest.raises(IngestionError):
             read_records(path)
+
+
+class TestReadTable:
+    def test_rows_carry_their_file_and_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("# note\n\na,b\n1, 2\n\n# more\n 3 ,4 \n", encoding="utf-8")
+        assert read_table(path, "a,b") == [(f"{path}:4", ["1", "2"]),
+                                           (f"{path}:7", ["3", "4"])]
+
+    def test_stream_is_named_stream(self):
+        assert read_table(io.StringIO("a,b\n1,2\n"), "a,b") == [("<stream>:2", ["1", "2"])]
+
+    @pytest.mark.parametrize("text, error", [
+        ("", "<stream>: empty file, expected header 'a,b'"),
+        ("# only a comment\n\n", "<stream>: empty file, expected header 'a,b'"),
+        ("a, b\n", "<stream>:1: expected header 'a,b', got 'a, b'"),
+        ("a,b\n1,2,3\n", "<stream>:2: expected 2 comma-separated values, got 3"),
+    ], ids=["empty", "comments-only", "header", "fields"])
+    def test_errors_name_the_line(self, text, error):
+        with pytest.raises(IngestionError) as exc:
+            read_table(io.StringIO(text), "a,b")
+        assert str(exc.value) == error
+
+    def test_non_utf8_path(self, tmp_path):
+        # well past the first block of decoded text, so some lines read first
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"a,b\n" + b"1,2\n" * 5000 + b"\xff,2\n")
+        with pytest.raises(IngestionError, match=r"t\.csv: not UTF-8 text past line \d+ "
+                                                 r"\(invalid start byte\)"):
+            read_table(path, "a,b")
+
+    def test_non_utf8_stream(self):
+        stream = io.TextIOWrapper(io.BytesIO(b"a,b\n\xc3\n"), encoding="utf-8")
+        with pytest.raises(IngestionError, match="<stream>: not UTF-8 text"):
+            read_table(stream, "a,b")

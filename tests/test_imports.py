@@ -2,7 +2,9 @@
 
 Every name a module imports is used there, exported or marked
 ``# noqa: F401``; every ``__all__`` entry is bound; and the package
-re-exports only names its modules list in ``__all__``.
+re-exports only names its modules list in ``__all__``. Only
+``data_model.read_table`` opens a file to read, so the input formats share
+one reader.
 """
 
 import ast
@@ -72,3 +74,45 @@ def test_package_imports_only_exported_names():
                 unexported += [f"{node.module}.{alias.name}" for alias in node.names
                                if alias.name not in exported]
     assert unexported == []
+
+
+def opens_to_read(call: ast.Call) -> bool:
+    """True for an ``open``/``io.open`` call whose mode is not a constant write mode."""
+    func = call.func
+    if not (isinstance(func, ast.Name) and func.id == "open"
+            or isinstance(func, ast.Attribute) and func.attr == "open"
+            and isinstance(func.value, ast.Name) and func.value.id == "io"):
+        return False
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (kw.value for kw in call.keywords if kw.arg == "mode"), None)
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and set(mode.value) & set("wax"))
+
+
+def reading_opens(source: str) -> list:
+    """(function, line) of each call in a module's source that opens a file to read."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        elif isinstance(node, ast.Call) and opens_to_read(node):
+            found.append((where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_open_checker_flags_only_reads():
+    source = ("import io\nopen('a')\n\n\ndef f(p, m):\n    open(p, 'w').close()\n"
+              "    io.open(p, mode='a')\n    io.open(p, encoding='utf-8')\n"
+              "    open(p, m)\n    open(p, 'r+')\n    os.open(p)\n")
+    assert reading_opens(source) == [("<module>", 2), ("f", 8), ("f", 9), ("f", 10)]
+
+
+def test_only_read_table_opens_files_to_read():
+    readers = {(path.stem, where) for path in PACKAGE.glob("*.py")
+               for where, _ in reading_opens(path.read_text(encoding="utf-8"))}
+    assert readers == {("data_model", "read_table")}

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,11 @@ class TestRequiredSampleSize:
         with pytest.raises(DomainError):
             required_sample_size(acc, kp, 0.0)
 
+    def test_nan_precision_rejected(self, table8):
+        acc = accuracy_from_counts(table8)
+        with pytest.raises(DomainError, match="precision must be positive, got nan"):
+            required_sample_size(acc, kappa_pair(acc, 0.9), math.nan)
+
 
 class TestPrecisionReached:
     def test_published_interval_misses_010(self):
@@ -84,6 +91,12 @@ class TestPrecisionReached:
                                 lower=0.3, upper=0.5, point=0.4)
         with pytest.raises(DomainError):
             precision_reached(ci, 0.0)
+
+    def test_nan_precision_rejected(self):
+        ci = ConfidenceInterval(target="ratio", method="wald",
+                                lower=0.3, upper=0.5, point=0.4)
+        with pytest.raises(DomainError, match="precision must be positive, got nan"):
+            precision_reached(ci, math.nan)
 
 
 class TestPlanIteration:

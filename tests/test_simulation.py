@@ -43,7 +43,6 @@ from kappacmp.inference import (
 from kappacmp.kappa_core import accuracy_from_counts, kappa_pair
 from kappacmp.numerics import RandomStream
 from kappacmp.simulation import (
-    BatchRow,
     build_scenario_from_kappas,
     coverage_grid,
     coverage_study,
@@ -676,20 +675,20 @@ class TestPaperGrid:
         # each row sits under the "# scenario k: diff ... / ratio ..., c=..., p=...%"
         # line of its population, and the label holds to the precision shown
         path = PAPER_GRID.with_name(name)
-        labels, label = [], None
+        # f is the one column a Scenario does not keep, so it is read from the text
+        labels, fs, label = [], [], None
         for line in path.read_text(encoding="utf-8").splitlines():
             if line.startswith("# scenario"):
                 label = LABEL.fullmatch(line)
             elif line and not line.startswith(("#", "k0_1")):
                 labels.append(label)
-        rows = read_scenario_batch(path)
-        assert len(labels) == len(rows) == 8 * len(sizes)
-        for k, (label, row) in enumerate(zip(labels, rows)):
+                fs.append(float(line.split(",")[6]))
+        cells = read_scenario_batch(path)
+        assert len(labels) == len(fs) == len(cells) == 8 * len(sizes)
+        for k, (label, f, (sc, n, n_replicates)) in enumerate(zip(labels, fs, cells)):
             number, delta, theta, c, p = label.groups()
-            assert (int(number), row.n, row.f, row.n_replicates) == (
+            assert (int(number), n, f, n_replicates) == (
                 k // len(sizes) + 1, sizes[k % len(sizes)], 0.5, 2000)
-            sc = build_scenario_from_kappas(row.k0_1, row.k1_1, row.k0_2, row.k1_2,
-                                            row.p, row.c, row.f)
             assert abs(sc.delta - float(delta)) <= half_unit(delta)
             assert abs(sc.theta - float(theta)) <= half_unit(theta)
             assert abs(sc.c - float(c)) <= half_unit(c)
@@ -701,9 +700,10 @@ class TestBatchIO:
         text = ("k0_1,k1_1,k0_2,k1_2,p,c,f,n,N\n"
                 "0.21,0.14,0.81,0.72,0.5,0.1,0.5,500,2000\n"
                 "0.3,0.6,0.8,0.8,0.25,0.5,0.8,100,500\n")
-        rows = read_scenario_batch(io.StringIO(text))
-        assert rows[0] == BatchRow(0.21, 0.14, 0.81, 0.72, 0.5, 0.1, 0.5, 500, 2000)
-        assert rows[1].f == 0.8 and rows[1].n_replicates == 500
+        assert read_scenario_batch(io.StringIO(text)) == [
+            (build_scenario_from_kappas(0.21, 0.14, 0.81, 0.72, 0.5, 0.1, 0.5), 500, 2000),
+            (build_scenario_from_kappas(0.3, 0.6, 0.8, 0.8, 0.25, 0.5, 0.8), 100, 500),
+        ]
 
     def test_error_carries_line_number(self):
         text = "k0_1,k1_1,k0_2,k1_2,p,c,f,n,N\n0.2,0.2,0.8,0.8,0.1,0.9,0.5,zap,100\n"
