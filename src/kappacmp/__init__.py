@@ -9,11 +9,16 @@ Monte Carlo harness for coverage-probability studies.
 
 __version__ = "0.1.0"
 
+import importlib
+from types import ModuleType as _ModuleType
+
 from .data_model import (
+    MethodRecommendation,
     PairedCounts,
     apply_continuity_correction,
     counts_from_records,
     read_records,
+    recommend_method,
 )
 from .errors import (
     BootstrapFailedError,
@@ -57,6 +62,7 @@ from .kappa_core import (
     accuracy_from_kappa_pair,
     compare_over_range,
     crossover_index,
+    dependence_bounds,
     kappa_curve,
     kappa_pair,
     render_curve,
@@ -75,18 +81,36 @@ from .sample_size import (
     precision_reached,
     required_sample_size,
 )
-from .simulation import (
-    CoverageResult,
-    MethodRecommendation,
-    Scenario,
-    build_scenario_from_kappas,
-    coverage_grid,
-    coverage_study,
-    dependence_bounds,
-    evaluate_failure,
-    read_scenario_batch,
-    recommend_method,
-    render_coverage_report,
-    sample_counts,
-    scenario_probabilities,
-)
+
+# simulate's names load on first access (PEP 562), so importing the package,
+# or running any other command, loads neither simulation nor the
+# process-pool modules it imports
+_LAZY = dict.fromkeys((
+    "CoverageResult",
+    "Scenario",
+    "build_scenario_from_kappas",
+    "coverage_grid",
+    "coverage_study",
+    "evaluate_failure",
+    "read_scenario_batch",
+    "render_coverage_report",
+    "sample_counts",
+    "scenario_probabilities",
+), "simulation")
+
+# the names imported above (not the submodules bound with them) and the lazy ones
+__all__ = sorted([name for name, value in globals().items()
+                  if not name.startswith("_") and not isinstance(value, _ModuleType)]
+                 + list(_LAZY))
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

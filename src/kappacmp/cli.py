@@ -11,10 +11,12 @@ from . import __version__
 from .data_model import (
     CELL_NAMES,
     MARGIN_NAMES,
+    MethodRecommendation,
     PairedCounts,
     correct_counts,
     counts_from_records,
     read_records,
+    recommend_method,
 )
 from .errors import DomainError, KappaCmpError
 from .inference import (
@@ -51,13 +53,6 @@ from .kappa_core import (
 )
 from .numerics import RandomStream
 from .sample_size import SampleSizePlan, plan_iteration
-from .simulation import (
-    MethodRecommendation,
-    coverage_grid,
-    read_scenario_batch,
-    recommend_method,
-    render_coverage_report,
-)
 
 DEFAULT_OUT = "results_kappa.txt"
 DEFAULT_C_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
@@ -557,6 +552,9 @@ def cmd_curve(parser, args) -> int:
 
 
 def cmd_simulate(parser, args) -> int:
+    # only simulate loads simulation and, through it, the process-pool modules
+    from .simulation import coverage_grid, read_scenario_batch, render_coverage_report
+
     cells = read_scenario_batch(args.batch)
     config = _config_from_args(args)
     # every row is built and checked, and --out opened, before the first

@@ -20,6 +20,8 @@ __all__ = [
     "apply_continuity_correction",
     "SMALL_SAMPLE",
     "correct_counts",
+    "MethodRecommendation",
+    "recommend_method",
     "read_table",
     "read_records",
 ]
@@ -125,6 +127,30 @@ def correct_counts(counts: PairedCounts, correct: bool | str) -> tuple[PairedCou
     else:
         apply = bool(correct)
     return (apply_continuity_correction(counts) if apply else counts), apply
+
+
+@dataclass(frozen=True)
+class MethodRecommendation:
+    method: str
+    corrected: bool
+    note: str
+
+
+def recommend_method(n: float) -> MethodRecommendation:
+    """Interval to prefer at a given sample size."""
+    if n < 1:
+        raise DomainError(f"sample size must be at least 1, got {n!r}")
+    if n < SMALL_SAMPLE:
+        return MethodRecommendation(
+            method="wald-ratio", corrected=True,
+            note="small sample: Wald interval for the ratio on +0.5-corrected counts")
+    if n < 500:
+        return MethodRecommendation(
+            method="wald-ratio", corrected=False,
+            note="moderate sample: Wald interval for the ratio, uncorrected")
+    return MethodRecommendation(
+        method="any", corrected=False,
+        note="large sample: any of the difference or ratio intervals")
 
 
 def read_table(path_or_file, header: str) -> list[tuple[str, list[str]]]:

@@ -18,11 +18,12 @@ from __future__ import annotations
 import math
 import os
 import threading
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
-from .data_model import SMALL_SAMPLE, PairedCounts, read_table
+from .data_model import PairedCounts, read_table
 from .errors import (
     BootstrapFailedError,
     DegenerateKappaError,
@@ -65,7 +66,6 @@ from .numerics import RandomStream, sample_multinomial
 __all__ = [
     "Scenario",
     "CoverageResult",
-    "MethodRecommendation",
     "dependence_bounds",
     "scenario_probabilities",
     "build_scenario_from_kappas",
@@ -73,7 +73,6 @@ __all__ = [
     "coverage_grid",
     "coverage_study",
     "evaluate_failure",
-    "recommend_method",
     "read_scenario_batch",
     "render_coverage_report",
 ]
@@ -130,13 +129,6 @@ class CoverageResult:
     invalid: int
     cp_valid: float
     failed: bool | None
-
-
-@dataclass(frozen=True)
-class MethodRecommendation:
-    method: str
-    corrected: bool
-    note: str
 
 
 def scenario_probabilities(se1: float, sp1: float, se2: float, sp2: float,
@@ -201,6 +193,15 @@ def _check_size(n) -> None:
         raise DomainError(f"sample size must be at least 1, got {n!r}")
 
 
+_MIN_REPLICATES = 100
+
+
+def _check_replicates(n_replicates) -> None:
+    """DomainError when a cell has too few replicates for a coverage estimate."""
+    if n_replicates < _MIN_REPLICATES:
+        raise DomainError(f"need at least {_MIN_REPLICATES} replicates, got {n_replicates}")
+
+
 # substream roles per replicate index i: 3i sample, 3i+1 bootstrap, 3i+2 posterior
 _STREAMS_PER_REPLICATE = 3
 _MAX_SAMPLE_ATTEMPTS = 10_000
@@ -261,31 +262,47 @@ def _entries(scenario: Scenario, methods) -> tuple:
 
 
 def _score(entries: tuple, counts: PairedCounts | tuple, c: float, config: ConfidenceConfig,
-           tables: BootstrapTables | None, draws: PosteriorDraws | None) -> dict:
-    """tag -> (covered, length) of each method's interval, or (False, None) when invalid.
+           tables: BootstrapTables | None, draws: PosteriorDraws | None) -> list:
+    """(covered, length) of each entry's interval, in entry order; (False, None) when invalid.
 
     Scores the bounds as ConfidenceInterval.contains and .length score them,
     and raises its DomainError when they are out of order.
     """
-    outcomes = {}
-    for method, true_value, call in entries:
+    outcomes = []
+    for _, true_value, call in entries:
         try:
             lower, upper, _ = call(counts, c, config, tables, draws)
         except _INTERVAL_ERRORS:
-            outcomes[method] = (False, None)
+            outcomes.append((False, None))
         else:
             require_ordered(lower, upper)
-            outcomes[method] = (lower <= true_value <= upper, upper - lower)
+            outcomes.append((lower <= true_value <= upper, upper - lower))
     return outcomes
 
 
 def _run_range(args):
+    """Tallies of replicates lo..hi-1: (redraws, covered, lengths).
+
+    ``covered[k]`` counts the intervals of ``methods[k]`` that contain the
+    true value and ``lengths[k]`` holds the lengths of its valid ones, in
+    replicate order; the rest of the range's replicates were invalid.
+    """
     scenario, n, methods, config, lo, hi, correct = args
     entries = _entries(scenario, methods)
     shared = {METHODS[method].draw for method in methods} - {None}  # the draws they read
     cdfs: dict = {}  # the scenario's multinomial plan and CDFs, shared by the range's samples
-    return [_run_replicate(scenario, n, entries, shared, config, i, correct, cdfs)
-            for i in range(lo, hi)]
+    redraws = 0
+    covered = [0] * len(entries)
+    lengths = [array("d") for _ in entries]
+    for i in range(lo, hi):
+        replicate_redraws, outcomes = _run_replicate(scenario, n, entries, shared, config, i,
+                                                     correct, cdfs)
+        redraws += replicate_redraws
+        for k, (hit, length) in enumerate(outcomes):
+            if length is not None:
+                covered[k] += hit
+                lengths[k].append(length)
+    return redraws, covered, lengths
 
 
 # The process's worker pool, shared by every parallel coverage_grid cell:
@@ -358,8 +375,7 @@ def coverage_grid(cells, methods, config: ConfidenceConfig | None = None,
     ratio = any(METHODS[m].target == "ratio" for m in methods)
     for scenario, n, n_replicates in cells:
         _check_size(n)
-        if n_replicates < 100:
-            raise DomainError(f"need at least 100 replicates, got {n_replicates}")
+        _check_replicates(n_replicates)
         if ratio:
             _ = scenario.theta  # raises when the true ratio is undefined
     return _run_cells(cells, methods, config, min(jobs, os.cpu_count() or 1), correct)
@@ -370,34 +386,25 @@ def _run_cells(cells, methods, config: ConfidenceConfig, jobs: int, correct: boo
     nominal_95 = abs(config.conf - 0.95) <= 1e-12
     for scenario, n, n_replicates in cells:
         if jobs <= 1:
-            per_replicate = _run_range((scenario, n, methods, config, 0, n_replicates, correct))
+            parts = [_run_range((scenario, n, methods, config, 0, n_replicates, correct))]
         else:
             chunk = max(1, math.ceil(n_replicates / jobs))
             ranges = [(scenario, n, methods, config, lo, min(lo + chunk, n_replicates), correct)
                       for lo in range(0, n_replicates, chunk)]
-            per_replicate = [replicate for part in _map_ranges(ranges) for replicate in part]
+            parts = _map_ranges(ranges)
 
-        total_redraws = sum(redraws for redraws, _ in per_replicate)
+        total_redraws = sum(redraws for redraws, _, _ in parts)
         results = []
-        for method in methods:
-            covered = 0
-            invalid = 0
-            lengths = []
-            for _, outcomes in per_replicate:
-                hit, length = outcomes[method]
-                if length is None:
-                    invalid += 1
-                else:
-                    lengths.append(length)
-                    if hit:
-                        covered += 1
+        for k, method in enumerate(methods):
+            covered = sum(part_covered[k] for _, part_covered, _ in parts)
+            lengths = [length for _, _, part_lengths in parts for length in part_lengths[k]]
             cp = covered / n_replicates
             al = math.fsum(lengths) / len(lengths) if lengths else math.nan
             cp_valid = covered / len(lengths) if lengths else math.nan
             results.append(CoverageResult(
                 method=method, target=METHODS[method].target, n=n,
                 n_replicates=n_replicates, cp=cp, al=al, failures=total_redraws,
-                invalid=invalid, cp_valid=cp_valid,
+                invalid=n_replicates - len(lengths), cp_valid=cp_valid,
                 failed=evaluate_failure(cp, config.conf) if nominal_95 else None,
             ))
         yield results
@@ -421,23 +428,6 @@ def evaluate_failure(cp: float, nominal: float = 0.95) -> bool:
     return cp <= 0.93
 
 
-def recommend_method(n: float) -> MethodRecommendation:
-    """Interval to prefer at a given sample size."""
-    if n < 1:
-        raise DomainError(f"sample size must be at least 1, got {n!r}")
-    if n < SMALL_SAMPLE:
-        return MethodRecommendation(
-            method="wald-ratio", corrected=True,
-            note="small sample: Wald interval for the ratio on +0.5-corrected counts")
-    if n < 500:
-        return MethodRecommendation(
-            method="wald-ratio", corrected=False,
-            note="moderate sample: Wald interval for the ratio, uncorrected")
-    return MethodRecommendation(
-        method="any", corrected=False,
-        note="large sample: any of the difference or ratio intervals")
-
-
 BATCH_HEADER = "k0_1,k1_1,k0_2,k1_2,p,c,f,n,N"
 REPORT_HEADER = "method,target,n,N,cp,al,failed,redraws,invalid,cp_valid"
 
@@ -458,6 +448,7 @@ def read_scenario_batch(path_or_file) -> list[tuple[Scenario, int, int]]:
                 raise DomainError(f"n must be a positive integer, got {fields[7]}")
             if not (n_replicates.is_integer() and n_replicates >= 1):
                 raise DomainError(f"N must be a positive integer, got {fields[8]}")
+            _check_replicates(int(n_replicates))
             cells.append((build_scenario_from_kappas(*values[:7]), int(n), int(n_replicates)))
         except KappaCmpError as exc:
             raise type(exc)(f"{where}: {exc}") from None

@@ -323,7 +323,7 @@ class TestSimulate:
             "08d4dfe3f1eac56b8d7ffea02f303954b473c7cd00ec870127f4b5d88a4b6151")
 
     @pytest.mark.parametrize("last, error", [
-        ("0.21,0.14,0.81,0.72,0.5,0.1,0.5,60,50", "need at least 100 replicates, got 50"),
+        ("0.21,0.14,0.81,0.72,0.5,0.1,0.5,60,50", "{batch}:3: need at least 100 replicates, got 50"),
         ("0.21,0.14,0.81,0.72,0.5,0.1,1.5,60,100",
          "{batch}:3: dependence fraction must be in [0, 1]"),
     ], ids=["N=50", "f=1.5"])

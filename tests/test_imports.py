@@ -2,16 +2,21 @@
 
 Every name a module imports is used there, exported or marked
 ``# noqa: F401``; every ``__all__`` entry is bound; and the package
-re-exports only names its modules list in ``__all__``. Only
-``data_model.read_table`` opens a file to read, so the input formats share
-one reader.
+re-exports only names its modules list in ``__all__``, resolving
+simulate's names lazily so that no other command loads ``simulation`` or
+the process-pool modules. Only ``data_model.read_table`` opens a file to
+read, so the input formats share one reader.
 """
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import kappacmp
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kappacmp"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
@@ -64,16 +69,62 @@ def test_every_export_is_bound(path):
     assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == []
 
 
+# the simulation names the package imported eagerly before they loaded lazily
+SIMULATION_EXPORTS = {
+    "CoverageResult", "MethodRecommendation", "Scenario", "build_scenario_from_kappas",
+    "coverage_grid", "coverage_study", "dependence_bounds", "evaluate_failure",
+    "read_scenario_batch", "recommend_method", "render_coverage_report", "sample_counts",
+    "scenario_probabilities",
+}
+
+
 def test_package_imports_only_exported_names():
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     unexported = []
+    served = set(kappacmp._LAZY)
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
             exported = module_all((PACKAGE / f"{node.module}.py").read_text(encoding="utf-8"))
+            served |= {alias.name for alias in node.names}
             if exported:
                 unexported += [f"{node.module}.{alias.name}" for alias in node.names
                                if alias.name not in exported]
+    unexported += [f"{module}.{name}" for name, module in kappacmp._LAZY.items()
+                   if name not in module_all((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))]
     assert unexported == []
+    assert served == set(kappacmp.__all__) and SIMULATION_EXPORTS <= served
+    assert [name for name in kappacmp.__all__ if not hasattr(kappacmp, name)] == []
+
+
+POOL_MODULES = ["kappacmp.simulation", "concurrent.futures.process", "multiprocessing"]
+WORKED = ["41", "0", "40", "8", "5", "1", "24", "181"]
+
+
+@pytest.mark.parametrize("code, loaded", [
+    ("import kappacmp.cli", []),
+    ("import kappacmp\nassert set(kappacmp.__all__) <= set(dir(kappacmp))", []),
+    (f"from kappacmp.cli import main\nassert main(['analyze', *{WORKED}, '--out', os.devnull]) == 0",
+     []),
+    (f"from kappacmp.cli import main\nassert main(['curve', *{WORKED}, '--out', os.devnull]) == 0",
+     []),
+    (f"from kappacmp.cli import main\nassert main(['plan', *{WORKED}, '--c', '0.5', "
+     "'--precision', '0.1']) == 0", []),
+    ("from kappacmp.cli import main\nassert main(['simulate', '--batch', 'batch.csv', "
+     "'--out', os.devnull]) == 0", POOL_MODULES),
+    ("from kappacmp import Scenario, coverage_study, recommend_method\n"
+     "import kappacmp.simulation as simulation\n"
+     "assert (Scenario, coverage_study) == (simulation.Scenario, simulation.coverage_study)",
+     POOL_MODULES),
+], ids=["import-cli", "import-package", "analyze", "curve", "plan", "simulate", "lazy-names"])
+def test_only_simulate_loads_the_pool_modules(code, loaded, tmp_path):
+    (tmp_path / "batch.csv").write_text("k0_1,k1_1,k0_2,k1_2,p,c,f,n,N\n"
+                                        "0.3,0.6,0.8,0.8,0.25,0.5,0.5,40,100\n", encoding="utf-8")
+    script = (f"import os, sys\nsys.path.insert(0, {str(PACKAGE.parent)!r})\n{code}\n"
+              f"print([name for name in {POOL_MODULES!r} if name in sys.modules])\n")
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert ast.literal_eval(done.stdout.splitlines()[-1]) == loaded
 
 
 def opens_to_read(call: ast.Call) -> bool:

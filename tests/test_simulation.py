@@ -15,7 +15,7 @@ import pytest
 
 import kappacmp.simulation as simulation
 from conftest import PAPER_GRID, paper_scenarios, random_accuracies
-from kappacmp.data_model import PairedCounts, apply_continuity_correction
+from kappacmp.data_model import PairedCounts, apply_continuity_correction, recommend_method
 from kappacmp.errors import (
     DegenerateKappaError,
     DomainError,
@@ -49,7 +49,6 @@ from kappacmp.simulation import (
     dependence_bounds,
     evaluate_failure,
     read_scenario_batch,
-    recommend_method,
     render_coverage_report,
     sample_counts,
     scenario_probabilities,
@@ -434,7 +433,7 @@ def _scored(tag, true_value, counts, c, tables, draws):
     """The scorer's outcome of one method, or the KappaCmpError it raised."""
     try:
         return simulation._score(((tag, true_value, METHODS[tag].call),),
-                                 counts, c, SCORER_CONFIG, tables, draws)[tag]
+                                 counts, c, SCORER_CONFIG, tables, draws)[0]
     except KappaCmpError as exc:
         return type(exc)
 
@@ -531,7 +530,14 @@ class TestReplicateRoute:
         # +0.5 leaves no stratum empty; uncorrected, empty strata are redrawn
         assert correct or sum(redraws for redraws, _ in expected) > 0
         assert any(outcomes[tag][1] is None for _, outcomes in expected for tag in CLOSED_FORM)
-        assert simulation._run_range((sc, 25, CLOSED_FORM, config, 0, 200, correct)) == expected
+        # the range's tallies: redraws, and per method the covered count and valid lengths
+        range_redraws, range_covered, range_lengths = simulation._run_range(
+            (sc, 25, CLOSED_FORM, config, 0, 200, correct))
+        assert range_redraws == sum(redraws for redraws, _ in expected)
+        for k, tag in enumerate(CLOSED_FORM):
+            valid = [outcomes[tag] for _, outcomes in expected if outcomes[tag][1] is not None]
+            assert range_covered[k] == sum(hit for hit, _ in valid)
+            assert list(range_lengths[k]) == [length for _, length in valid]
         for jobs in (1, 2):
             results = coverage_study(sc, 25, 200, CLOSED_FORM, config, jobs=jobs, correct=correct)
             for res in results:
