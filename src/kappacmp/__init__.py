@@ -23,6 +23,7 @@ from .data_model import (
 from .errors import (
     BootstrapFailedError,
     DegenerateKappaError,
+    DenormalsAreZeroError,
     DomainError,
     FiellerInvalidError,
     InfeasibleScenarioError,

@@ -47,3 +47,7 @@ class InfeasibleScenarioError(KappaCmpError, ValueError):
 
 class UnsupportedNominalError(KappaCmpError, ValueError):
     """The failure rule is calibrated only for a 95% nominal confidence level."""
+
+
+class DenormalsAreZeroError(KappaCmpError, ArithmeticError):
+    """Subnormal doubles read as zero (denormals-are-zero is on), so block uniforms would be wrong."""

@@ -121,6 +121,10 @@ class ConfidenceConfig:
             raise DomainError(f"bootstrap needs integer B >= 100, got {self.bootstrap_b!r}")
         if not (isinstance(self.bayes_m, Integral) and self.bayes_m >= 1000):
             raise DomainError(f"posterior sampling needs integer M >= 1000, got {self.bayes_m!r}")
+        # any integer: the streams take it modulo 2**64, as a plain int
+        if not isinstance(self.seed, Integral):
+            raise DomainError(f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
 
     @property
     def alpha(self) -> float:

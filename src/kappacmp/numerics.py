@@ -12,10 +12,10 @@ import sys
 from array import array
 from bisect import bisect_right
 from functools import cache
-from itertools import chain
+from itertools import chain, islice
 from operator import length_hint
 
-from .errors import DomainError
+from .errors import DenormalsAreZeroError, DomainError
 
 __all__ = [
     "RandomStream",
@@ -197,21 +197,73 @@ def sample_beta(alpha: float, beta: float, stream: RandomStream) -> float:
     raise _beta_rejected(alpha, beta)
 
 
-_BLOCK = 1024  # counters mixed per block by _BlockUniforms
+_BLOCK = 1024  # counters mixed per block by _BlockUniforms, most streams per batch of _head_streams
+_HEAD_LANES = 8 * _BLOCK  # most lanes in a batch of _head_streams, unless one stream needs more
+
+# A 53-bit word w, written as the bits of a double, is w * 2**-1074 exactly
+# (exponent field 0 or 1), and that double times _RAW_SCALE is the uniform
+# w * 2**-53 of RandomStream.uniform, exactly. Words below 2**52 read as
+# subnormals, so this needs gradual underflow: _PROBE is such a word, read
+# the same way, and _raw_uniforms checks it against its uniform.
+_RAW_SCALE = 2.0 ** 1021
+_PROBE_WORD = 0x000F_EDCB_A987_6543
+_PROBE = array("d", _PROBE_WORD.to_bytes(8, sys.byteorder))[0]
+_PROBE_UNIFORM = _PROBE_WORD * _INV_2_53
 
 
 @cache
-def _lanes() -> tuple[int, int, int]:
+def _lanes() -> tuple[int, int, int, int]:
     """Packed-lane constants for _BLOCK counters, lane i at bit 128*i.
 
     ``ones`` has a 1 at the bottom of every lane, ``steps`` holds
-    (i + 1) * _GOLDEN in lane i, ``mask`` is _MASK64 in every lane. Built on
+    (i + 1) * _GOLDEN in lane i, ``advance`` the counter step of a whole
+    block in every lane, and ``mask`` is _MASK64 in every lane. Built on
     first use, not at import.
     """
-    ones = int.from_bytes(b"\x01".ljust(16, b"\x00") * _BLOCK, "little")
-    steps = int.from_bytes(b"".join(((i + 1) * _GOLDEN).to_bytes(16, "little")
-                                    for i in range(_BLOCK)), "little")
-    return ones, steps, _MASK64 * ones
+    return (_lane_words(1, _BLOCK), _lane_steps(_BLOCK, 1),
+            _lane_words(_BLOCK * _GOLDEN & _MASK64, _BLOCK), _lane_words(_MASK64, _BLOCK))
+
+
+def _lane_words(word: int, count: int) -> int:
+    """``word`` in each of ``count`` 128-bit lanes."""
+    return int.from_bytes(word.to_bytes(16, "little") * count, "little")
+
+
+def _lane_steps(k: int, count: int) -> int:
+    """(j + 1) * _GOLDEN in the ``count`` lanes from lane j * count on, for each j < ``k``."""
+    return int.from_bytes(b"".join([((j + 1) * _GOLDEN).to_bytes(16, "little") * count
+                                    for j in range(k)]), "little")
+
+
+def _mix_lanes(z: int, mask: int) -> int:
+    """_mix64 of every lane of ``z``: 64-bit words in 128-bit lanes, ``mask`` _MASK64 in each.
+
+    A 64x64-bit product fits in its lane, and masking after every
+    shift-xor and product drops what crossed in from the lane above.
+    """
+    z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+    z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
+    return (z ^ (z >> 31)) & mask
+
+
+def _raw_uniforms(z: int, count: int) -> array:
+    """The words w >> 11 of the ``count`` lanes of a mixed ``z``, read as doubles.
+
+    Each value is the uniform w >> 11 scaled by 2**-1074, not 2**-53: times
+    _RAW_SCALE it is that uniform. DenormalsAreZeroError when arithmetic on
+    subnormals is not gradual (denormals-are-zero), which would read about
+    half of them as 0.
+    """
+    if _PROBE * _RAW_SCALE != _PROBE_UNIFORM:
+        raise DenormalsAreZeroError(
+            "subnormal doubles read as zero (denormals-are-zero is on, as after loading "
+            "a library built with fast-math); block uniforms cannot be read")
+    # the low half of each lane is the word; the high half holds only the
+    # bits the shift brought down from the lane above, and is dropped
+    doubles = array("d", (z >> 11).to_bytes(16 * count, "little"))
+    if sys.byteorder == "big":
+        doubles.byteswap()
+    return doubles[::2]
 
 
 class _BlockUniforms:
@@ -219,23 +271,25 @@ class _BlockUniforms:
 
     Uniform k of a stream is _mix64(state + k * _GOLDEN) >> 11, scaled, so
     the SplitMix64 steps of _BLOCK consecutive counters run on one Python
-    int that holds each counter in its own 128-bit lane: a 64x64-bit
-    product fits in its lane, and masking after every shift-xor and product
-    drops what crossed in from the lane above. ``uniform()`` returns the
-    values of ``stream.uniform()``, in order, so it stands in for the stream
-    wherever only its uniforms are read. Each block advances the stream's
-    counter past it; ``rewind`` steps it back over the uniforms not read,
-    after which this object is done with.
+    int that holds each counter in its own 128-bit lane (_mix_lanes).
+    ``raw()`` returns the values of ``stream.uniform()`` in order, as read
+    by _raw_uniforms, and ``uniform()`` the same values times _RAW_SCALE,
+    so it stands in for the stream wherever only its uniforms are read;
+    both read the one sequence. Each block advances the stream's counter
+    past it; ``rewind`` steps it back over the uniforms not read, after
+    which this object is done with.
     """
 
-    __slots__ = ("stream", "_block", "uniform")
+    __slots__ = ("stream", "_block", "raw", "uniform")
 
     def __init__(self, stream: RandomStream):
         self.stream = stream
         # the block being read, shared with the generator, which holds no
         # reference to this object (so no cycle outlives a batch)
         self._block = [iter(())]
-        self.uniform = chain.from_iterable(_uniform_blocks(stream, self._block)).__next__
+        values = chain.from_iterable(_uniform_blocks(stream, self._block))
+        self.raw = values.__next__
+        self.uniform = map(_RAW_SCALE.__mul__, values).__next__
 
     def rewind(self) -> None:
         """Leave the stream's counter just past the last uniform read."""
@@ -244,24 +298,67 @@ class _BlockUniforms:
 
 
 def _uniform_blocks(stream: RandomStream, current: list):
-    """Iterators over successive blocks of ``stream``'s uniforms (_BlockUniforms).
+    """Iterators over successive blocks of ``stream``'s raw uniforms (_BlockUniforms).
 
-    Each block advances the stream's counter past it and is put in
-    ``current[0]`` before it is yielded.
+    Once mixed, each block advances the stream's counter past it, and it
+    is put in ``current[0]`` before it is yielded.
     """
-    ones, steps, mask = _lanes()
+    ones, steps, advance, mask = _lanes()
+    counters = (stream._state * ones + steps) & mask
     while True:
-        state = stream._state
-        stream._state = (state + _BLOCK * _GOLDEN) & _MASK64
-        z = (state * ones + steps) & mask
-        z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
-        z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
-        z = ((z ^ (z >> 31)) & mask) >> 11
-        words = array("Q", z.to_bytes(16 * _BLOCK, "little"))
-        if sys.byteorder == "big":
-            words.byteswap()
-        current[0] = iter([w * _INV_2_53 for w in words[::2]])
-        yield current[0]
+        block = iter(_raw_uniforms(_mix_lanes(counters, mask), _BLOCK).tolist())
+        stream._state = (stream._state + _BLOCK * _GOLDEN) & _MASK64
+        counters = (counters + advance) & mask
+        current[0] = block
+        yield block
+
+
+def _head_streams(seed: int, streams, k: int):
+    """Stand-ins for ``RandomStream(seed, s)``, one per ``s`` of ``streams``, in order.
+
+    Each has the stream's ``uniform``. Its first ``k`` values come from a
+    lane batch over up to _BLOCK streams (and _HEAD_LANES lanes) at a time:
+    both _mix64 steps of each stream's starting state, then its first ``k``
+    counters, as _BlockUniforms mixes them. A read past them builds the
+    scalar stream, set to counter ``k``, and continues on it.
+    """
+    seed &= _MASK64
+    streams = iter(streams)
+    size = max(1, min(_BLOCK, _HEAD_LANES // max(k, 1)))
+    while batch := list(islice(streams, size)):
+        count = len(batch)
+        mask = _lane_words(_MASK64, count)
+        ids = int.from_bytes(b"".join([((s + 1) * _GOLDEN & _MASK64).to_bytes(16, "little")
+                                       for s in batch]), "little")
+        states = _mix_lanes(_mix_lanes(ids, mask) ^ _lane_words(seed, count), mask)
+        # lane j * count + i holds counter j + 1 of stream i: its state + (j + 1) * _GOLDEN
+        lanes = count * k
+        mask = _lane_words(_MASK64, lanes)
+        spread = int.from_bytes(states.to_bytes(16 * count, "little") * k, "little")
+        z = (spread + _lane_steps(k, count)) & mask
+        uniforms = [r * _RAW_SCALE for r in _raw_uniforms(_mix_lanes(z, mask), lanes)]
+        for i, s in enumerate(batch):
+            yield _HeadStream(uniforms[i::count], seed, s)
+
+
+class _HeadStream:
+    """Stands in for a RandomStream read only through ``uniform`` (_head_streams).
+
+    ``head`` holds the stream's first uniforms; the rest come from the
+    stream itself, built on the first read past them.
+    """
+
+    __slots__ = ("uniform",)
+
+    def __init__(self, head: list, seed: int, stream: int):
+        self.uniform = chain(head, _uniforms_from(seed, stream, len(head))).__next__
+
+
+def _uniforms_from(seed: int, stream: int, k: int):
+    """The uniforms of RandomStream(seed, stream) from counter ``k`` on."""
+    rest = RandomStream(seed, stream)
+    rest._state = (rest._state + k * _GOLDEN) & _MASK64
+    yield from iter(rest.uniform, None)
 
 
 def _gamma_constants(shape: float) -> tuple[float, float, float]:
@@ -293,54 +390,85 @@ def sample_beta_rows(params, m: int, stream: RandomStream) -> array:
             raise DomainError(f"beta parameters must be positive, got ({alpha}, {beta})")
         pairs.append((_gamma_constants(alpha), _gamma_constants(beta)))
     log, sqrt = math.log, math.sqrt
+    # times ``two`` a raw value is 2u, times ``scale`` it is u, exactly (_raw_uniforms)
+    two, scale = 2.0 * _RAW_SCALE, _RAW_SCALE
     rows = array("d")
+    append = rows.append
     source = _BlockUniforms(stream)
-    uniform = source.uniform
+    raw = source.raw
     spare = stream._spare_gauss
     retried = rejects = 0  # the draw (its index in rows) landing on 0 or 1, and how often
     try:
         for _ in range(m):
-            for pair in pairs:
+            # the Marsaglia-Tsang step is written out once per gamma of the
+            # pair: a loop over the two, or a list of them, costs about 4% here
+            for (da, ca, boosta), (db, cb, boostb) in pairs:
                 while True:
-                    gammas = []
-                    for d, c, boost in pair:
-                        while True:
-                            if spare is None:  # RandomStream.gauss
-                                while True:
-                                    x = 2.0 * uniform() - 1.0
-                                    y = 2.0 * uniform() - 1.0
-                                    s = x * x + y * y
-                                    if 0.0 < s < 1.0:
-                                        break
-                                f = sqrt(-2.0 * log(s) / s)
-                                spare = y * f
-                                x = x * f
-                            else:
-                                x, spare = spare, None
-                            t = 1.0 + c * x
-                            if t <= 0.0:
-                                continue
-                            v = t * t * t
-                            u = uniform()
-                            while u == 0.0:  # uniform_open
-                                u = uniform()
-                            xx = x * x
-                            if (u < 1.0 - 0.0331 * xx * xx
-                                    or log(u) < 0.5 * xx + d * (1.0 - v + log(v))):
-                                break
-                        g = d * v
-                        if boost:
-                            u = uniform()
-                            while u == 0.0:
-                                u = uniform()
-                            g = g * u ** boost
-                        gammas.append(g)
-                    ga, gb = gammas
+                    while True:
+                        if spare is None:  # RandomStream.gauss
+                            while True:
+                                x = raw() * two - 1.0
+                                y = raw() * two - 1.0
+                                s = x * x + y * y
+                                if 0.0 < s < 1.0:
+                                    break
+                            f = sqrt(-2.0 * log(s) / s)
+                            spare = y * f
+                            x = x * f
+                        else:
+                            x, spare = spare, None
+                        t = 1.0 + ca * x
+                        if t <= 0.0:
+                            continue
+                        v = t * t * t
+                        u = raw() * scale
+                        while u == 0.0:  # uniform_open
+                            u = raw() * scale
+                        xx = x * x
+                        if (u < 1.0 - 0.0331 * xx * xx
+                                or log(u) < 0.5 * xx + da * (1.0 - v + log(v))):
+                            break
+                    ga = da * v
+                    if boosta:
+                        u = raw() * scale
+                        while u == 0.0:
+                            u = raw() * scale
+                        ga = ga * u ** boosta
+                    while True:
+                        if spare is None:  # RandomStream.gauss
+                            while True:
+                                x = raw() * two - 1.0
+                                y = raw() * two - 1.0
+                                s = x * x + y * y
+                                if 0.0 < s < 1.0:
+                                    break
+                            f = sqrt(-2.0 * log(s) / s)
+                            spare = y * f
+                            x = x * f
+                        else:
+                            x, spare = spare, None
+                        t = 1.0 + cb * x
+                        if t <= 0.0:
+                            continue
+                        v = t * t * t
+                        u = raw() * scale
+                        while u == 0.0:  # uniform_open
+                            u = raw() * scale
+                        xx = x * x
+                        if (u < 1.0 - 0.0331 * xx * xx
+                                or log(u) < 0.5 * xx + db * (1.0 - v + log(v))):
+                            break
+                    gb = db * v
+                    if boostb:
+                        u = raw() * scale
+                        while u == 0.0:
+                            u = raw() * scale
+                        gb = gb * u ** boostb
                     total = ga + gb
                     if total > 0.0:
                         x = ga / total
                         if 0.0 < x < 1.0:
-                            rows.append(x)
+                            append(x)
                             break
                     rejects = rejects + 1 if retried == len(rows) else 1
                     retried = len(rows)
@@ -353,6 +481,14 @@ def sample_beta_rows(params, m: int, stream: RandomStream) -> array:
 
 
 _BINOM_CHUNK = 1000
+
+
+def _multinomial_reads(cells: int, n: int) -> int:
+    """The most uniforms a sample_multinomial draw of size ``n`` over ``cells`` reads.
+
+    One per block of _BINOM_CHUNK trials, for each cell but the last.
+    """
+    return (cells - 1) * -(-n // _BINOM_CHUNK)
 
 
 def _binomial_chunk(tables: dict, n: int, p: float, u: float) -> int:

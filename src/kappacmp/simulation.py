@@ -61,7 +61,7 @@ from .kappa_core import (
     kappa_ratio,
     weighted_kappa,
 )
-from .numerics import RandomStream, sample_multinomial
+from .numerics import RandomStream, _head_streams, _multinomial_reads, sample_multinomial
 
 __all__ = [
     "Scenario",
@@ -208,12 +208,15 @@ _MAX_SAMPLE_ATTEMPTS = 10_000
 
 
 def _run_replicate(scenario: Scenario, n: int, entries: tuple, shared: set,
-                   config: ConfidenceConfig, index: int, correct: bool, cdfs: dict):
+                   config: ConfidenceConfig, index: int, correct: bool, cdfs: dict,
+                   sample_stream):
     """All per-replicate work; depends only on (scenario, n, config, index).
 
     ``entries`` are the methods' (tag, true value, call) (_entries) and
     ``shared`` the draws they read. ``cdfs`` caches the multinomial plan and
     binomial CDFs of the scenario's samples (sample_multinomial).
+    ``sample_stream`` serves the uniforms of the sample stream
+    ``RandomStream(config.seed, 3 * index)`` (numerics._head_streams).
 
     The table is the plain tuple of the sampled cells, +0.5 each when
     ``correct``. The analysis and the closed-form bounds read its cells as
@@ -222,7 +225,6 @@ def _run_replicate(scenario: Scenario, n: int, entries: tuple, shared: set,
     for the bootstrap tables and the posterior draws.
     """
     base = _STREAMS_PER_REPLICATE * index
-    sample_stream = RandomStream(config.seed, base)
     redraws = 0
     while True:
         cells = sample_multinomial(scenario.pi, n, sample_stream, cdfs)
@@ -294,9 +296,13 @@ def _run_range(args):
     redraws = 0
     covered = [0] * len(entries)
     lengths = [array("d") for _ in entries]
-    for i in range(lo, hi):
+    # the sample streams, with the uniforms of one draw each mixed in lane batches
+    streams = _head_streams(config.seed, range(_STREAMS_PER_REPLICATE * lo,
+                                               _STREAMS_PER_REPLICATE * hi, _STREAMS_PER_REPLICATE),
+                            _multinomial_reads(len(scenario.pi), n))
+    for i, sample_stream in zip(range(lo, hi), streams):
         replicate_redraws, outcomes = _run_replicate(scenario, n, entries, shared, config, i,
-                                                     correct, cdfs)
+                                                     correct, cdfs, sample_stream)
         redraws += replicate_redraws
         for k, (hit, length) in enumerate(outcomes):
             if length is not None:

@@ -822,3 +822,17 @@ class TestConfig:
                             (math.inf, 1.0), (1.0, math.inf)):
             with pytest.raises(DomainError):
                 BetaPrior(alpha, beta)
+
+    @pytest.mark.parametrize("seed", [1.5, 3.0, "3", None])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            ConfidenceConfig(seed=seed, bootstrap_b=100)
+
+    def test_any_integer_seed_is_taken_modulo_2_64(self, table8):
+        def lower(seed):
+            config = ConfidenceConfig(seed=seed, bootstrap_b=100)
+            return bootstrap_ci(table8, 0.5, "difference", config).lower
+
+        assert lower(-3) == lower(2**64 - 3)
+        assert lower(2**64 + 5) == lower(np.int64(5)) == lower(5)
+        assert type(ConfidenceConfig(seed=np.int64(5)).seed) is int

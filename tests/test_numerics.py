@@ -10,17 +10,20 @@ import pytest
 
 from conftest import empirical_quantile
 from kappacmp import numerics
-from kappacmp.errors import DomainError
+from kappacmp.errors import DenormalsAreZeroError, DomainError, KappaCmpError
 from kappacmp.numerics import (
     _BINOM_CHUNK,
     _BLOCK,
     _GOLDEN,
+    _HEAD_LANES,
     _INV_2_53,
     _MASK64,
     RandomStream,
     _binomial_chunk,
     _BlockUniforms,
+    _head_streams,
     _mix64,
+    _multinomial_reads,
     _plan,
     normal_cdf,
     normal_quantile,
@@ -429,6 +432,37 @@ class TestStreams:
         source.rewind()
         assert batch._state == scalar._state
         assert batch.uniform() == scalar.uniform()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, -7, 2**64 - 1])
+    @pytest.mark.parametrize("k", [_multinomial_reads(8, 25), _multinomial_reads(8, 1500)])
+    def test_head_streams_match_scalar_streams(self, seed, k):
+        ids = [0, 3 * 999, 2**64 - 1]
+        for read in (0, k, k + 1, k + 37):
+            for s, head in zip(ids, _head_streams(seed, ids, k), strict=True):
+                scalar = RandomStream(seed, s).uniform
+                assert [head.uniform() for _ in range(read)] == [scalar() for _ in range(read)]
+        assert list(_head_streams(seed, [], k)) == []
+
+    @pytest.mark.parametrize("count, k", [(2 * _BLOCK + 3, 1), (7, _HEAD_LANES // 3)])
+    def test_head_streams_span_several_batches(self, count, k):
+        ids = range(5, 5 + count)
+        heads = [[head.uniform() for _ in range(k + 1)] for head in _head_streams(11, ids, k)]
+        assert heads == [[scalar.uniform() for _ in range(k + 1)]
+                         for scalar in (RandomStream(11, s) for s in ids)]
+
+    def test_denormals_are_zero_is_refused(self, monkeypatch):
+        # with denormals-are-zero on, the probe reads as 0, as would about
+        # half of all block uniforms
+        monkeypatch.setattr(numerics, "_PROBE", 0.0)
+        stream = RandomStream(1, 2)
+        with pytest.raises(DenormalsAreZeroError, match="denormals-are-zero"):
+            sample_beta_rows([(2.0, 3.0)], 5, stream)
+        with pytest.raises(DenormalsAreZeroError):
+            _BlockUniforms(stream).uniform()
+        with pytest.raises(DenormalsAreZeroError):
+            next(_head_streams(1, [2], 7))
+        assert issubclass(DenormalsAreZeroError, KappaCmpError)
+        assert _stream_state(stream) == _stream_state(RandomStream(1, 2))
 
     def test_block_constants_are_built_on_first_use(self):
         code = ("import kappacmp, kappacmp.numerics as n; "

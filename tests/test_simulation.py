@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import math
 import multiprocessing
 import os
@@ -15,6 +16,7 @@ import pytest
 
 import kappacmp.simulation as simulation
 from conftest import PAPER_GRID, paper_scenarios, random_accuracies
+from kappacmp import numerics
 from kappacmp.data_model import PairedCounts, apply_continuity_correction, recommend_method
 from kappacmp.errors import (
     DegenerateKappaError,
@@ -569,6 +571,97 @@ class TestReplicateRoute:
         monkeypatch.setattr(simulation, "_run_range", None)
         with pytest.raises(DomainError, match="sample size must be at least 1, got 0"):
             coverage_study(self.SCENARIO, 0, 100, CLOSED_FORM, self.CONFIG)
+
+
+def all_tables(n: int, cells: int = 8):
+    """Every table of ``n`` subjects over ``cells`` cells, as a tuple of counts (stars and bars)."""
+    for bars in itertools.combinations(range(n + cells - 1), cells - 1):
+        edges = (-1, *bars, n + cells - 1)
+        yield tuple(right - left - 1 for left, right in zip(edges, edges[1:]))
+
+
+def multinomial_pmf(table: tuple, pi) -> float:
+    return (math.factorial(sum(table)) / math.prod(math.factorial(x) for x in table)
+            * math.prod(p ** x for p, x in zip(pi, table)))
+
+
+class TestExactCoverage:
+    """Monte Carlo coverage of a tiny cell against its exact coverage.
+
+    A closed-form interval is a function of the table, so its coverage is
+    the sum of P(table) * covered over the estimable tables, divided by
+    P(estimable): the redraw rule conditions on estimable tables.
+    """
+
+    N_REPLICATES = 4000
+
+    @pytest.mark.parametrize("n, count", [(6, 1716), (8, 6435)])
+    def test_closed_form_coverage_matches_the_exact_sum(self, n, count):
+        sc = paper_scenarios()[3]
+        config = ConfidenceConfig(seed=0)
+        entries = simulation._entries(sc, CLOSED_FORM)
+        tables = list(all_tables(n))
+        assert len(tables) == len(set(tables)) == count
+        estimable = 0.0
+        covered = [0.0] * len(entries)
+        for table in tables:
+            try:
+                simulation._analysis(table, sc.c)
+            except (NonEstimableError, DegenerateKappaError):
+                continue
+            weight = multinomial_pmf(table, sc.pi)
+            estimable += weight
+            for k, (hit, _) in enumerate(simulation._score(entries, table, sc.c, config,
+                                                           None, None)):
+                covered[k] += weight * hit
+        results = coverage_study(sc, n, self.N_REPLICATES, CLOSED_FORM, config)
+        for res, hits in zip(results, covered, strict=True):
+            cp = hits / estimable
+            assert abs(res.cp - cp) <= 4 * math.sqrt(cp * (1 - cp) / self.N_REPLICATES)
+
+
+def count_streams(monkeypatch) -> list:
+    """The stream ids of the RandomStreams built from now on, in order."""
+    built = []
+
+    class Counted(RandomStream):
+        __slots__ = ()
+
+        def __init__(self, seed, stream=0):
+            built.append(stream)
+            super().__init__(seed, stream)
+
+    monkeypatch.setattr(numerics, "RandomStream", Counted)
+    monkeypatch.setattr(simulation, "RandomStream", Counted)
+    return built
+
+
+class TestSampleStreamHeads:
+    """A range reads its sample streams' first uniforms from one lane batch."""
+
+    def test_a_range_without_redraws_builds_no_stream(self, monkeypatch):
+        built = count_streams(monkeypatch)
+        sc = build_scenario_from_kappas(0.3, 0.6, 0.8, 0.8, 0.25, 0.5, 0.5)
+        redraws, _, _ = simulation._run_range((sc, 500, CLOSED_FORM, ConfidenceConfig(seed=2),
+                                               0, 300, False))
+        assert redraws == 0 and built == []
+
+    def test_only_a_redraw_past_the_head_builds_the_sample_stream(self, monkeypatch):
+        built = count_streams(monkeypatch)
+        redrew = []
+        run = simulation._run_replicate
+
+        def recorded(*args):
+            redraws, outcomes = run(*args)
+            redrew.append(redraws > 0)
+            return redraws, outcomes
+
+        monkeypatch.setattr(simulation, "_run_replicate", recorded)
+        # p = 5% at n = 25: many redraws, as in test_redraw_rule_is_pinned
+        sc = paper_scenarios()[4]
+        simulation._run_range((sc, 25, CLOSED_FORM, ConfidenceConfig(seed=0), 0, 200, False))
+        assert 0 < len(built) <= sum(redrew)
+        assert len(set(built)) == len(built) and all(s % 3 == 0 for s in built)
 
 
 class TestSharedPool:
