@@ -540,6 +540,8 @@ def cmd_curve(parser, args) -> int:
         try:
             grid = [float(x) for x in args.grid.split(",") if x.strip()]
         except ValueError:
+            grid = []
+        if not grid:
             parser.error(f"--grid must be a comma list of numbers, got {args.grid!r}")
     else:
         if args.grid_points < 2:

@@ -41,7 +41,6 @@ from .kappa_core import (
 )
 from .numerics import (
     RandomStream,
-    _BlockUniforms,
     normal_cdf,
     normal_quantile,
     sample_beta,  # noqa: F401 - perfbench/run.py traces inference.sample_beta
@@ -507,30 +506,21 @@ class BootstrapTables:
         self._stats: tuple = (None, None)  # ((c, B, budget), (differences, ratios))
 
     def coefficients(self, count: int) -> tuple:
-        """The coefficient columns of at least the first ``count`` tables.
-
-        The tables of one call read their uniforms in blocks
-        (numerics._BlockUniforms), and the stream is left just past the
-        last uniform read, as scalar draws would leave it.
-        """
+        """The coefficient columns of at least the first ``count`` tables."""
         columns = self._coefficients
         drawn = []
-        source = _BlockUniforms(self._stream)
-        try:
-            for _ in range(count - len(columns[0])):
-                s11, s10, s01, s00, r11, r10, r01, r00 = sample_multinomial(
-                    self.probs, self.size, source, self._cdfs)
-                # accuracy_from_counts on the integer cells: sums below 2**53
-                # are exact, so the quotients are those of the float cells
-                s = s11 + s10 + s01 + s00
-                r = r11 + r10 + r01 + r00
-                if s <= 0 or r <= 0:
-                    drawn.append(None)
-                else:
-                    drawn.append(((s11 + s10) / s, (r01 + r00) / r, (s11 + s01) / s,
-                                  (r10 + r00) / r, s / (s + r)))
-        finally:
-            source.rewind()
+        for _ in range(count - len(columns[0])):
+            s11, s10, s01, s00, r11, r10, r01, r00 = sample_multinomial(
+                self.probs, self.size, self._stream, self._cdfs)
+            # accuracy_from_counts on the integer cells: sums below 2**53
+            # are exact, so the quotients are those of the float cells
+            s = s11 + s10 + s01 + s00
+            r = r11 + r10 + r01 + r00
+            if s <= 0 or r <= 0:
+                drawn.append(None)
+            else:
+                drawn.append(((s11 + s10) / s, (r01 + r00) / r, (s11 + s01) / s,
+                              (r10 + r00) / r, s / (s + r)))
         _add_coefficients(columns, drawn)
         return columns
 

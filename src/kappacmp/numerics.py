@@ -13,7 +13,7 @@ from array import array
 from bisect import bisect_right
 from functools import cache
 from itertools import chain, islice
-from operator import length_hint
+from numbers import Integral
 
 from .errors import DenormalsAreZeroError, DomainError
 
@@ -40,30 +40,37 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _start(seed: int, stream: int) -> int:
+    """The state of RandomStream(seed, stream): uniform k mixes state + k * _GOLDEN."""
+    return _mix64(seed ^ _mix64((stream + 1) * _GOLDEN))
+
+
 class RandomStream:
     """Counter-based uniform generator identified by a (seed, stream) pair.
 
     Distinct (seed, stream) pairs give statistically independent sequences,
     so concurrent replicates can each own the stream derived from their
     replicate index and produce results that do not depend on scheduling.
+    Uniform k (from 1) is (_mix64(state + k * _GOLDEN) >> 11) * 2**-53,
+    where state mixes the pair (_start), mixed a block of counters at a
+    time (_uniform_blocks). ``uniform()`` returns it, and ``raw()`` the
+    same value as _raw_uniforms reads it, 2**-1021 times as large; both
+    read the one sequence, so a consumer of either leaves the stream where
+    the next read continues.
     """
 
-    __slots__ = ("seed", "stream", "_state", "_spare_gauss")
+    __slots__ = ("seed", "stream", "raw", "uniform", "_spare_gauss")
 
     def __init__(self, seed: int, stream: int = 0):
-        self.seed = seed & _MASK64
-        self.stream = stream & _MASK64
-        self._state = _mix64(self.seed ^ _mix64((self.stream + 1) * _GOLDEN))
+        # any integers: taken modulo 2**64
+        if not (isinstance(seed, Integral) and isinstance(stream, Integral)):
+            raise DomainError(f"seed and stream must be integers, got ({seed!r}, {stream!r})")
+        self.seed = int(seed) & _MASK64
+        self.stream = int(stream) & _MASK64
+        values = chain.from_iterable(_uniform_blocks(_start(self.seed, self.stream)))
+        self.raw = values.__next__
+        self.uniform = map(_RAW_SCALE.__mul__, values).__next__
         self._spare_gauss: float | None = None
-
-    # uniform inlines the _mix64 step (the state is already a 64-bit word,
-    # so its first mask is dropped): the same word, fewer calls.
-    def uniform(self) -> float:
-        """Uniform draw in [0, 1)."""
-        z = self._state = (self._state + _GOLDEN) & _MASK64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return ((z ^ (z >> 31)) >> 11) * _INV_2_53
 
     def uniform_open(self) -> float:
         """Uniform draw in (0, 1)."""
@@ -197,14 +204,15 @@ def sample_beta(alpha: float, beta: float, stream: RandomStream) -> float:
     raise _beta_rejected(alpha, beta)
 
 
-_BLOCK = 1024  # counters mixed per block by _BlockUniforms, most streams per batch of _head_streams
+_FIRST_BLOCK = 8  # counters mixed in a stream's first block; each next block doubles, to _BLOCK
+_BLOCK = 1024  # counters mixed per block once a stream has ramped up, most streams per head batch
 _HEAD_LANES = 8 * _BLOCK  # most lanes in a batch of _head_streams, unless one stream needs more
 
 # A 53-bit word w, written as the bits of a double, is w * 2**-1074 exactly
 # (exponent field 0 or 1), and that double times _RAW_SCALE is the uniform
-# w * 2**-53 of RandomStream.uniform, exactly. Words below 2**52 read as
-# subnormals, so this needs gradual underflow: _PROBE is such a word, read
-# the same way, and _raw_uniforms checks it against its uniform.
+# w * 2**-53, exactly. Words below 2**52 read as subnormals, so this needs
+# gradual underflow: _PROBE is such a word, read the same way, and
+# _raw_uniforms checks it against its uniform.
 _RAW_SCALE = 2.0 ** 1021
 _PROBE_WORD = 0x000F_EDCB_A987_6543
 _PROBE = array("d", _PROBE_WORD.to_bytes(8, sys.byteorder))[0]
@@ -212,16 +220,16 @@ _PROBE_UNIFORM = _PROBE_WORD * _INV_2_53
 
 
 @cache
-def _lanes() -> tuple[int, int, int, int]:
-    """Packed-lane constants for _BLOCK counters, lane i at bit 128*i.
+def _lanes(size: int) -> tuple[int, int, int, int]:
+    """Packed-lane constants for blocks of ``size`` counters, lane i at bit 128*i.
 
     ``ones`` has a 1 at the bottom of every lane, ``steps`` holds
     (i + 1) * _GOLDEN in lane i, ``advance`` the counter step of a whole
     block in every lane, and ``mask`` is _MASK64 in every lane. Built on
     first use, not at import.
     """
-    return (_lane_words(1, _BLOCK), _lane_steps(_BLOCK, 1),
-            _lane_words(_BLOCK * _GOLDEN & _MASK64, _BLOCK), _lane_words(_MASK64, _BLOCK))
+    return (_lane_words(1, size), _lane_steps(size, 1),
+            _lane_words(size * _GOLDEN & _MASK64, size), _lane_words(_MASK64, size))
 
 
 def _lane_words(word: int, count: int) -> int:
@@ -246,7 +254,7 @@ def _mix_lanes(z: int, mask: int) -> int:
     return (z ^ (z >> 31)) & mask
 
 
-def _raw_uniforms(z: int, count: int) -> array:
+def _raw_uniforms(z: int, count: int) -> list:
     """The words w >> 11 of the ``count`` lanes of a mixed ``z``, read as doubles.
 
     Each value is the uniform w >> 11 scaled by 2**-1074, not 2**-53: times
@@ -257,60 +265,49 @@ def _raw_uniforms(z: int, count: int) -> array:
     if _PROBE * _RAW_SCALE != _PROBE_UNIFORM:
         raise DenormalsAreZeroError(
             "subnormal doubles read as zero (denormals-are-zero is on, as after loading "
-            "a library built with fast-math); block uniforms cannot be read")
+            "a library built with fast-math); stream uniforms cannot be read")
     # the low half of each lane is the word; the high half holds only the
     # bits the shift brought down from the lane above, and is dropped
     doubles = array("d", (z >> 11).to_bytes(16 * count, "little"))
     if sys.byteorder == "big":
         doubles.byteswap()
-    return doubles[::2]
+    return doubles[::2].tolist()
 
 
-class _BlockUniforms:
-    """The uniforms of a RandomStream, mixed a block of counters at a time.
+def _raising(error: Exception):
+    """An iterator whose one read raises ``error``."""
+    raise error
+    yield  # a generator: it raises when read, not when made
 
-    Uniform k of a stream is _mix64(state + k * _GOLDEN) >> 11, scaled, so
-    the SplitMix64 steps of _BLOCK consecutive counters run on one Python
-    int that holds each counter in its own 128-bit lane (_mix_lanes).
-    ``raw()`` returns the values of ``stream.uniform()`` in order, as read
-    by _raw_uniforms, and ``uniform()`` the same values times _RAW_SCALE,
-    so it stands in for the stream wherever only its uniforms are read;
-    both read the one sequence. Each block advances the stream's counter
-    past it; ``rewind`` steps it back over the uniforms not read, after
-    which this object is done with.
+
+def _uniform_blocks(state: int):
+    """Successive blocks of the raw uniforms (_raw_uniforms) of the stream of ``state``.
+
+    The first block mixes _FIRST_BLOCK counters and each next one twice as
+    many, up to _BLOCK, so a short-lived stream mixes few; from then on the
+    counters of a block advance by one addition. When _raw_uniforms refuses
+    a block (DenormalsAreZeroError), the iterable yielded raises that
+    error once read, and the same block is tried again after it: a stream
+    raises on every read until gradual underflow is back, and then
+    continues from the counter it stopped at.
     """
-
-    __slots__ = ("stream", "_block", "raw", "uniform")
-
-    def __init__(self, stream: RandomStream):
-        self.stream = stream
-        # the block being read, shared with the generator, which holds no
-        # reference to this object (so no cycle outlives a batch)
-        self._block = [iter(())]
-        values = chain.from_iterable(_uniform_blocks(stream, self._block))
-        self.raw = values.__next__
-        self.uniform = map(_RAW_SCALE.__mul__, values).__next__
-
-    def rewind(self) -> None:
-        """Leave the stream's counter just past the last uniform read."""
-        unread = length_hint(self._block[0])
-        self.stream._state = (self.stream._state - unread * _GOLDEN) & _MASK64
-
-
-def _uniform_blocks(stream: RandomStream, current: list):
-    """Iterators over successive blocks of ``stream``'s raw uniforms (_BlockUniforms).
-
-    Once mixed, each block advances the stream's counter past it, and it
-    is put in ``current[0]`` before it is yielded.
-    """
-    ones, steps, advance, mask = _lanes()
-    counters = (stream._state * ones + steps) & mask
+    size = _FIRST_BLOCK
+    ones, steps, advance, mask = _lanes(size)
+    counters = (state * ones + steps) & mask
     while True:
-        block = iter(_raw_uniforms(_mix_lanes(counters, mask), _BLOCK).tolist())
-        stream._state = (stream._state + _BLOCK * _GOLDEN) & _MASK64
-        counters = (counters + advance) & mask
-        current[0] = block
+        try:
+            block = _raw_uniforms(_mix_lanes(counters, mask), size)
+        except DenormalsAreZeroError as error:
+            yield _raising(error)
+            continue
         yield block
+        if size < _BLOCK:
+            state = (state + size * _GOLDEN) & _MASK64
+            size *= 2
+            ones, steps, advance, mask = _lanes(size)
+            counters = (state * ones + steps) & mask
+        else:
+            counters = (counters + advance) & mask
 
 
 def _head_streams(seed: int, streams, k: int):
@@ -319,8 +316,8 @@ def _head_streams(seed: int, streams, k: int):
     Each has the stream's ``uniform``. Its first ``k`` values come from a
     lane batch over up to _BLOCK streams (and _HEAD_LANES lanes) at a time:
     both _mix64 steps of each stream's starting state, then its first ``k``
-    counters, as _BlockUniforms mixes them. A read past them builds the
-    scalar stream, set to counter ``k``, and continues on it.
+    counters. A read past them continues in blocks of the stream's own
+    state from counter ``k`` + 1 on (_uniform_blocks).
     """
     seed &= _MASK64
     streams = iter(streams)
@@ -344,21 +341,21 @@ def _head_streams(seed: int, streams, k: int):
 class _HeadStream:
     """Stands in for a RandomStream read only through ``uniform`` (_head_streams).
 
-    ``head`` holds the stream's first uniforms; the rest come from the
-    stream itself, built on the first read past them.
+    ``head`` holds the stream's first uniforms; the rest are mixed in
+    blocks of the stream's own state, from the first read past them on.
     """
 
     __slots__ = ("uniform",)
 
     def __init__(self, head: list, seed: int, stream: int):
-        self.uniform = chain(head, _uniforms_from(seed, stream, len(head))).__next__
+        self.uniform = chain.from_iterable(_head_and_tail(head, seed, stream)).__next__
 
 
-def _uniforms_from(seed: int, stream: int, k: int):
-    """The uniforms of RandomStream(seed, stream) from counter ``k`` on."""
-    rest = RandomStream(seed, stream)
-    rest._state = (rest._state + k * _GOLDEN) & _MASK64
-    yield from iter(rest.uniform, None)
+def _head_and_tail(head: list, seed: int, stream: int):
+    """``head``, then the uniforms of RandomStream(seed, stream) past it, built when reached."""
+    yield head
+    state = (_start(seed, stream) + len(head) * _GOLDEN) & _MASK64
+    yield map(_RAW_SCALE.__mul__, chain.from_iterable(_uniform_blocks(state)))
 
 
 def _gamma_constants(shape: float) -> tuple[float, float, float]:
@@ -380,7 +377,7 @@ def sample_beta_rows(params, m: int, stream: RandomStream) -> array:
     The values, and the stream's counter and pending normal afterwards,
     are those of ``[sample_beta(a, b, stream) for _ in range(m) for a, b
     in params]``: the same polar-normal and Marsaglia-Tsang steps run
-    inline on the same uniforms, read in blocks (_BlockUniforms), with the
+    inline on the same uniforms, read through ``stream.raw``, with the
     constants of each shape computed once.
     """
     params = list(params)
@@ -394,10 +391,10 @@ def sample_beta_rows(params, m: int, stream: RandomStream) -> array:
     two, scale = 2.0 * _RAW_SCALE, _RAW_SCALE
     rows = array("d")
     append = rows.append
-    source = _BlockUniforms(stream)
-    raw = source.raw
+    raw = stream.raw
     spare = stream._spare_gauss
     retried = rejects = 0  # the draw (its index in rows) landing on 0 or 1, and how often
+    # the pending normal goes back to the stream on every exit, a refused read included
     try:
         for _ in range(m):
             # the Marsaglia-Tsang step is written out once per gamma of the
@@ -475,7 +472,6 @@ def sample_beta_rows(params, m: int, stream: RandomStream) -> array:
                     if rejects == _BETA_MAX_REJECTS:
                         raise _beta_rejected(*params[retried % len(params)])
     finally:
-        source.rewind()
         stream._spare_gauss = spare
     return rows
 

@@ -55,6 +55,12 @@ class SampleSizePlan:
         return max(self.n_required - self.pilot_n, 0)
 
 
+def _check_precision(phi: float) -> None:
+    """DomainError unless the target half-width ``phi`` is positive and finite."""
+    if not 0.0 < phi < math.inf:  # rejects NaN as well
+        raise DomainError(f"precision must be positive and finite, got {phi!r}")
+
+
 def required_sample_size(acc: AccuracyEstimates, kp: KappaPair, phi: float,
                          conf: float = 0.95) -> int:
     """Sample size so the Wald ratio interval at ``kp.c`` has half-width at most ``phi``.
@@ -63,8 +69,7 @@ def required_sample_size(acc: AccuracyEstimates, kp: KappaPair, phi: float,
     delta-method variance at n=1 yields the scale-free n*Var(theta_hat),
     so z^2 * Var_hat(theta_hat) / phi^2 = n holds identically.
     """
-    if not phi > 0.0:  # rejects NaN as well
-        raise DomainError(f"precision must be positive, got {phi!r}")
+    _check_precision(phi)
     z = ConfidenceConfig(conf=conf).z  # raises on a confidence level outside (0, 1)
     if acc.y1 <= TOL_YOUDEN or acc.y2 <= TOL_YOUDEN or kp.kappa2 <= 0.0:
         raise DomainError("sizing a ratio study needs informative tests "
@@ -76,8 +81,7 @@ def required_sample_size(acc: AccuracyEstimates, kp: KappaPair, phi: float,
 
 def precision_reached(ci: ConfidenceInterval, phi: float) -> bool:
     """True when the interval half-width is at most ``phi``."""
-    if not phi > 0.0:  # rejects NaN as well
-        raise DomainError(f"precision must be positive, got {phi!r}")
+    _check_precision(phi)
     return ci.half_width <= phi
 
 

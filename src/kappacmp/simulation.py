@@ -218,17 +218,19 @@ def _run_replicate(scenario: Scenario, n: int, entries: tuple, shared: set,
     ``sample_stream`` serves the uniforms of the sample stream
     ``RandomStream(config.seed, 3 * index)`` (numerics._head_streams).
 
-    The table is the plain tuple of the sampled cells, +0.5 each when
-    ``correct``. The analysis and the closed-form bounds read its cells as
-    they read a PairedCounts of it, to the same floats (integer cells have
-    exact sums and products below 2**53), so a PairedCounts is built only
-    for the bootstrap tables and the posterior draws.
+    The table holds the sampled cells, +0.5 each when ``correct``: a
+    PairedCounts when a method reads ``shared`` draws, else the plain
+    tuple, whose cells the analysis and the closed-form bounds read to the
+    same floats (integer cells have exact sums and products below 2**53).
+    Every method reads that one table, so all share its one analysis.
     """
     base = _STREAMS_PER_REPLICATE * index
     redraws = 0
     while True:
         cells = sample_multinomial(scenario.pi, n, sample_stream, cdfs)
-        counts = tuple([cell + 0.5 for cell in cells] if correct else cells)
+        if correct:
+            cells = [cell + 0.5 for cell in cells]
+        counts = PairedCounts(*cells) if shared else tuple(cells)
         # redraw when the kappas or their variances cannot be estimated at
         # all: an empty stratum, or a Youden estimate of zero (the variance
         # divides by Y). Negative-Y samples keep their slot: their intervals
@@ -247,13 +249,11 @@ def _run_replicate(scenario: Scenario, n: int, entries: tuple, shared: set,
     # one bootstrap set and one posterior per replicate, shared by the
     # difference and the ratio; built only when a method needs them
     tables = draws = None
-    if shared:
-        counts = PairedCounts(*counts)
-        if "tables" in shared:
-            tables = BootstrapTables(counts, RandomStream(config.seed, base + 1))
-        if "draws" in shared:
-            draws = PosteriorDraws(counts, config.priors, config.bayes_m,
-                                   RandomStream(config.seed, base + 2))
+    if "tables" in shared:
+        tables = BootstrapTables(counts, RandomStream(config.seed, base + 1))
+    if "draws" in shared:
+        draws = PosteriorDraws(counts, config.priors, config.bayes_m,
+                               RandomStream(config.seed, base + 2))
     return redraws, _score(entries, counts, scenario.c, config, tables, draws)
 
 

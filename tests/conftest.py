@@ -8,6 +8,7 @@ import pytest
 
 from kappacmp.data_model import PairedCounts
 from kappacmp.errors import DomainError
+from kappacmp.numerics import _GOLDEN, _INV_2_53, _MASK64, RandomStream, _mix64
 from kappacmp.simulation import read_scenario_batch
 
 
@@ -60,6 +61,42 @@ def random_counts(rng: np.random.RandomState, n: int = 200) -> PairedCounts:
         counts = PairedCounts(*cells)
         if counts.s > 0 and counts.r > 0 and all(c > 0 for c in counts.cells()):
             return counts
+
+
+def reference_uniforms(seed: int, stream: int):
+    """The uniforms of RandomStream(seed, stream) by their definition, one counter at a time.
+
+    Counter k (from 1) is the stream's state plus k golden-ratio steps;
+    its uniform is the top 53 bits of its _mix64, times 2**-53.
+    """
+    state = _mix64((seed & _MASK64) ^ _mix64(((stream & _MASK64) + 1) * _GOLDEN))
+    while True:
+        state = (state + _GOLDEN) & _MASK64
+        yield (_mix64(state) >> 11) * _INV_2_53
+
+
+class ReferenceStream:
+    """A RandomStream whose uniforms come from reference_uniforms: the oracle of the block readers.
+
+    ``gauss``, ``gamma`` and ``uniform_open`` are RandomStream's own, on these uniforms.
+    """
+
+    uniform_open = RandomStream.uniform_open
+    gauss = RandomStream.gauss
+    gamma = RandomStream.gamma
+
+    def __init__(self, seed: int, stream: int = 0):
+        self.uniform = reference_uniforms(seed, stream).__next__
+        self._spare_gauss = None
+
+
+def stream_state(stream) -> tuple:
+    """The pending normal and the next uniform of a RandomStream.
+
+    Two streams of one (seed, stream) pair that agree on both are at the
+    same counter; the read moves both on by one uniform.
+    """
+    return stream._spare_gauss, stream.uniform()
 
 
 def empirical_quantile(values, q: float) -> float:

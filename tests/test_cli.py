@@ -273,6 +273,15 @@ class TestCurve:
         assert code == 0
         assert len(self.read_rows(out)) == 1
 
+    @pytest.mark.parametrize("grid", [",", "", " , ", "0.2,x"])
+    def test_empty_or_non_numeric_grid_is_a_usage_error(self, grid, capsys, tmp_path):
+        out = tmp_path / "curve.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["curve", *TABLE8, "--grid", grid, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"--grid must be a comma list of numbers, got {grid!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infeasible_parameters_error(self, capsys, tmp_path):
         code, _, err = run(capsys, ["curve", "--se1", "0.8", "--sp1", "0.95",
                                     "--se2", "0.9", "--sp2", "0.85", "--p", "1.5",
@@ -492,9 +501,9 @@ def test_record_comment_lines_do_not_count(capsys, tmp_path):
     assert "n = 210" in reports[0][1]
 
 
-@pytest.mark.parametrize("precision", ["0", "-1", "nan"])
+@pytest.mark.parametrize("precision", ["0", "-1", "nan", "inf"])
 def test_analyze_and_plan_reject_a_bad_precision_alike(precision, capsys):
-    expected = f"error: precision must be positive, got {float(precision)!r}\n"
+    expected = f"error: precision must be positive and finite, got {float(precision)!r}\n"
     for argv in (["analyze", *TABLE8, "--c", "0.5", *DET_METHODS, "--out", "-"],
                  ["plan", *TABLE8, "--c", "0.5"]):
         assert run(capsys, [*argv, "--precision", precision]) == (1, "", expected)

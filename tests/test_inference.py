@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import kappacmp.inference as inference
-from conftest import empirical_quantile, random_accuracies, random_counts
+from conftest import (
+    ReferenceStream,
+    empirical_quantile,
+    random_accuracies,
+    random_counts,
+    stream_state,
+)
 from kappacmp.cli import DEFAULT_C_GRID, build_analysis_report
 from kappacmp.data_model import PairedCounts, apply_continuity_correction
 from kappacmp.errors import (
@@ -507,7 +513,7 @@ class TestSharedDraws:
         tables = BootstrapTables(corrected, RandomStream(8, 1))
         assert tables.size == 44
         assert tables.probs == [(cell + 0.5) / 44 for cell in raw.cells()]
-        stream = RandomStream(8, 1)
+        stream = ReferenceStream(8, 1)
         accuracies = []
         for _ in range(50):
             sample = sample_multinomial([(cell + 0.5) / 44 for cell in raw.cells()], 44, stream)
@@ -518,14 +524,14 @@ class TestSharedDraws:
             assert len(expected) > 40
             got = inference._kappa_stats(tables.coefficients(50), 0.3, 0, 50)[ratio]
             assert _bits(got) == _bits(expected)
-        assert tables._stream._state == stream._state
+        assert stream_state(tables._stream) == stream_state(stream)
 
     @pytest.mark.parametrize("counts", [PairedCounts(41, 0, 40, 8, 5, 1, 24, 181), SPARSE,
                                         PairedCounts(1, 0, 0, 0, 0, 0, 2, 1)])
     def test_coefficients_match_those_of_accuracy_estimates(self, counts):
         # the old route: a PairedCounts and an AccuracyEstimates per resample
         tables = BootstrapTables(counts, RandomStream(4, 1))
-        stream = RandomStream(4, 1)
+        stream = ReferenceStream(4, 1)
         probs = [cell / counts.n for cell in counts.cells()]
         drawn = []
         for _ in range(500):
@@ -538,7 +544,7 @@ class TestSharedDraws:
         expected = inference._coefficient_columns()
         inference._add_coefficients(expected, drawn)
         assert tables.coefficients(500) == expected
-        assert tables._stream._state == stream._state
+        assert stream_state(tables._stream) == stream_state(stream)
 
     def test_empty_table_cannot_be_resampled(self):
         with pytest.raises(NonEstimableError):
@@ -563,7 +569,7 @@ class TestSharedDraws:
     ])
     def test_posterior_draws_match_scalar_beta_draws(self, counts, priors):
         m = 1000
-        stream = RandomStream(SHARED_CONFIG.seed, inference.BAYES_STREAM)
+        stream = ReferenceStream(SHARED_CONFIG.seed, inference.BAYES_STREAM)
         params = inference._posterior_params(counts, priors)
         accuracies = [AccuracyEstimates(*(sample_beta(a, b, stream) for a, b in params))
                       for _ in range(m)]
@@ -575,8 +581,7 @@ class TestSharedDraws:
                 assert len(expected) == m
                 got = inference._kappa_stats(draws.coefficients(), c)[ratio]
                 assert _bits(got) == _bits(expected)
-        assert (draws._stream._state, draws._stream._spare_gauss) == (stream._state,
-                                                                      stream._spare_gauss)
+        assert stream_state(draws._stream) == stream_state(stream)
 
     def test_bayesian_rejects_weighting_index_outside_unit_interval(self, table8):
         with pytest.raises(DomainError):
@@ -640,7 +645,7 @@ class TestOnePassPerC:
 
     def test_growing_batches_leave_the_stream_where_scalar_draws_do(self, table8):
         tables = BootstrapTables(table8, RandomStream(9, inference.BOOTSTRAP_STREAM))
-        stream = RandomStream(9, inference.BOOTSTRAP_STREAM)
+        stream = ReferenceStream(9, inference.BOOTSTRAP_STREAM)
         drawn = 0
         for count in (1, 1, 37, 150, 149, 2000, 2300):
             columns = tables.coefficients(count)
@@ -648,7 +653,7 @@ class TestOnePassPerC:
                 sample_multinomial(tables.probs, tables.size, stream)
             drawn = max(drawn, count)
             assert len(columns[0]) == drawn
-            assert tables._stream._state == stream._state
+            assert stream_state(tables._stream) == stream_state(stream)
 
     def test_failed_posterior_is_drawn_once(self, table8, monkeypatch):
         calls = []
@@ -692,6 +697,10 @@ class TestSharedAnalysis:
         coverage_study(sc, 200, 100, ["wald-diff", "wald-ratio", "log-ratio", "fieller-ratio"],
                        ConfidenceConfig(seed=2))
         assert len(covariance_calls) == 100
+        # the resampling methods read the same table, and its one analysis
+        coverage_study(sc, 200, 100, ["wald-diff", "boot-diff", "bayes-ratio", "wald-ratio"],
+                       ConfidenceConfig(seed=2, bootstrap_b=100, bayes_m=1000))
+        assert len(covariance_calls) == 200
 
     def test_one_table_at_one_c_shares_the_analysis(self, table8, covariance_calls):
         results = [f(table8, 0.5) for f in CLOSED_FORM]

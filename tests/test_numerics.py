@@ -1,28 +1,27 @@
+import itertools
 import math
 import random
 import re
 import subprocess
 import sys
 from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import empirical_quantile
+from conftest import ReferenceStream, empirical_quantile, reference_uniforms, stream_state
 from kappacmp import numerics
 from kappacmp.errors import DenormalsAreZeroError, DomainError, KappaCmpError
 from kappacmp.numerics import (
     _BINOM_CHUNK,
     _BLOCK,
-    _GOLDEN,
+    _FIRST_BLOCK,
     _HEAD_LANES,
-    _INV_2_53,
-    _MASK64,
+    _RAW_SCALE,
     RandomStream,
     _binomial_chunk,
-    _BlockUniforms,
     _head_streams,
-    _mix64,
     _multinomial_reads,
     _plan,
     normal_cdf,
@@ -146,10 +145,6 @@ class TestBeta:
         assert len(rows) == 25_000 and min(rows) > 0.0
 
 
-def _stream_state(stream):
-    return stream._state, stream._spare_gauss
-
-
 class TestBetaRows:
     """sample_beta_rows against its reference, one sample_beta call per draw."""
 
@@ -158,20 +153,20 @@ class TestBetaRows:
 
     @pytest.mark.parametrize("seed, tag", [(0, 0), (3, 102), (2**63 + 11, 7), (-5, 3 * 17 + 2)])
     def test_rows_and_final_state_match_scalar_draws(self, seed, tag):
-        scalar, batch = RandomStream(seed, tag), RandomStream(seed, tag)
+        scalar, batch = ReferenceStream(seed, tag), RandomStream(seed, tag)
         m = 700  # several blocks of uniforms
         expected = [sample_beta(a, b, scalar) for _ in range(m) for a, b in self.PARAMS]
         assert sample_beta_rows(self.PARAMS, m, batch).tolist() == expected
-        assert _stream_state(batch) == _stream_state(scalar)
+        assert stream_state(batch) == stream_state(scalar)
 
     @pytest.mark.parametrize("spare", [-0.61, 2.75])
     def test_pending_spare_normal_is_used_first(self, spare):
-        scalar, batch = RandomStream(21, 4), RandomStream(21, 4)
+        scalar, batch = ReferenceStream(21, 4), RandomStream(21, 4)
         for stream in (scalar, batch):
             stream._spare_gauss = spare
         expected = [sample_beta(a, b, scalar) for _ in range(50) for a, b in self.PARAMS]
         assert sample_beta_rows(self.PARAMS, 50, batch).tolist() == expected
-        assert _stream_state(batch) == _stream_state(scalar)
+        assert stream_state(batch) == stream_state(scalar)
 
     def test_continues_the_stream(self):
         # scalar draws, rows, then scalar draws again: the stream stays in step
@@ -184,10 +179,33 @@ class TestBetaRows:
         got += [mixed.uniform() for _ in range(5)]
         assert got == expected
 
+    def test_rows_then_draws_match_the_reference(self):
+        # the kernel, then scalar draws on the same stream, against the stream's definition
+        reference, stream = ReferenceStream(8, 9), RandomStream(8, 9)
+        expected = [sample_beta(a, b, reference) for _ in range(300) for a, b in self.PARAMS]
+        expected += [reference.gauss(), reference.gamma(0.5), reference.uniform()]
+        got = sample_beta_rows(self.PARAMS, 300, stream).tolist()
+        got += [stream.gauss(), stream.gamma(0.5), stream.uniform()]
+        assert got == expected
+
+    def test_a_refused_read_leaves_the_stream_as_scalar_draws_do(self, monkeypatch):
+        # a pending normal, then denormals-are-zero on once the first block is
+        # mixed: both routes read that block's rest and are refused on the next
+        scalar, batch = RandomStream(5, 5), RandomStream(5, 5)
+        assert scalar.gauss() == batch.gauss()
+        monkeypatch.setattr(numerics, "_PROBE", 0.0)
+        with pytest.raises(DenormalsAreZeroError):
+            [sample_beta(a, b, scalar) for _ in range(50) for a, b in self.PARAMS]
+        with pytest.raises(DenormalsAreZeroError):
+            sample_beta_rows(self.PARAMS, 50, batch)
+        monkeypatch.undo()
+        assert scalar._spare_gauss is not None
+        assert stream_state(batch) == stream_state(scalar)
+
     def test_no_rows(self):
         stream = RandomStream(1, 1)
         assert len(sample_beta_rows(self.PARAMS, 0, stream)) == 0
-        assert _stream_state(stream) == _stream_state(RandomStream(1, 1))
+        assert stream_state(stream) == stream_state(ReferenceStream(1, 1))
 
 
 class TestMultinomial:
@@ -330,12 +348,12 @@ class TestMultinomialMatchesWalk:
     def test_counts_and_stream_state(self, shared):
         for pi in self.PIS:
             cdfs = {} if shared is True else None
-            stream, reference = RandomStream(9, 4), RandomStream(9, 4)
+            stream, reference = RandomStream(9, 4), ReferenceStream(9, 4)
             for n in self.SIZES:
                 for _ in range(40):
                     draw = sample_multinomial(pi, n, stream, {} if shared == "cold" else cdfs)
                     assert draw == walk_multinomial(pi, n, reference)
-                assert stream._state == reference._state
+                assert stream_state(stream) == stream_state(reference)
             assert shared is not True or cdfs
 
     def test_plan_takes_each_kind_of_step(self):
@@ -350,11 +368,11 @@ class TestMultinomialMatchesWalk:
     def test_shared_cdfs_serve_another_probability_vector(self):
         # CDFs are keyed by conditional p and then size, so vectors may share one dict
         cdfs = {}
-        stream, reference = RandomStream(3, 3), RandomStream(3, 3)
+        stream, reference = RandomStream(3, 3), ReferenceStream(3, 3)
         for _ in range(200):
             for pi in self.PIS:
                 assert sample_multinomial(pi, 300, stream, cdfs) == walk_multinomial(pi, 300, reference)
-        assert stream._state == reference._state
+        assert stream_state(stream) == stream_state(reference)
 
     @pytest.mark.parametrize("n, p", [(1, 0.3), (17, 0.3), (300, 0.5), (1000, 0.01)])
     def test_uniform_beyond_the_final_cdf_value_gives_n(self, n, p):
@@ -415,59 +433,83 @@ class TestStreams:
 
     @pytest.mark.parametrize("seed, tag", [(0, 0), (1, 101), (2**63 + 5, 102), (-7, 3 * 999 + 2)])
     def test_inlined_step_matches_mix64(self, seed, tag):
-        # reference generator: counter advanced by the golden gamma, then _mix64
-        state = _mix64((seed & _MASK64) ^ _mix64(((tag & _MASK64) + 1) * _GOLDEN))
         stream = RandomStream(seed, tag)
-        for _ in range(4000):
-            state = (state + _GOLDEN) & _MASK64
-            assert stream.uniform() == (_mix64(state) >> 11) * _INV_2_53
+        assert [stream.uniform() for _ in range(4000)] == list(
+            itertools.islice(reference_uniforms(seed, tag), 4000))
 
     @pytest.mark.parametrize("seed, tag", [(0, 0), (1, 101), (2**63 + 5, 102), (2**64 - 1, 3 * 999 + 2)])
-    @pytest.mark.parametrize("read", [0, 1, 2 * _BLOCK + 37])
+    # across the ramp of block sizes (8, 16, ..., 512: 1016 counters) into full blocks
+    @pytest.mark.parametrize("read", [0, 1, _FIRST_BLOCK, _FIRST_BLOCK + 1, 1016, 1017,
+                                      2 * _BLOCK + 37, 3 * _BLOCK + 37])
     def test_block_uniforms_match_scalar_uniforms(self, seed, tag, read):
-        scalar, batch = RandomStream(seed, tag), RandomStream(seed, tag)
-        source = _BlockUniforms(batch)
-        got = [source.uniform() for _ in range(read)]
-        assert got == [scalar.uniform() for _ in range(read)]
-        source.rewind()
-        assert batch._state == scalar._state
-        assert batch.uniform() == scalar.uniform()
+        stream, reference = RandomStream(seed, tag), reference_uniforms(seed, tag)
+        assert [stream.uniform() for _ in range(read)] == list(itertools.islice(reference, read))
+        # raw and uniform read the one sequence
+        assert stream.raw() * _RAW_SCALE == next(reference)
+        assert stream.uniform() == next(reference)
 
     @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, -7, 2**64 - 1])
     @pytest.mark.parametrize("k", [_multinomial_reads(8, 25), _multinomial_reads(8, 1500)])
     def test_head_streams_match_scalar_streams(self, seed, k):
         ids = [0, 3 * 999, 2**64 - 1]
-        for read in (0, k, k + 1, k + 37):
+        for read in (0, k, k + 1, k + 37, k + 1016 + 37):
             for s, head in zip(ids, _head_streams(seed, ids, k), strict=True):
-                scalar = RandomStream(seed, s).uniform
-                assert [head.uniform() for _ in range(read)] == [scalar() for _ in range(read)]
+                expected = list(itertools.islice(reference_uniforms(seed, s), read))
+                assert [head.uniform() for _ in range(read)] == expected
         assert list(_head_streams(seed, [], k)) == []
 
     @pytest.mark.parametrize("count, k", [(2 * _BLOCK + 3, 1), (7, _HEAD_LANES // 3)])
     def test_head_streams_span_several_batches(self, count, k):
         ids = range(5, 5 + count)
         heads = [[head.uniform() for _ in range(k + 1)] for head in _head_streams(11, ids, k)]
-        assert heads == [[scalar.uniform() for _ in range(k + 1)]
-                         for scalar in (RandomStream(11, s) for s in ids)]
+        assert heads == [list(itertools.islice(reference_uniforms(11, s), k + 1)) for s in ids]
 
     def test_denormals_are_zero_is_refused(self, monkeypatch):
         # with denormals-are-zero on, the probe reads as 0, as would about
-        # half of all block uniforms
+        # half of all stream uniforms
+        expected = list(itertools.islice(reference_uniforms(1, 2), 2 * _FIRST_BLOCK))
+        stream, head, fresh = RandomStream(1, 2), next(_head_streams(1, [2], 3)), RandomStream(1, 2)
+        assert [stream.uniform() for _ in range(_FIRST_BLOCK)] == expected[:_FIRST_BLOCK]
+        assert [head.uniform() for _ in range(3)] == expected[:3]
         monkeypatch.setattr(numerics, "_PROBE", 0.0)
-        stream = RandomStream(1, 2)
-        with pytest.raises(DenormalsAreZeroError, match="denormals-are-zero"):
-            sample_beta_rows([(2.0, 3.0)], 5, stream)
-        with pytest.raises(DenormalsAreZeroError):
-            _BlockUniforms(stream).uniform()
-        with pytest.raises(DenormalsAreZeroError):
-            next(_head_streams(1, [2], 7))
+        # a refused read raises again on every later read; it never ends the stream
+        for _ in range(3):
+            with pytest.raises(DenormalsAreZeroError, match="denormals-are-zero"):
+                sample_beta_rows([(2.0, 3.0)], 5, fresh)
+            with pytest.raises(DenormalsAreZeroError):
+                stream.uniform()
+            with pytest.raises(DenormalsAreZeroError):
+                stream.raw()
+            with pytest.raises(DenormalsAreZeroError):
+                head.uniform()  # past its head, in its own blocks
+            with pytest.raises(DenormalsAreZeroError):
+                next(_head_streams(1, [2], 7))
         assert issubclass(DenormalsAreZeroError, KappaCmpError)
-        assert _stream_state(stream) == _stream_state(RandomStream(1, 2))
+        # with gradual underflow back, each stream goes on from the counter it stopped at
+        monkeypatch.undo()
+        assert [stream.uniform() for _ in range(_FIRST_BLOCK)] == expected[_FIRST_BLOCK:]
+        assert [head.uniform() for _ in range(_FIRST_BLOCK)] == expected[3:3 + _FIRST_BLOCK]
+        assert stream_state(fresh) == (None, expected[0])
+
+    @pytest.mark.parametrize("seed, tag", [(1.5, 0), (1, None), ("1", 2), (1, 2.0), (None, 0)])
+    def test_seed_and_stream_must_be_integers(self, seed, tag):
+        with pytest.raises(DomainError, match="seed and stream must be integers"):
+            RandomStream(seed, tag)
+
+    def test_any_integers_are_taken_modulo_2_64(self):
+        reference = RandomStream(2**64 - 1, 3)
+        expected = [reference.uniform() for _ in range(20)]
+        for seed, tag in [(-1, 2**64 + 3), (np.int64(-1), np.uint64(3)), (2**128 - 1, 3)]:
+            stream = RandomStream(seed, tag)
+            assert (stream.seed, stream.stream) == (2**64 - 1, 3)
+            assert [stream.uniform() for _ in range(20)] == expected
 
     def test_block_constants_are_built_on_first_use(self):
-        code = ("import kappacmp, kappacmp.numerics as n; "
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "import kappacmp, kappacmp.numerics as n; "
                 "assert n._lanes.cache_info().currsize == 0")
-        subprocess.run([sys.executable, "-c", code], check=True)
+        src = str(Path(numerics.__file__).parents[1])
+        subprocess.run([sys.executable, "-c", code, src], check=True)
 
     def test_distinct_streams_differ(self):
         base = [RandomStream(42, 0).uniform() for _ in range(8)]

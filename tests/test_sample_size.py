@@ -65,8 +65,10 @@ class TestRequiredSampleSize:
 
     def test_nan_precision_rejected(self, table8):
         acc = accuracy_from_counts(table8)
-        with pytest.raises(DomainError, match="precision must be positive, got nan"):
-            required_sample_size(acc, kappa_pair(acc, 0.9), math.nan)
+        for phi in (math.nan, math.inf):
+            with pytest.raises(DomainError,
+                               match=f"precision must be positive and finite, got {phi!r}"):
+                required_sample_size(acc, kappa_pair(acc, 0.9), phi)
 
 
 class TestPrecisionReached:
@@ -95,8 +97,10 @@ class TestPrecisionReached:
     def test_nan_precision_rejected(self):
         ci = ConfidenceInterval(target="ratio", method="wald",
                                 lower=0.3, upper=0.5, point=0.4)
-        with pytest.raises(DomainError, match="precision must be positive, got nan"):
-            precision_reached(ci, math.nan)
+        for phi in (math.nan, math.inf):
+            with pytest.raises(DomainError,
+                               match=f"precision must be positive and finite, got {phi!r}"):
+                precision_reached(ci, phi)
 
 
 class TestPlanIteration:

@@ -637,7 +637,7 @@ def count_streams(monkeypatch) -> list:
 
 
 class TestSampleStreamHeads:
-    """A range reads its sample streams' first uniforms from one lane batch."""
+    """A range reads its sample streams' first uniforms from one lane batch, and builds no stream."""
 
     def test_a_range_without_redraws_builds_no_stream(self, monkeypatch):
         built = count_streams(monkeypatch)
@@ -646,22 +646,31 @@ class TestSampleStreamHeads:
                                                0, 300, False))
         assert redraws == 0 and built == []
 
-    def test_only_a_redraw_past_the_head_builds_the_sample_stream(self, monkeypatch):
+    def test_a_redraw_past_the_head_builds_no_stream(self, monkeypatch):
+        # p = 5% at n = 25: many redraws, as in test_redraw_rule_is_pinned
+        sc, config = paper_scenarios()[4], ConfidenceConfig(seed=0)
+        expected = []  # each replicate's samples, drawn from RandomStream(seed, 3i)
+        for i in range(200):
+            stream = RandomStream(config.seed, simulation._STREAMS_PER_REPLICATE * i)
+            while True:
+                expected.append(numerics.sample_multinomial(sc.pi, 25, stream))
+                try:
+                    simulation._analysis(tuple(expected[-1]), sc.c)
+                except (NonEstimableError, DegenerateKappaError):
+                    continue
+                break
         built = count_streams(monkeypatch)
-        redrew = []
-        run = simulation._run_replicate
+        drawn = []
+        sample = simulation.sample_multinomial
 
         def recorded(*args):
-            redraws, outcomes = run(*args)
-            redrew.append(redraws > 0)
-            return redraws, outcomes
+            drawn.append(sample(*args))
+            return drawn[-1]
 
-        monkeypatch.setattr(simulation, "_run_replicate", recorded)
-        # p = 5% at n = 25: many redraws, as in test_redraw_rule_is_pinned
-        sc = paper_scenarios()[4]
-        simulation._run_range((sc, 25, CLOSED_FORM, ConfidenceConfig(seed=0), 0, 200, False))
-        assert 0 < len(built) <= sum(redrew)
-        assert len(set(built)) == len(built) and all(s % 3 == 0 for s in built)
+        monkeypatch.setattr(simulation, "sample_multinomial", recorded)
+        redraws, _, _ = simulation._run_range((sc, 25, CLOSED_FORM, config, 0, 200, False))
+        assert redraws == len(expected) - 200 > 0 and built == []
+        assert drawn == expected
 
 
 class TestSharedPool:
