@@ -140,8 +140,7 @@ def build_analysis_report(counts: PairedCounts, cs=None, methods=None,
     # one bootstrap set and one posterior serve every c and target; both
     # draw nothing until a resampling method asks
     tables = BootstrapTables(working, RandomStream(config.seed, BOOTSTRAP_STREAM))
-    draws = PosteriorDraws(working, config.priors, config.bayes_m,
-                           RandomStream(config.seed, BAYES_STREAM))
+    draws = PosteriorDraws(working, config.priors, RandomStream(config.seed, BAYES_STREAM))
     rows = []
     for c in cs:
         kp = kappa_pair(accuracy, c)

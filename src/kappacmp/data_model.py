@@ -159,7 +159,8 @@ def read_table(path_or_file, header: str) -> list[tuple[str, list[str]]]:
     Blank lines and ``#`` lines are skipped. The first other line must be
     ``header``; every later line must split on commas into as many fields
     as the header has, each stripped of surrounding whitespace. The text
-    must be UTF-8. A path is opened here; any other argument is read as an
+    must be UTF-8; a file may start with the byte-order mark that
+    spreadsheets write. A path is opened here; any other argument is read as an
     iterable of lines. Every parse error is an IngestionError naming the
     file and, where one is at fault, the line.
     """
@@ -169,7 +170,7 @@ def read_table(path_or_file, header: str) -> list[tuple[str, list[str]]]:
     rows = []
     header_seen = False
     lineno = 0
-    lines = io.open(path_or_file, "r", encoding="utf-8") if is_path else path_or_file
+    lines = io.open(path_or_file, "r", encoding="utf-8-sig") if is_path else path_or_file
     try:
         for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()

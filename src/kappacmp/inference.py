@@ -476,40 +476,72 @@ def _kappa_stats(columns, c: float, start: int = 0, stop: int | None = None) -> 
     return differences, ratios
 
 
-def _coefficient_columns() -> tuple:
-    return tuple(array("d") for _ in range(6))
+class _Resamples:
+    """Resampled rows of one table, kept as c-free coefficients and shared by every c and target.
+
+    A subclass defines ``_draw(k)``, which draws the next ``k`` rows from
+    the stream and returns one (se1, sp1, se2, sp2, p) tuple, or None, per
+    row. ``coefficients(count)`` draws only the rows still missing, in
+    stream order, so rows grown in several calls are those of one call. A
+    draw that raises DomainError is not tried again: every later call that
+    needs rows past those already drawn raises it. The statistics of the
+    latest (c, count) are kept too (``statistics``), so the difference and
+    the ratio at one c share them.
+    """
+
+    __slots__ = ("counts", "_stream", "_coefficients", "_error", "_stats")
+
+    def __init__(self, counts: PairedCounts, stream: RandomStream):
+        self.counts = counts
+        self._stream = stream
+        self._coefficients = tuple(array("d") for _ in range(6))
+        self._error: DomainError | None = None
+        self._stats: tuple = (None, None)  # ((c, count), (differences, ratios))
+
+    def coefficients(self, count: int) -> tuple:
+        """The coefficient columns of at least the first ``count`` rows."""
+        columns = self._coefficients
+        missing = count - len(columns[0])
+        if missing > 0:
+            if self._error is not None:
+                raise self._error.with_traceback(None)
+            try:
+                _add_coefficients(columns, self._draw(missing))
+            except DomainError as error:
+                self._error = error
+                raise
+        return columns
+
+    def statistics(self, c: float, count: int) -> tuple:
+        """_kappa_stats at ``c`` of the first ``count`` rows; the latest pair is kept."""
+        key = (c, count)
+        if self._stats[0] != key:
+            self._stats = key, _kappa_stats(self.coefficients(count), c, 0, count)
+        return self._stats[1]
 
 
-class BootstrapTables:
-    """Bootstrap resamples of one table, shared by every c and target.
+class BootstrapTables(_Resamples):
+    """Bootstrap resamples of one table (_Resamples).
 
     Resamples the 8-cell table from a multinomial with the observed
     proportions (distributionally identical to resampling subjects), at
-    size round(n): n + 4 on a continuity-corrected table. Tables are drawn
-    from ``stream`` only when first asked for, in stream order, and each
-    keeps only the six c-free coefficients of its kappas (zeros when a
-    stratum is empty). The statistics of the latest c are kept too
-    (``statistics``), so the difference and the ratio at one c share them.
+    size round(n): n + 4 on a continuity-corrected table. A resample with
+    an empty stratum is not estimable, and its coefficients are zeros.
     """
 
-    __slots__ = ("counts", "size", "probs", "_stream", "_cdfs", "_coefficients", "_stats")
+    __slots__ = ("size", "probs", "_cdfs")
 
     def __init__(self, counts: PairedCounts, stream: RandomStream):
         if counts.n <= 0:
             raise NonEstimableError("cannot resample an empty table")
-        self.counts = counts
+        super().__init__(counts, stream)
         self.size = int(round(counts.n))
         self.probs = [cell / counts.n for cell in counts.cells()]
-        self._stream = stream
         self._cdfs: dict = {}  # binomial CDFs shared by every resample (sample_multinomial)
-        self._coefficients = _coefficient_columns()
-        self._stats: tuple = (None, None)  # ((c, B, budget), (differences, ratios))
 
-    def coefficients(self, count: int) -> tuple:
-        """The coefficient columns of at least the first ``count`` tables."""
-        columns = self._coefficients
+    def _draw(self, k: int) -> list:
         drawn = []
-        for _ in range(count - len(columns[0])):
+        for _ in range(k):
             s11, s10, s01, s00, r11, r10, r01, r00 = sample_multinomial(
                 self.probs, self.size, self._stream, self._cdfs)
             # accuracy_from_counts on the integer cells: sums below 2**53
@@ -521,20 +553,7 @@ class BootstrapTables:
             else:
                 drawn.append(((s11 + s10) / s, (r01 + r00) / r, (s11 + s01) / s,
                               (r10 + r00) / r, s / (s + r)))
-        _add_coefficients(columns, drawn)
-        return columns
-
-    def statistics(self, c: float, b: int, budget: int) -> tuple:
-        """_kappa_stats at ``c`` of the first min(b, budget) tables.
-
-        The pair of the latest (c, b, budget) is kept, so the difference
-        and the ratio at one c share one pass.
-        """
-        key = (c, b, budget)
-        if self._stats[0] != key:
-            count = min(b, budget)
-            self._stats = key, _kappa_stats(self.coefficients(count), c, 0, count)
-        return self._stats[1]
+        return drawn
 
 
 def bootstrap_ci(counts: PairedCounts, c: float, target: str,
@@ -572,8 +591,8 @@ def _bootstrap(counts: PairedCounts, c: float, target: str, config: ConfidenceCo
     budget = _BOOTSTRAP_DRAW_FACTOR * b  # read per call, so a patched factor applies
     # the first B tables serve both targets; a target short of B accepted
     # scans on alone, into a new array, so the shared pair stays as it was
-    stats = tables.statistics(c, b, budget)[ratio]
     scanned = min(b, budget)
+    stats = tables.statistics(c, scanned)[ratio]
     while len(stats) < b and scanned < budget:
         end = min(scanned + b - len(stats), budget)
         stats = stats + _kappa_stats(tables.coefficients(end), c, scanned, end)[ratio]
@@ -608,50 +627,25 @@ def _posterior_params(counts: PairedCounts, priors: Priors):
     )
 
 
-class PosteriorDraws:
-    """M posterior draws of (Se1, Sp1, Se2, Sp2, p), shared by every c and target.
+class PosteriorDraws(_Resamples):
+    """Posterior draws of (Se1, Sp1, Se2, Sp2, p) of one table (_Resamples).
 
-    The five proportions have independent conjugate Beta posteriors. The M
-    tuples are drawn from ``stream`` on first use (sample_beta_rows) and
-    kept only as the six c-free coefficients of their kappas; a draw that
-    fails is not tried again. The statistics of the latest c are kept too
-    (``statistics``), so the difference and the ratio at one c share them.
+    The five proportions have independent conjugate Beta posteriors, drawn
+    by sample_beta_rows. It leaves the stream, pending normal included,
+    where one longer call would, so one set grows to any M with the draws
+    of a fresh one.
     """
 
-    __slots__ = ("counts", "priors", "m", "_stream", "_coefficients", "_stats")
+    __slots__ = ("priors", "_params")
 
-    def __init__(self, counts: PairedCounts, priors: Priors, m: int, stream: RandomStream):
-        self.counts = counts
+    def __init__(self, counts: PairedCounts, priors: Priors, stream: RandomStream):
+        super().__init__(counts, stream)
         self.priors = priors
-        self.m = m
-        self._stream = stream
-        self._coefficients: tuple | DomainError | None = None
-        self._stats: tuple = (None, None)  # (c, (differences, ratios))
+        self._params = _posterior_params(counts, priors)
 
-    def coefficients(self) -> tuple:
-        """The coefficient columns of the M draws.
-
-        DomainError when the draws cannot be made; every later call raises
-        the same error without drawing again.
-        """
-        if self._coefficients is None:
-            params = _posterior_params(self.counts, self.priors)
-            try:
-                draws = iter(sample_beta_rows(params, self.m, self._stream))
-            except DomainError as error:
-                self._coefficients = error
-            else:
-                self._coefficients = _coefficient_columns()
-                _add_coefficients(self._coefficients, zip(draws, draws, draws, draws, draws))
-        if isinstance(self._coefficients, DomainError):
-            raise self._coefficients.with_traceback(None)
-        return self._coefficients
-
-    def statistics(self, c: float) -> tuple:
-        """_kappa_stats at ``c`` of the M draws; the latest c's pair is kept."""
-        if self._stats[0] != c:
-            self._stats = c, _kappa_stats(self.coefficients(), c)
-        return self._stats[1]
+    def _draw(self, k: int):
+        draws = iter(sample_beta_rows(self._params, k, self._stream))
+        return zip(draws, draws, draws, draws, draws)
 
 
 def bayesian_ci(counts: PairedCounts, c: float, target: str,
@@ -659,9 +653,11 @@ def bayesian_ci(counts: PairedCounts, c: float, target: str,
                 draws: PosteriorDraws | None = None) -> ConfidenceInterval:
     """Equal-tail posterior quantile interval from conjugate Beta posteriors.
 
-    ``draws`` are M posterior tuples (Se1, Sp1, Se2, Sp2, p) of ``counts``;
-    by default fresh ones are drawn from (config.seed, BAYES_STREAM). One
-    PosteriorDraws can serve every c and target of a table. Each tuple is
+    The interval reads the first M posterior tuples (Se1, Sp1, Se2, Sp2, p)
+    of ``draws``, which must be those of ``counts`` and config.priors; by
+    default fresh ones are drawn from (config.seed, BAYES_STREAM). One
+    PosteriorDraws can serve every c, target and M of a table, with the
+    same intervals as fresh draws for each call. Each tuple is
     pushed through the kappa formula; the reported point is the posterior
     mean of the target statistic. Draws with a non-positive Youden index
     are kept (the posterior ranges over all parameter values); ratio draws
@@ -677,11 +673,10 @@ def _bayesian(counts: PairedCounts, c: float, target: str, config: ConfidenceCon
     if counts.s <= 0 or counts.r <= 0:
         accuracy_from_counts(counts)  # raises NonEstimableError with details
     if draws is None:
-        draws = PosteriorDraws(counts, config.priors, config.bayes_m,
-                               RandomStream(config.seed, BAYES_STREAM))
-    elif (draws.counts, draws.priors, draws.m) != (counts, config.priors, config.bayes_m):
-        raise DomainError("the posterior draws were made for another table, prior or M")
-    stats = draws.statistics(c)[target == "ratio"]
+        draws = PosteriorDraws(counts, config.priors, RandomStream(config.seed, BAYES_STREAM))
+    elif (draws.counts, draws.priors) != (counts, config.priors):
+        raise DomainError("the posterior draws were made for another table or prior")
+    stats = draws.statistics(c, config.bayes_m)[target == "ratio"]
     excluded = config.bayes_m - len(stats)  # measure-zero events; excluded but counted
     if excluded:
         warnings.warn(f"{excluded} of {config.bayes_m} posterior draws had an undefined "

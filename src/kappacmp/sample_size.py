@@ -67,7 +67,9 @@ def required_sample_size(acc: AccuracyEstimates, kp: KappaPair, phi: float,
 
     Computed as ceil(z^2 * Var(theta_hat)|_{n=1} / phi^2); evaluating the
     delta-method variance at n=1 yields the scale-free n*Var(theta_hat),
-    so z^2 * Var_hat(theta_hat) / phi^2 = n holds identically.
+    so z^2 * Var_hat(theta_hat) / phi^2 = n holds identically. DomainError
+    when that n is not finite, as for a ``phi`` so small that phi^2 or the
+    quotient leaves double range.
     """
     _check_precision(phi)
     z = ConfidenceConfig(conf=conf).z  # raises on a confidence level outside (0, 1)
@@ -75,7 +77,11 @@ def required_sample_size(acc: AccuracyEstimates, kp: KappaPair, phi: float,
         raise DomainError("sizing a ratio study needs informative tests "
                           f"(Y1={acc.y1:g}, Y2={acc.y2:g}, kappa2={kp.kappa2:g})")
     cov = kappa_covariance(acc, kp, n=1.0)
-    n_real = z * z * cov.var_theta / (phi * phi)
+    phi2 = phi * phi  # 0 once phi is below about 1e-162
+    n_real = z * z * max(cov.var_theta, 0.0) / phi2 if phi2 else math.inf
+    if not math.isfinite(n_real):
+        raise DomainError(f"precision {phi!r} is too small: the required sample size "
+                          "is not finite")
     return int(math.ceil(n_real - 1e-9))
 
 

@@ -22,6 +22,7 @@ from array import array
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from numbers import Integral
 
 from .data_model import PairedCounts, read_table
 from .errors import (
@@ -193,6 +194,13 @@ def _check_size(n) -> None:
         raise DomainError(f"sample size must be at least 1, got {n!r}")
 
 
+def _whole(value, name: str) -> int:
+    """``value`` as an int when it is an integer or an integral float (50.0); else DomainError."""
+    if isinstance(value, Integral) or (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 _MIN_REPLICATES = 100
 
 
@@ -252,8 +260,7 @@ def _run_replicate(scenario: Scenario, n: int, entries: tuple, shared: set,
     if "tables" in shared:
         tables = BootstrapTables(counts, RandomStream(config.seed, base + 1))
     if "draws" in shared:
-        draws = PosteriorDraws(counts, config.priors, config.bayes_m,
-                               RandomStream(config.seed, base + 2))
+        draws = PosteriorDraws(counts, config.priors, RandomStream(config.seed, base + 2))
     return redraws, _score(entries, counts, scenario.c, config, tables, draws)
 
 
@@ -355,8 +362,9 @@ def coverage_grid(cells, methods, config: ConfidenceConfig | None = None,
 
     ``cells`` is an iterable of ``(scenario, n, n_replicates)``. Every cell
     is checked when the call is made, before the first replicate of any
-    cell runs; the returned generator then yields each cell's
-    CoverageResult list, in order, as the cell finishes.
+    cell runs, and integral float sizes are taken as ints; the returned
+    generator then yields each cell's CoverageResult list, in order, as
+    the cell finishes.
 
     Every replicate derives its random streams from (seed, replicate
     index) and results are aggregated in index order, so the output is
@@ -377,14 +385,16 @@ def coverage_grid(cells, methods, config: ConfidenceConfig | None = None,
     """
     config = config or DEFAULT_CONFIG
     methods = check_methods(methods)
-    cells = list(cells)
     ratio = any(METHODS[m].target == "ratio" for m in methods)
+    checked = []
     for scenario, n, n_replicates in cells:
+        n, n_replicates = _whole(n, "sample size"), _whole(n_replicates, "replicate count")
         _check_size(n)
         _check_replicates(n_replicates)
         if ratio:
             _ = scenario.theta  # raises when the true ratio is undefined
-    return _run_cells(cells, methods, config, min(jobs, os.cpu_count() or 1), correct)
+        checked.append((scenario, n, n_replicates))
+    return _run_cells(checked, methods, config, min(jobs, os.cpu_count() or 1), correct)
 
 
 def _run_cells(cells, methods, config: ConfidenceConfig, jobs: int, correct: bool):

@@ -118,8 +118,7 @@ def test_criterion_3_stochastic_intervals():
         config = ConfidenceConfig(seed=seed)
         # one bootstrap set and one posterior per seed, as analyze draws them
         tables = kc.BootstrapTables(TABLE8, RandomStream(seed, BOOTSTRAP_STREAM))
-        draws = kc.PosteriorDraws(TABLE8, config.priors, config.bayes_m,
-                                  RandomStream(seed, BAYES_STREAM))
+        draws = kc.PosteriorDraws(TABLE8, config.priors, RandomStream(seed, BAYES_STREAM))
         for c, (boot_d, bayes_d, boot_r, bayes_r) in STOCHASTIC_CIS.items():
             intervals = (
                 (boot_d, lambda: kc.bootstrap_ci(TABLE8, c, "difference", config, tables)),

@@ -113,6 +113,17 @@ class TestAnalyze:
         assert code == 0
         assert "n = 260" in out
 
+    def test_records_with_a_byte_order_mark_read_like_without(self, capsys, tmp_path):
+        # spreadsheets export "CSV UTF-8" with a BOM before the header
+        text = "d,t1,t2\n" + "1,1,0\n" * 30 + "1,0,1\n" * 25 + "0,0,0\n" * 150 + "0,0,1\n" * 10
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        reports = [run(capsys, ["analyze", "--records", str(path), "--c", "0.5", *DET_METHODS,
+                                "--out", "-"]) for path in (plain, marked)]
+        assert reports[0] == reports[1] and reports[0][0] == 0
+
     def test_machine_out_matches_report(self, capsys, tmp_path):
         machine = tmp_path / "machine.txt"
         code, _, _ = run(capsys, ["analyze", *TABLE8, "--c", "0.5", *DET_METHODS,
@@ -301,6 +312,17 @@ class TestSimulate:
         out1, out2 = tmp_path / "r1.txt", tmp_path / "r2.txt"
         for out in (out1, out2):
             code, _, _ = run(capsys, ["simulate", "--batch", str(batch),
+                                      "--seed", "5", "--out", str(out)])
+            assert code == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+    def test_batch_with_a_byte_order_mark_reads_like_without(self, capsys, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(BATCH, encoding="utf-8")
+        marked.write_text(BATCH, encoding="utf-8-sig")
+        out1, out2 = tmp_path / "r1.txt", tmp_path / "r2.txt"
+        for batch, out in ((plain, out1), (marked, out2)):
+            code, _, _ = run(capsys, ["simulate", "--batch", str(batch), *DET_METHODS,
                                       "--seed", "5", "--out", str(out)])
             assert code == 0
         assert out1.read_bytes() == out2.read_bytes()
@@ -504,6 +526,15 @@ def test_record_comment_lines_do_not_count(capsys, tmp_path):
 @pytest.mark.parametrize("precision", ["0", "-1", "nan", "inf"])
 def test_analyze_and_plan_reject_a_bad_precision_alike(precision, capsys):
     expected = f"error: precision must be positive and finite, got {float(precision)!r}\n"
+    for argv in (["analyze", *TABLE8, "--c", "0.5", *DET_METHODS, "--out", "-"],
+                 ["plan", *TABLE8, "--c", "0.5"]):
+        assert run(capsys, [*argv, "--precision", precision]) == (1, "", expected)
+
+
+@pytest.mark.parametrize("precision", ["1e-200", "1e-160"])
+def test_analyze_and_plan_reject_a_precision_too_small_to_size_alike(precision, capsys):
+    expected = (f"error: precision {float(precision)!r} is too small: the required sample "
+                "size is not finite\n")
     for argv in (["analyze", *TABLE8, "--c", "0.5", *DET_METHODS, "--out", "-"],
                  ["plan", *TABLE8, "--c", "0.5"]):
         assert run(capsys, [*argv, "--precision", precision]) == (1, "", expected)

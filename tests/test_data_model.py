@@ -132,6 +132,12 @@ class TestRecordFile:
         assert read_records(path) == table8_records()
         assert counts_from_records(read_records(path)) == table8
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, table8):
+        path = tmp_path / "bom.csv"
+        lines = ["d,t1,t2"] + [f"{d},{t1},{t2}" for d, t1, t2 in table8_records()]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8-sig")
+        assert read_records(path) == table8_records()
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t1,t2,d\n1,1,1\n", encoding="utf-8")

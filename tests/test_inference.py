@@ -1,6 +1,7 @@
 import hashlib
 import math
 import warnings
+from array import array
 from collections import Counter
 
 import numpy as np
@@ -439,32 +440,16 @@ def _reference_stats(accuracies, c, ratio):
     return stats
 
 
-class _HandBuiltTables:
-    """Stands in for BootstrapTables with fixed coefficient rows (A1, B1, N1, A2, B2, N2)."""
+class _HandBuilt(inference._Resamples):
+    """Stands in for BootstrapTables or PosteriorDraws (flat priors) with fixed
+    coefficient rows (A1, B1, N1, A2, B2, N2); it draws no more."""
 
-    statistics = BootstrapTables.statistics
+    priors = Priors()
 
     def __init__(self, counts, rows):
-        self.counts = counts
-        self.columns = tuple(zip(*rows))
-        self._stats = (None, None)
-
-    def coefficients(self, count):
-        return self.columns
-
-
-class _HandBuiltDraws:
-    """Stands in for PosteriorDraws with fixed coefficient rows (A1, B1, N1, A2, B2, N2)."""
-
-    statistics = PosteriorDraws.statistics
-
-    def __init__(self, counts, config, rows):
-        self.counts, self.priors, self.m = counts, config.priors, config.bayes_m
-        self.columns = tuple(zip(*rows))
-        self._stats = (None, None)
-
-    def coefficients(self):
-        return self.columns
+        super().__init__(counts, None)
+        for column, values in zip(self._coefficients, zip(*rows)):
+            column.extend(values)
 
 
 class TestSharedDraws:
@@ -472,7 +457,7 @@ class TestSharedDraws:
                                               ("sparse", SPARSE)])
     def test_shared_objects_match_fresh_calls_and_recorded_digest(self, name, counts):
         tables = BootstrapTables(counts, RandomStream(SHARED_CONFIG.seed, inference.BOOTSTRAP_STREAM))
-        draws = PosteriorDraws(counts, SHARED_CONFIG.priors, SHARED_CONFIG.bayes_m,
+        draws = PosteriorDraws(counts, SHARED_CONFIG.priors,
                                RandomStream(SHARED_CONFIG.seed, inference.BAYES_STREAM))
         shared = _interval_lines(counts, tables, draws)
         assert shared == _interval_lines(counts)
@@ -494,8 +479,8 @@ class TestSharedDraws:
         stats = ([point - 0.01 * i for i in range(30, 0, -1)] + [point] * 40
                  + [point + 0.01 * i for i in range(1, 31)])
         # both denominators are 1 at c = 0.5 and kappa2 = 0, so each row's difference is its N1
-        tables = _HandBuiltTables(table8, [(1.0, 1.0, k1, 1.0, 1.0, 0.0) for k1 in stats])
-        assert inference._kappa_stats(tables.columns, 0.5)[0].tolist() == stats
+        tables = _HandBuilt(table8, [(1.0, 1.0, k1, 1.0, 1.0, 0.0) for k1 in stats])
+        assert inference._kappa_stats(tables.coefficients(100), 0.5)[0].tolist() == stats
         ci = bootstrap_ci(table8, 0.5, "difference", config, tables)
         assert stats.count(point) == 40
 
@@ -541,7 +526,7 @@ class TestSharedDraws:
             else:
                 acc = accuracy_from_counts(table)
                 drawn.append((acc.se1, acc.sp1, acc.se2, acc.sp2, acc.p))
-        expected = inference._coefficient_columns()
+        expected = tuple(array("d") for _ in range(6))
         inference._add_coefficients(expected, drawn)
         assert tables.coefficients(500) == expected
         assert stream_state(tables._stream) == stream_state(stream)
@@ -555,10 +540,11 @@ class TestSharedDraws:
         with pytest.raises(DomainError):
             bootstrap_ci(table8, 0.5, "difference", SHARED_CONFIG, tables)
 
-    def test_draws_of_another_configuration_rejected(self, table8):
-        draws = PosteriorDraws(table8, SHARED_CONFIG.priors, 2000, RandomStream(0, 2))
-        with pytest.raises(DomainError):
-            bayesian_ci(table8, 0.5, "difference", SHARED_CONFIG, draws)
+    def test_draws_of_another_table_or_prior_rejected(self, table8):
+        for counts, priors in ((table8, Priors(p=BetaPrior(2.0, 2.0))), (SPARSE, Priors())):
+            draws = PosteriorDraws(counts, priors, RandomStream(0, inference.BAYES_STREAM))
+            with pytest.raises(DomainError, match="another table or prior"):
+                bayesian_ci(table8, 0.5, "difference", SHARED_CONFIG, draws)
 
     @pytest.mark.parametrize("counts, priors", [
         (PairedCounts(41, 0, 40, 8, 5, 1, 24, 181), Priors()),
@@ -573,13 +559,13 @@ class TestSharedDraws:
         params = inference._posterior_params(counts, priors)
         accuracies = [AccuracyEstimates(*(sample_beta(a, b, stream) for a, b in params))
                       for _ in range(m)]
-        draws = PosteriorDraws(counts, priors, m,
+        draws = PosteriorDraws(counts, priors,
                                RandomStream(SHARED_CONFIG.seed, inference.BAYES_STREAM))
         for c in (0.0, 0.25, 0.5, 0.9, 1.0):
             for ratio in (False, True):
                 expected = _reference_stats(accuracies, c, ratio)
                 assert len(expected) == m
-                got = inference._kappa_stats(draws.coefficients(), c)[ratio]
+                got = inference._kappa_stats(draws.coefficients(m), c)[ratio]
                 assert _bits(got) == _bits(expected)
         assert stream_state(draws._stream) == stream_state(stream)
 
@@ -592,12 +578,12 @@ class TestSharedDraws:
         clean = [(0.2, 0.3, 0.1 + i / 2000, 0.25, 0.35, 0.05 + i / 4000) for i in range(998)]
         zero_denominator = (0.0, 0.0, 0.1, 0.25, 0.35, 0.05)
         zero_kappa2 = (0.2, 0.3, 0.1, 0.25, 0.35, 0.0)
-        draws = _HandBuiltDraws(table8, config, [zero_denominator, zero_kappa2] + clean)
+        draws = _HandBuilt(table8, [zero_denominator, zero_kappa2] + clean)
         with pytest.warns(UserWarning, match="^1 of 1000 posterior draws"):
             bayesian_ci(table8, 0.5, "difference", config, draws)
         with pytest.warns(UserWarning, match="^2 of 1000 posterior draws"):
             bayesian_ci(table8, 0.5, "ratio", config, draws)
-        draws = _HandBuiltDraws(table8, config, clean + clean[:2])
+        draws = _HandBuilt(table8, clean + clean[:2])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for target in ("difference", "ratio"):
@@ -630,6 +616,16 @@ class TestOnePassPerC:
                 assert (bootstrap_ci(counts, 0.4, target, config, tables)
                         == bootstrap_ci(counts, 0.4, target, config))
 
+    @pytest.mark.parametrize("counts", [PairedCounts(41, 0, 40, 8, 5, 1, 24, 181), SPARSE])
+    def test_another_m_on_shared_draws_matches_fresh_calls(self, counts):
+        draws = PosteriorDraws(counts, Priors(), RandomStream(5, inference.BAYES_STREAM))
+        for m in (2000, 1000, 3000):
+            config = ConfidenceConfig(bayes_m=m, seed=5)
+            for target in ("difference", "ratio"):
+                assert (bayesian_ci(counts, 0.4, target, config, draws)
+                        == bayesian_ci(counts, 0.4, target, config))
+        assert len(draws.coefficients(0)[0]) == 3000
+
     # SPARSE's first 200 resamples include non-estimable ones; table8's do not
     @pytest.mark.parametrize("counts, factors", [(SPARSE, (1, 0)),
                                                  (PairedCounts(41, 0, 40, 8, 5, 1, 24, 181), (0,))])
@@ -654,6 +650,51 @@ class TestOnePassPerC:
             drawn = max(drawn, count)
             assert len(columns[0]) == drawn
             assert stream_state(tables._stream) == stream_state(stream)
+
+    def test_growing_posterior_batches_equal_one_batch(self, table8):
+        def fresh():
+            return PosteriorDraws(table8, Priors(), RandomStream(9, inference.BAYES_STREAM))
+
+        batches = (1, 1, 37, 1000)
+        pending = set()
+        for stop in range(1, len(batches) + 1):
+            grown = fresh()
+            for count in batches[:stop]:
+                columns = grown.coefficients(count)
+            once = fresh()
+            assert columns == once.coefficients(batches[stop - 1])
+            state = stream_state(grown._stream)
+            assert state == stream_state(once._stream)
+            pending.add(state[0] is None)
+        assert pending == {False, True}  # some batches end between the two normals of a pair
+
+    @pytest.mark.parametrize("kind", ["tables", "draws"])
+    def test_failed_extension_raises_only_past_the_rows_drawn(self, table8, kind, monkeypatch):
+        if kind == "tables":
+            config = ConfidenceConfig(bootstrap_b=100, seed=3)
+            resamples = BootstrapTables(table8, RandomStream(3, inference.BOOTSTRAP_STREAM))
+            interval, kernel = bootstrap_ci, "sample_multinomial"
+            larger = ConfidenceConfig(bootstrap_b=101, seed=3)
+        else:
+            config = ConfidenceConfig(bayes_m=1000, seed=3)
+            resamples = PosteriorDraws(table8, Priors(), RandomStream(3, inference.BAYES_STREAM))
+            interval, kernel = bayesian_ci, "sample_beta_rows"
+            larger = ConfidenceConfig(bayes_m=1001, seed=3)
+        drawn = interval(table8, 0.5, "difference", config, resamples)
+        expected = [interval(table8, c, "ratio", config) for c in (0.3, 0.5)]
+        calls = []
+
+        def refusing(*args):
+            calls.append(args)
+            raise DomainError("refused")
+
+        monkeypatch.setattr(inference, kernel, refusing)
+        for c in (0.5, 0.3, 0.5):
+            with pytest.raises(DomainError, match="refused"):
+                interval(table8, c, "difference", larger, resamples)
+        assert len(calls) == 1
+        assert interval(table8, 0.5, "difference", config, resamples) == drawn
+        assert [interval(table8, c, "ratio", config, resamples) for c in (0.3, 0.5)] == expected
 
     def test_failed_posterior_is_drawn_once(self, table8, monkeypatch):
         calls = []

@@ -52,8 +52,7 @@ class TestRegistry:
         if entry.draw == "tables":
             tables = BootstrapTables(table8, RandomStream(FAST.seed, BOOTSTRAP_STREAM))
         elif entry.draw == "draws":
-            draws = PosteriorDraws(table8, FAST.priors, FAST.bayes_m,
-                                   RandomStream(FAST.seed, BAYES_STREAM))
+            draws = PosteriorDraws(table8, FAST.priors, RandomStream(FAST.seed, BAYES_STREAM))
         lower, upper, point = entry.call(table8, 0.5, FAST, tables, draws)
         assert lower <= upper
         ci = entry.interval(table8, 0.5, FAST, tables, draws)

@@ -1,7 +1,8 @@
-"""Seeded fuzz of the interval entry points on awkward tables.
+"""Seeded fuzz of the interval and planning entry points on awkward tables.
 
-Every call must return finite, ordered bounds or raise a KappaCmpError
-subclass: never a bare Python exception, never an infinite or NaN bound.
+Every call must return finite, ordered bounds (or, for the planner, a
+non-negative integer size) or raise a KappaCmpError subclass: never a
+bare Python exception, never an infinite or NaN bound.
 """
 
 import math
@@ -24,11 +25,14 @@ from kappacmp.inference import (
     wald_diff_ci,
     wald_ratio_ci,
 )
+from kappacmp.kappa_core import accuracy_from_counts, kappa_pair
 from kappacmp.numerics import RandomStream
+from kappacmp.sample_size import plan_iteration, required_sample_size
 
 FUZZ_SEED = 20240
 CLOSED_FORM_CS = (0.0, 0.05, 0.3, 0.5, 0.7, 0.9, 1.0)
 STOCHASTIC_CS = (0.1, 0.5, 0.9)
+PLAN_PHIS = (1e-300, 1e-160, 1e-3, 0.1, 10.0)
 CONFIG = ConfidenceConfig(bootstrap_b=100, bayes_m=1000, seed=3)
 # kappa1 just above 0 at c = 0.9: exp(z * sqrt(Var[ln theta])) overflows
 LOG_OVERFLOW_TABLE = PairedCounts(3, 0, 18, 8, 7, 21, 3, 240)
@@ -100,10 +104,35 @@ def test_resampling_intervals_are_finite_or_raise_package_errors():
         tables = None  # an empty table cannot be resampled: bootstrap_ci raises
         if counts.n > 0:
             tables = BootstrapTables(counts, RandomStream(CONFIG.seed, BOOTSTRAP_STREAM))
-        draws = PosteriorDraws(counts, CONFIG.priors, CONFIG.bayes_m,
-                               RandomStream(CONFIG.seed, BAYES_STREAM))
+        draws = PosteriorDraws(counts, CONFIG.priors, RandomStream(CONFIG.seed, BAYES_STREAM))
         for c in STOCHASTIC_CS:
             for target in ("difference", "ratio"):
                 outcomes.append(_outcome(lambda: bootstrap_ci(counts, c, target, CONFIG, tables)))
                 outcomes.append(_outcome(lambda: bayesian_ci(counts, c, target, CONFIG, draws)))
     assert outcomes.count("ok") > 100 and outcomes.count("raised") > 100
+
+
+def _size_outcome(call):
+    """'ok' for a non-negative int size, 'raised' for a KappaCmpError; anything else fails."""
+    try:
+        n = call()
+    except KappaCmpError:
+        return "raised"
+    assert isinstance(n, int) and n >= 0, n
+    return "ok"
+
+
+def _required_size(counts, c, phi):
+    acc = accuracy_from_counts(counts)
+    return required_sample_size(acc, kappa_pair(acc, c), phi, CONFIG.conf)
+
+
+def test_planner_sizes_are_non_negative_ints_or_raise_package_errors():
+    outcomes = []
+    for counts in _fuzz_tables(200):
+        for c in CLOSED_FORM_CS:
+            for phi in PLAN_PHIS:
+                outcomes.append(_size_outcome(lambda: _required_size(counts, c, phi)))
+                outcomes.append(_size_outcome(
+                    lambda: plan_iteration(counts, c, phi, config=CONFIG).n_required))
+    assert outcomes.count("ok") > 2000 and outcomes.count("raised") > 2000

@@ -70,6 +70,20 @@ class TestRequiredSampleSize:
                                match=f"precision must be positive and finite, got {phi!r}"):
                 required_sample_size(acc, kappa_pair(acc, 0.9), phi)
 
+    @pytest.mark.parametrize("phi", [1e-200, 1e-160, 5e-324])
+    def test_precision_too_small_to_size_rejected(self, table8, phi):
+        # phi^2 underflows to 0 (1e-200) or the quotient overflows to inf (1e-160)
+        acc = accuracy_from_counts(table8)
+        with pytest.raises(DomainError, match=f"precision {phi!r} is too small"):
+            required_sample_size(acc, kappa_pair(acc, 0.9), phi)
+        with pytest.raises(DomainError, match=f"precision {phi!r} is too small"):
+            plan_iteration(table8, 0.9, phi)
+
+    def test_smallest_sizable_precision_gives_a_finite_size(self, table8):
+        acc = accuracy_from_counts(table8)
+        n = required_sample_size(acc, kappa_pair(acc, 0.9), 1e-150)
+        assert isinstance(n, int) and 10 ** 299 < n < 10 ** 303
+
 
 class TestPrecisionReached:
     def test_published_interval_misses_010(self):

@@ -367,11 +367,23 @@ class TestCoverageGrid:
                     for sc, n, reps in self.CELLS]
         assert list(coverage_grid(self.CELLS, self.METHODS, config, jobs=jobs)) == expected
 
+    def test_integral_float_sizes_are_taken_as_ints(self):
+        sc, config = self.CELLS[0][0], ConfidenceConfig(seed=4)
+        rows = coverage_study(sc, 50.0, 100.0, self.METHODS, config)
+        assert rows == coverage_study(sc, 50, 100, self.METHODS, config)
+        assert all(type(row.n) is int and type(row.n_replicates) is int for row in rows)
+
     @pytest.mark.parametrize("last, error", [
         ((0, 100), "sample size must be at least 1, got 0"),
         ((60, 50), "need at least 100 replicates, got 50"),
         (None, "kappa2 is zero"),
-    ], ids=["n=0", "N=50", "theta"])
+        ((50.5, 100), "sample size must be an integer, got 50.5"),
+        ((60, 150.5), "replicate count must be an integer, got 150.5"),
+        ((math.nan, 100), "sample size must be an integer, got nan"),
+        (("60", 100), "sample size must be an integer, got '60'"),
+        ((0.0, 100), "sample size must be at least 1, got 0"),
+        ((60, 50.0), "need at least 100 replicates, got 50"),
+    ], ids=["n=0", "N=50", "theta", "n=50.5", "N=150.5", "n=nan", "n='60'", "n=0.0", "N=50.0"])
     def test_bad_last_cell_fails_before_any_replicate(self, last, error, monkeypatch):
         calls = []
         run_range = simulation._run_range
@@ -450,7 +462,7 @@ class TestScorer:
         for counts, sc in _scorer_cases():
             c = sc.c
             tables = BootstrapTables(counts, RandomStream(SCORER_CONFIG.seed, 1))
-            draws = PosteriorDraws(counts, SCORER_CONFIG.priors, SCORER_CONFIG.bayes_m,
+            draws = PosteriorDraws(counts, SCORER_CONFIG.priors,
                                    RandomStream(SCORER_CONFIG.seed, 2))
             for tag, true_value, _ in simulation._entries(sc, METHODS):
                 try:
