@@ -23,6 +23,7 @@ from .data_model import PairedCounts
 from .errors import (
     BootstrapFailedError,
     DegenerateKappaError,
+    DenormalsAreZeroError,
     DomainError,
     FiellerInvalidError,
     InversionUndefinedError,
@@ -46,7 +47,7 @@ from .numerics import (
     sample_beta,  # noqa: F401 - perfbench/run.py traces inference.sample_beta
     sample_beta_rows,
     sample_multinomial,
-    select_quantile,
+    select_quantiles,
 )
 
 __all__ = [
@@ -448,7 +449,7 @@ def _add_coefficients(columns, accuracies) -> None:
 
 
 def _kappa_stats(columns, c: float, start: int = 0, stop: int | None = None) -> tuple:
-    """(differences, ratios) at ``c`` of rows start:stop, as two arrays.
+    """(differences, ratios) at ``c`` of rows start:stop, as two lists.
 
     ``columns`` are c-free coefficients (see _add_coefficients). The
     differences are kappa1 - kappa2 and the ratios kappa1 / kappa2, of one
@@ -456,11 +457,12 @@ def _kappa_stats(columns, c: float, start: int = 0, stop: int | None = None) -> 
     (where kappa_pair raises DegenerateKappaError) is skipped by both, and a
     row with kappa2 = 0 by the ratios. The kappas are divided as kappa_pair
     divides them, so the statistics are bit-identical to those of
-    kappa_pair.
+    kappa_pair. Lists, not arrays: each row stores the float it has built,
+    and the quantiles, means and counts that read them unbox nothing.
     """
     d = 1.0 - c
-    differences = array("d")
-    ratios = array("d")
+    differences = []
+    ratios = []
     add_difference = differences.append
     add_ratio = ratios.append
     for a1, b1, n1, a2, b2, n2 in islice(zip(*columns), start, stop):
@@ -483,10 +485,12 @@ class _Resamples:
     the stream and returns one (se1, sp1, se2, sp2, p) tuple, or None, per
     row. ``coefficients(count)`` draws only the rows still missing, in
     stream order, so rows grown in several calls are those of one call. A
-    draw that raises DomainError is not tried again: every later call that
-    needs rows past those already drawn raises it. The statistics of the
-    latest (c, count) are kept too (``statistics``), so the difference and
-    the ratio at one c share them.
+    draw that raises DomainError, or whose stream refuses a read
+    (DenormalsAreZeroError), is not tried again: its rows are dropped but
+    their uniforms are spent, so every later call that needs rows past
+    those already drawn raises it. The statistics of the latest (c, count)
+    are kept too (``statistics``), so the difference and the ratio at one
+    c share them.
     """
 
     __slots__ = ("counts", "_stream", "_coefficients", "_error", "_stats")
@@ -495,7 +499,7 @@ class _Resamples:
         self.counts = counts
         self._stream = stream
         self._coefficients = tuple(array("d") for _ in range(6))
-        self._error: DomainError | None = None
+        self._error: DomainError | DenormalsAreZeroError | None = None
         self._stats: tuple = (None, None)  # ((c, count), (differences, ratios))
 
     def coefficients(self, count: int) -> tuple:
@@ -507,7 +511,7 @@ class _Resamples:
                 raise self._error.with_traceback(None)
             try:
                 _add_coefficients(columns, self._draw(missing))
-            except DomainError as error:
+            except (DomainError, DenormalsAreZeroError) as error:
                 self._error = error
                 raise
         return columns
@@ -516,6 +520,7 @@ class _Resamples:
         """_kappa_stats at ``c`` of the first ``count`` rows; the latest pair is kept."""
         key = (c, count)
         if self._stats[0] != key:
+            self._stats = (None, None)  # freed before the next pair is built
             self._stats = key, _kappa_stats(self.coefficients(count), c, 0, count)
         return self._stats[1]
 
@@ -590,7 +595,7 @@ def _bootstrap(counts: PairedCounts, c: float, target: str, config: ConfidenceCo
     b = config.bootstrap_b
     budget = _BOOTSTRAP_DRAW_FACTOR * b  # read per call, so a patched factor applies
     # the first B tables serve both targets; a target short of B accepted
-    # scans on alone, into a new array, so the shared pair stays as it was
+    # scans on alone, into a new list, so the shared pair stays as it was
     scanned = min(b, budget)
     stats = tables.statistics(c, scanned)[ratio]
     while len(stats) < b and scanned < budget:
@@ -612,8 +617,7 @@ def _bias_corrected_bounds(stats, point: float, z: float) -> tuple[float, float]
     b = len(stats)
     a_count = min(max(len([x for x in stats if x < point]), 1), b - 1)
     z0 = normal_quantile(a_count / b)
-    return (select_quantile(stats, normal_cdf(2.0 * z0 - z)),
-            select_quantile(stats, normal_cdf(2.0 * z0 + z)))
+    return select_quantiles(stats, normal_cdf(2.0 * z0 - z), normal_cdf(2.0 * z0 + z))
 
 
 def _posterior_params(counts: PairedCounts, priors: Priors):
@@ -683,8 +687,8 @@ def _bayesian(counts: PairedCounts, c: float, target: str, config: ConfidenceCon
                       f"{target} (kappa2 exactly 0, or a zero kappa denominator) and "
                       "were excluded from its quantiles", stacklevel=2)
     alpha = config.alpha
-    return (select_quantile(stats, alpha / 2.0), select_quantile(stats, 1.0 - alpha / 2.0),
-            math.fsum(stats) / len(stats))
+    lower, upper = select_quantiles(stats, alpha / 2.0, 1.0 - alpha / 2.0)
+    return lower, upper, math.fsum(stats) / len(stats)
 
 
 @dataclass(frozen=True, slots=True)

@@ -25,6 +25,7 @@ __all__ = [
     "sample_beta_rows",
     "sample_multinomial",
     "select_quantile",
+    "select_quantiles",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -604,48 +605,63 @@ def sample_multinomial(pi, n: int, stream: RandomStream, cdfs: dict | None = Non
     return counts
 
 
-_SAMPLE_STRIDE = 16  # select_quantile takes its threshold from every 16th value
+_SAMPLE_STRIDE = 16  # select_quantiles takes its thresholds from every 16th value
 
 
-def select_quantile(values, q: float) -> float:
-    """Interpolating empirical quantile of ``values`` at one-based index q*(m-1)+1.
+def select_quantiles(values, q_low: float, q_high: float) -> tuple[float, float]:
+    """Interpolating empirical quantiles of ``values`` at levels ``q_low`` and ``q_high``.
 
-    Bit-identical to interpolating between the two order statistics around
-    that index in ``sorted(values)``, but found by selection (after Floyd &
-    Rivest 1975): a threshold is read from a sorted strided sample, and only
-    the values on the near side of it are kept and sorted. When fewer are
-    kept than the index needs, all the values are sorted. The kept values
-    keep their order among equals, so the result is that of the full sort
-    even for ties and signed zeros. ``values`` is a sequence without NaN.
+    Each is the quantile at one-based index q*(m-1)+1, bit-identical to
+    interpolating between the two order statistics around that index in
+    ``sorted(values)``, but found by selection (after Floyd & Rivest 1975).
+    Both thresholds are read from one sorted strided sample: one for the
+    levels nearer the bottom, one for those nearer the top. One pass keeps
+    the values at or below the first and at or above the second, and only
+    those are sorted: the bottom of sorted(values), then its top. When a
+    rank falls between the two, all the values are sorted. Equal values
+    are kept or dropped together, in their order, so the result is that of
+    the full sort even for ties and signed zeros. ``values`` is a sequence
+    without NaN.
     """
     m = len(values)
     if not m:
-        raise DomainError("select_quantile needs a non-empty sequence")
-    if not 0.0 <= q <= 1.0:
-        raise DomainError(f"quantile level must be in [0, 1], got {q}")
-    pos = q * (m - 1)
-    lo = math.floor(pos)
-    hi = math.ceil(pos)
+        raise DomainError("select_quantiles needs a non-empty sequence")
+    levels = []
+    for q in (q_low, q_high):
+        if not 0.0 <= q <= 1.0:
+            raise DomainError(f"quantile level must be in [0, 1], got {q}")
+        pos = q * (m - 1)
+        levels.append((pos, math.floor(pos), math.ceil(pos)))
     # the sample value at rank r bounds about 16 * (r + 1) values, give or
-    # take about 16 * sqrt(r): the threshold sits two such errors (plus two)
+    # take about 16 * sqrt(r): a threshold sits two such errors (plus two)
     # past the rank needed, so that the full sort is rarely wanted
     sample = sorted(values[::_SAMPLE_STRIDE])
-    if lo + hi < m - 1:  # nearer the bottom: keep the values up to a threshold
-        rank = (hi + 1) // _SAMPLE_STRIDE
-        rank += 2 + 2 * math.isqrt(rank)
-        threshold = sample[min(rank, len(sample) - 1)]
-        kept = sorted([x for x in values if x <= threshold])
-        skipped = 0
-    else:  # nearer the top: keep the values from a threshold up
-        rank = (m - lo) // _SAMPLE_STRIDE
-        rank += 2 + 2 * math.isqrt(rank)
-        threshold = sample[max(len(sample) - 1 - rank, 0)]
-        kept = sorted([x for x in values if x >= threshold])
-        skipped = m - len(kept)
-    if not (skipped <= lo and hi - skipped < len(kept)):
+    last = len(sample) - 1
+    below, above = -math.inf, math.inf  # no tail kept until a level needs it
+    for _, lo, hi in levels:
+        if lo + hi < m - 1:  # nearer the bottom: keep the values up to a threshold
+            rank = (hi + 1) // _SAMPLE_STRIDE
+            below = max(below, sample[min(rank + 2 + 2 * math.isqrt(rank), last)])
+        else:  # nearer the top: keep the values from a threshold up
+            rank = (m - lo) // _SAMPLE_STRIDE
+            above = min(above, sample[max(last - rank - 2 - 2 * math.isqrt(rank), 0)])
+    kept = sorted([x for x in values if x <= below or x >= above])
+    skipped = m - len(kept)
+    split = bisect_right(kept, below)  # rank r < split is kept[r], a higher one kept[r - skipped]
+    if skipped and not all(r < split or r - skipped >= split
+                           for _, lo, hi in levels for r in (lo, hi)):
         kept, skipped = sorted(values), 0
-    low = float(kept[lo - skipped])
-    if lo == hi:
-        return low
-    w = pos - lo
-    return low * (1.0 - w) + float(kept[hi - skipped]) * w
+    quantiles = []
+    for pos, lo, hi in levels:
+        low = float(kept[lo if lo < split else lo - skipped])
+        if lo == hi:
+            quantiles.append(low)
+        else:
+            w = pos - lo
+            quantiles.append(low * (1.0 - w) + float(kept[hi if hi < split else hi - skipped]) * w)
+    return quantiles[0], quantiles[1]
+
+
+def select_quantile(values, q: float) -> float:
+    """The one-level case of select_quantiles: the quantile of ``values`` at ``q``."""
+    return select_quantiles(values, q, q)[0]

@@ -210,6 +210,14 @@ def _check_replicates(n_replicates) -> None:
         raise DomainError(f"need at least {_MIN_REPLICATES} replicates, got {n_replicates}")
 
 
+def _check_cell(n, n_replicates) -> tuple[int, int]:
+    """A coverage cell's sample size and replicate count as ints; DomainError when it cannot run."""
+    n, n_replicates = _whole(n, "sample size"), _whole(n_replicates, "replicate count")
+    _check_size(n)
+    _check_replicates(n_replicates)
+    return n, n_replicates
+
+
 # substream roles per replicate index i: 3i sample, 3i+1 bootstrap, 3i+2 posterior
 _STREAMS_PER_REPLICATE = 3
 _MAX_SAMPLE_ATTEMPTS = 10_000
@@ -388,9 +396,7 @@ def coverage_grid(cells, methods, config: ConfidenceConfig | None = None,
     ratio = any(METHODS[m].target == "ratio" for m in methods)
     checked = []
     for scenario, n, n_replicates in cells:
-        n, n_replicates = _whole(n, "sample size"), _whole(n_replicates, "replicate count")
-        _check_size(n)
-        _check_replicates(n_replicates)
+        n, n_replicates = _check_cell(n, n_replicates)
         if ratio:
             _ = scenario.theta  # raises when the true ratio is undefined
         checked.append((scenario, n, n_replicates))
@@ -452,20 +458,16 @@ def read_scenario_batch(path_or_file) -> list[tuple[Scenario, int, int]]:
     """The ``(scenario, n, n_replicates)`` cells of a batch file, in file order.
 
     Each row ``k0_1,k1_1,k0_2,k1_2,p,c,f,n,N`` goes through
-    build_scenario_from_kappas; the cells are what coverage_grid takes. Any
-    error in a row is raised with its ``"<file>:<line>: "`` prefix.
+    build_scenario_from_kappas, and its n and N through coverage_grid's
+    checks; the cells are what coverage_grid takes. Any error in a row is
+    raised with its ``"<file>:<line>: "`` prefix.
     """
     cells = []
     for where, fields in read_table(path_or_file, BATCH_HEADER):
         try:
             values = [float(field) for field in fields]
-            n, n_replicates = values[7], values[8]
-            if not (n.is_integer() and n >= 1):
-                raise DomainError(f"n must be a positive integer, got {fields[7]}")
-            if not (n_replicates.is_integer() and n_replicates >= 1):
-                raise DomainError(f"N must be a positive integer, got {fields[8]}")
-            _check_replicates(int(n_replicates))
-            cells.append((build_scenario_from_kappas(*values[:7]), int(n), int(n_replicates)))
+            n, n_replicates = _check_cell(values[7], values[8])
+            cells.append((build_scenario_from_kappas(*values[:7]), n, n_replicates))
         except KappaCmpError as exc:
             raise type(exc)(f"{where}: {exc}") from None
         except ValueError as exc:  # float() of a field that is not a number

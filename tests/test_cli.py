@@ -427,7 +427,7 @@ class TestSimulate:
                          "0.3,0.6,0.8,0.8,0.25,0.5,0.5,80,0\n", encoding="utf-8")
         code, _, err = run(capsys, ["simulate", "--batch", str(batch)])
         assert code == 1
-        assert "N must be" in err and ":2" in err
+        assert "need at least 100 replicates, got 0" in err and ":2" in err
 
     def test_published_row_reproduced(self, capsys, tmp_path):
         # the kappas 0.2/0.8 population at n=500: Wald diff CP near 0.955

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
 from array import array
 from collections import Counter
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import kappacmp.inference as inference
+import kappacmp.numerics as numerics
 from conftest import (
     ReferenceStream,
     empirical_quantile,
@@ -20,6 +22,7 @@ from kappacmp.data_model import PairedCounts, apply_continuity_correction
 from kappacmp.errors import (
     BootstrapFailedError,
     DegenerateKappaError,
+    DenormalsAreZeroError,
     DomainError,
     FiellerInvalidError,
     InversionUndefinedError,
@@ -480,7 +483,7 @@ class TestSharedDraws:
                  + [point + 0.01 * i for i in range(1, 31)])
         # both denominators are 1 at c = 0.5 and kappa2 = 0, so each row's difference is its N1
         tables = _HandBuilt(table8, [(1.0, 1.0, k1, 1.0, 1.0, 0.0) for k1 in stats])
-        assert inference._kappa_stats(tables.coefficients(100), 0.5)[0].tolist() == stats
+        assert inference._kappa_stats(tables.coefficients(100), 0.5)[0] == stats
         ci = bootstrap_ci(table8, 0.5, "difference", config, tables)
         assert stats.count(point) == 40
 
@@ -607,6 +610,29 @@ class TestOnePassPerC:
         assert all(not row.interval_errors for row in report.rows)
         assert sorted(passes.values()) == [len(report.rows)] * 2
 
+    def test_each_interval_makes_one_filtering_pass(self, table8, monkeypatch):
+        passes = []  # per select_quantiles call, the passes over its values
+        select = inference.select_quantiles
+
+        class Counted(list):
+            count = 0
+
+            def __iter__(self):
+                self.count += 1
+                return super().__iter__()
+
+        def counting(values, q_low, q_high):
+            values = Counted(values)
+            bounds = select(values, q_low, q_high)
+            passes.append(values.count)
+            return bounds
+
+        monkeypatch.setattr(inference, "select_quantiles", counting)
+        for tag in ("boot-diff", "boot-ratio", "bayes-diff", "bayes-ratio"):
+            passes.clear()
+            inference.METHODS[tag].interval(table8, 0.4, SHARED_CONFIG)
+            assert passes == [1], tag
+
     @pytest.mark.parametrize("counts", [PairedCounts(41, 0, 40, 8, 5, 1, 24, 181), SPARSE])
     def test_another_b_on_shared_tables_matches_fresh_calls(self, counts):
         tables = BootstrapTables(counts, RandomStream(5, inference.BOOTSTRAP_STREAM))
@@ -696,6 +722,38 @@ class TestOnePassPerC:
         assert interval(table8, 0.5, "difference", config, resamples) == drawn
         assert [interval(table8, c, "ratio", config, resamples) for c in (0.3, 0.5)] == expected
 
+    @pytest.mark.parametrize("kind", ["tables", "draws"])
+    def test_refused_read_leaves_no_rows_unlike_a_fresh_set(self, table8, kind, monkeypatch):
+        # denormals-are-zero is on for the 5th block the stream mixes, part-way
+        # through the batch; then gradual underflow is back
+        def fresh():
+            if kind == "tables":
+                return BootstrapTables(table8, RandomStream(3, inference.BOOTSTRAP_STREAM))
+            return PosteriorDraws(table8, Priors(), RandomStream(3, inference.BAYES_STREAM))
+
+        resamples = fresh()
+        blocks = []
+        raw_uniforms = numerics._raw_uniforms
+
+        def refusing_the_5th(z, count):
+            blocks.append(count)
+            if len(blocks) == 5:
+                raise DenormalsAreZeroError("refused")
+            return raw_uniforms(z, count)
+
+        monkeypatch.setattr(numerics, "_raw_uniforms", refusing_the_5th)
+        with pytest.raises(DenormalsAreZeroError, match="refused"):
+            resamples.coefficients(200)
+        monkeypatch.undo()
+        assert len(blocks) == 5
+        expected = fresh().coefficients(200)
+        for _ in range(3):
+            try:
+                columns = resamples.coefficients(200)
+            except DenormalsAreZeroError:
+                continue
+            assert columns == expected
+
     def test_failed_posterior_is_drawn_once(self, table8, monkeypatch):
         calls = []
         draw = inference.sample_beta_rows
@@ -713,6 +771,32 @@ class TestOnePassPerC:
                   for method in ("bayes-diff", "bayes-ratio")]
         assert len(errors) == 2 * (len(DEFAULT_C_GRID) + 1)
         assert len(set(errors)) == 1 and "landed on 0 or 1" in errors[0]
+
+
+class TestStatisticsMemory:
+    CEILING_KIB = 2000
+
+    def test_one_report_stays_under_the_ceiling(self, table8):
+        """tracemalloc peak of one build_analysis_report on the worked table, after a warm-up.
+
+        Measured: 1688-1690 KiB (Python 3.11.7, 2-vCPU host), so the 2000 KiB
+        ceiling leaves 310 KiB of headroom. Holding the previous statistics
+        pair while the next one is built read 2302-2304 KiB, and coefficient
+        columns kept as lists read 3398 KiB: either fails here.
+        """
+        build_analysis_report(table8)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            build_analysis_report(table8)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < self.CEILING_KIB * 1024, peak / 1024
 
 
 YOUDEN_ZERO = PairedCounts(3, 2, 4, 1, 2, 3, 1, 4)  # Se1 = Sp1 = 0.5

@@ -30,6 +30,7 @@ from kappacmp.numerics import (
     sample_beta_rows,
     sample_multinomial,
     select_quantile,
+    select_quantiles,
 )
 
 
@@ -540,6 +541,18 @@ def _quantile_levels(m):
     return levels
 
 
+def _level_pairs(m, rng):
+    """(q_low, q_high) pairs: each level of _quantile_levels alone, the 95% ends,
+    both levels in one tail, the bias-corrected pairs, one pair given high
+    level first, and seeded random pairs."""
+    levels = _quantile_levels(m)
+    pairs = [(q, q) for q in levels]
+    pairs += [(0.025, 0.975), (0.0, 1.0), (0.01, 0.3), (0.7, 0.99), (0.49, 0.51), (0.9, 0.1)]
+    pairs += list(zip(levels[5:13:2], levels[6:13:2]))
+    pairs += [tuple(sorted((rng.random(), rng.random()))) for _ in range(10)]
+    return pairs
+
+
 def _selection_cases():
     rng = random.Random(20260)
     for m in (1, 2, 3, 2000, 10_000):
@@ -609,3 +622,30 @@ class TestSelectQuantile:
             select_quantile([1.0], 1.5)
         with pytest.raises(DomainError):
             select_quantile([1.0], -0.1)
+
+
+class TestSelectQuantiles:
+    """Both levels of select_quantiles against the sort oracle, bit for bit."""
+
+    @pytest.mark.parametrize("name, values", list(_selection_cases()))
+    def test_matches_the_sort_oracle(self, name, values):
+        rng = random.Random(len(values))
+        for q_low, q_high in _level_pairs(len(values), rng):
+            got = select_quantiles(values, q_low, q_high)
+            expected = (empirical_quantile(values, q_low), empirical_quantile(values, q_high))
+            assert [x.hex() for x in got] == [x.hex() for x in expected], (q_low, q_high)
+
+    def test_both_tails_come_from_one_sample_and_one_kept_sort(self, monkeypatch):
+        rng = random.Random(8)
+        values = [rng.gauss(0.0, 1.0) for _ in range(10_000)]
+        expected = (empirical_quantile(values, 0.025), empirical_quantile(values, 0.975))
+        sizes = _count_sorts(monkeypatch)
+        assert select_quantiles(values, 0.025, 0.975) == expected
+        assert sizes[0] == 625 and sizes[1] < 2000 and len(sizes) == 2
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            select_quantiles([], 0.025, 0.975)
+        for levels in ((-0.1, 0.5), (0.5, 1.5)):
+            with pytest.raises(DomainError):
+                select_quantiles([1.0, 2.0], *levels)

@@ -607,16 +607,13 @@ class TestExactCoverage:
 
     N_REPLICATES = 4000
 
-    @pytest.mark.parametrize("n, count", [(6, 1716), (8, 6435)])
-    def test_closed_form_coverage_matches_the_exact_sum(self, n, count):
-        sc = paper_scenarios()[3]
-        config = ConfidenceConfig(seed=0)
+    @staticmethod
+    def exact_coverage(sc, n: int, config) -> list:
+        """The exact cp of each CLOSED_FORM method at (sc, n), in method order."""
         entries = simulation._entries(sc, CLOSED_FORM)
-        tables = list(all_tables(n))
-        assert len(tables) == len(set(tables)) == count
         estimable = 0.0
         covered = [0.0] * len(entries)
-        for table in tables:
+        for table in all_tables(n):
             try:
                 simulation._analysis(table, sc.c)
             except (NonEstimableError, DegenerateKappaError):
@@ -626,10 +623,35 @@ class TestExactCoverage:
             for k, (hit, _) in enumerate(simulation._score(entries, table, sc.c, config,
                                                            None, None)):
                 covered[k] += weight * hit
+        return [hits / estimable for hits in covered]
+
+    @pytest.mark.parametrize("n, count", [(6, 1716), (8, 6435)])
+    def test_closed_form_coverage_matches_the_exact_sum(self, n, count):
+        sc = paper_scenarios()[3]
+        config = ConfidenceConfig(seed=0)
+        tables = list(all_tables(n))
+        assert len(tables) == len(set(tables)) == count
         results = coverage_study(sc, n, self.N_REPLICATES, CLOSED_FORM, config)
-        for res, hits in zip(results, covered, strict=True):
-            cp = hits / estimable
+        for res, cp in zip(results, self.exact_coverage(sc, n, config), strict=True):
             assert abs(res.cp - cp) <= 4 * math.sqrt(cp * (1 - cp) / self.N_REPLICATES)
+
+    # paper scenario 4 has c = 0.5; scenario 1 (c = 0.1) also moves c
+    @pytest.mark.parametrize("number", [4, 1])
+    def test_relabelled_twin_has_the_same_exact_coverage(self, number):
+        # swapping the disease labels and both tests' results swaps Se with
+        # Sp, p with q and eps1 with eps0, reverses the cells and replaces c
+        # by 1 - c; every closed-form interval of a reversed table at 1 - c is
+        # that of the table at c (tests/test_metamorphic.py), so each
+        # method's exact coverage is the same
+        sc = paper_scenarios()[number - 1]
+        twin = scenario_probabilities(sc.sp1, sc.se1, sc.sp2, sc.se2, 1.0 - sc.p,
+                                      sc.eps0, sc.eps1, c=1.0 - sc.c)
+        assert twin.pi == pytest.approx(sc.pi[::-1], rel=1e-12, abs=1e-15)
+        assert (twin.delta, twin.theta) == pytest.approx((sc.delta, sc.theta), rel=1e-12)
+        config = ConfidenceConfig(seed=0)
+        exact, twin_exact = self.exact_coverage(sc, 6, config), self.exact_coverage(twin, 6, config)
+        assert 0.0 < min(exact) and max(exact) < 1.0
+        assert twin_exact == pytest.approx(exact, rel=1e-12)
 
 
 def count_streams(monkeypatch) -> list:
@@ -832,10 +854,18 @@ class TestBatchIO:
 
     @pytest.mark.parametrize("sizes, field", [
         ("100,0", "N"), ("nan,100", "n"), ("inf,100", "n"), ("100,nan", "N"), ("100,inf", "N"),
+        ("50.5,100", "n"), ("0,100", "n"), ("100,99.5", "N"),
     ])
     def test_bad_sizes_rejected(self, sizes, field):
+        # the reader runs coverage_grid's checks: a bad row fails with the
+        # grid's message for its field, after the row's file and line
+        scenario = build_scenario_from_kappas(0.2, 0.2, 0.8, 0.8, 0.1, 0.9, 0.5)
+        n, n_replicates = (float(size) for size in sizes.split(","))
+        with pytest.raises(DomainError) as grid:
+            coverage_grid([(scenario, n, n_replicates)], ["wald-diff"])
+        assert {"n": "sample size", "N": "replicate"}[field] in str(grid.value)
         text = f"k0_1,k1_1,k0_2,k1_2,p,c,f,n,N\n0.2,0.2,0.8,0.8,0.1,0.9,0.5,{sizes}\n"
-        with pytest.raises(DomainError, match=f"<stream>:2: {field} must be a positive integer"):
+        with pytest.raises(DomainError, match=f"^<stream>:2: {re.escape(str(grid.value))}$"):
             read_scenario_batch(io.StringIO(text))
 
     def test_report_rendering(self):
