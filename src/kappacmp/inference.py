@@ -448,8 +448,8 @@ def _add_coefficients(columns, accuracies) -> None:
         n2s.append(p * q * (se2 + sp2 - 1.0))
 
 
-def _kappa_stats(columns, c: float, start: int = 0, stop: int | None = None) -> tuple:
-    """(differences, ratios) at ``c`` of rows start:stop, as two lists.
+def _kappa_stats(columns, c: float, count: int) -> tuple:
+    """(differences, ratios) at ``c`` of the first ``count`` rows, as two lists.
 
     ``columns`` are c-free coefficients (see _add_coefficients). The
     differences are kappa1 - kappa2 and the ratios kappa1 / kappa2, of one
@@ -459,13 +459,14 @@ def _kappa_stats(columns, c: float, start: int = 0, stop: int | None = None) -> 
     divides them, so the statistics are bit-identical to those of
     kappa_pair. Lists, not arrays: each row stores the float it has built,
     and the quantiles, means and counts that read them unbox nothing.
+    _Resamples.statistics is its one caller.
     """
     d = 1.0 - c
     differences = []
     ratios = []
     add_difference = differences.append
     add_ratio = ratios.append
-    for a1, b1, n1, a2, b2, n2 in islice(zip(*columns), start, stop):
+    for a1, b1, n1, a2, b2, n2 in islice(zip(*columns), count):
         den1 = a1 * c + b1 * d
         den2 = a2 * c + b2 * d
         if den1 <= 0.0 or den2 <= 0.0:
@@ -521,7 +522,7 @@ class _Resamples:
         key = (c, count)
         if self._stats[0] != key:
             self._stats = (None, None)  # freed before the next pair is built
-            self._stats = key, _kappa_stats(self.coefficients(count), c, 0, count)
+            self._stats = key, _kappa_stats(self.coefficients(count), c, count)
         return self._stats[1]
 
 
@@ -594,14 +595,14 @@ def _bootstrap(counts: PairedCounts, c: float, target: str, config: ConfidenceCo
         raise DomainError("the bootstrap tables were drawn from another table")
     b = config.bootstrap_b
     budget = _BOOTSTRAP_DRAW_FACTOR * b  # read per call, so a patched factor applies
-    # the first B tables serve both targets; a target short of B accepted
-    # scans on alone, into a new list, so the shared pair stays as it was
+    # the first B tables serve both targets. A target short of B accepted
+    # asks the store for a prefix as long as its share accepted suggests, and
+    # keeps the first B statistics: those of the shortest prefix with B
     scanned = min(b, budget)
     stats = tables.statistics(c, scanned)[ratio]
     while len(stats) < b and scanned < budget:
-        end = min(scanned + b - len(stats), budget)
-        stats = stats + _kappa_stats(tables.coefficients(end), c, scanned, end)[ratio]
-        scanned = end
+        scanned = min(math.ceil(scanned * b / max(len(stats), 1)), budget)
+        stats = tables.statistics(c, scanned)[ratio][:b]
     if len(stats) < b:
         raise BootstrapFailedError(
             f"only {len(stats)} of {b} replicates were estimable within {budget} draws")

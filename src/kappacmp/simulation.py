@@ -79,6 +79,7 @@ __all__ = [
 ]
 
 _CELL_TOL = 1e-12
+_KAPPA_TIE = 1e-12  # kappas this close are equal up to rounding: a null scenario
 
 # Errors that mean "this interval cannot be computed on this sample"; they are
 # scored as non-coverage and counted, never raised out of a coverage study.
@@ -104,10 +105,15 @@ class Scenario:
 
     @property
     def delta(self) -> float:
-        return self.kappa1 - self.kappa2
+        """kappa1 - kappa2; exactly 0 when they agree to _KAPPA_TIE relative."""
+        k1, k2 = self.kappa1, self.kappa2
+        return 0.0 if math.isclose(k1, k2, rel_tol=_KAPPA_TIE) else k1 - k2
 
     @property
     def theta(self) -> float:
+        """kappa1 / kappa2; exactly 1 when delta is 0 and kappa2 is not."""
+        if self.delta == 0.0 and self.kappa2 != 0.0:
+            return 1.0
         return kappa_ratio(self.kappa1, self.kappa2)
 
 
@@ -210,66 +216,22 @@ def _check_replicates(n_replicates) -> None:
         raise DomainError(f"need at least {_MIN_REPLICATES} replicates, got {n_replicates}")
 
 
+_MAX_CELL_SIZE = 2 ** 26  # a replicate's integer cells keep exact sums and products below 2**53
+
+
 def _check_cell(n, n_replicates) -> tuple[int, int]:
     """A coverage cell's sample size and replicate count as ints; DomainError when it cannot run."""
-    n, n_replicates = _whole(n, "sample size"), _whole(n_replicates, "replicate count")
-    _check_size(n)
+    size, n_replicates = _whole(n, "sample size"), _whole(n_replicates, "replicate count")
+    _check_size(size)
+    if size > _MAX_CELL_SIZE:
+        raise DomainError(f"sample size must be at most 2**26 = {_MAX_CELL_SIZE}, got {n!r}")
     _check_replicates(n_replicates)
-    return n, n_replicates
+    return size, n_replicates
 
 
 # substream roles per replicate index i: 3i sample, 3i+1 bootstrap, 3i+2 posterior
 _STREAMS_PER_REPLICATE = 3
 _MAX_SAMPLE_ATTEMPTS = 10_000
-
-
-def _run_replicate(scenario: Scenario, n: int, entries: tuple, shared: set,
-                   config: ConfidenceConfig, index: int, correct: bool, cdfs: dict,
-                   sample_stream):
-    """All per-replicate work; depends only on (scenario, n, config, index).
-
-    ``entries`` are the methods' (tag, true value, call) (_entries) and
-    ``shared`` the draws they read. ``cdfs`` caches the multinomial plan and
-    binomial CDFs of the scenario's samples (sample_multinomial).
-    ``sample_stream`` serves the uniforms of the sample stream
-    ``RandomStream(config.seed, 3 * index)`` (numerics._head_streams).
-
-    The table holds the sampled cells, +0.5 each when ``correct``: a
-    PairedCounts when a method reads ``shared`` draws, else the plain
-    tuple, whose cells the analysis and the closed-form bounds read to the
-    same floats (integer cells have exact sums and products below 2**53).
-    Every method reads that one table, so all share its one analysis.
-    """
-    base = _STREAMS_PER_REPLICATE * index
-    redraws = 0
-    while True:
-        cells = sample_multinomial(scenario.pi, n, sample_stream, cdfs)
-        if correct:
-            cells = [cell + 0.5 for cell in cells]
-        counts = PairedCounts(*cells) if shared else tuple(cells)
-        # redraw when the kappas or their variances cannot be estimated at
-        # all: an empty stratum, or a Youden estimate of zero (the variance
-        # divides by Y). Negative-Y samples keep their slot: their intervals
-        # are well defined and the small-sample coverage collapse depends on
-        # them. The analysis stays memoised, so the closed-form bounds read it.
-        try:
-            _analysis(counts, scenario.c)
-        except (NonEstimableError, DegenerateKappaError):
-            redraws += 1
-        else:
-            break
-        if redraws >= _MAX_SAMPLE_ATTEMPTS:
-            raise InfeasibleScenarioError(
-                f"no estimable sample of size {n} after {redraws} draws; "
-                "the scenario is too degenerate to study")
-    # one bootstrap set and one posterior per replicate, shared by the
-    # difference and the ratio; built only when a method needs them
-    tables = draws = None
-    if "tables" in shared:
-        tables = BootstrapTables(counts, RandomStream(config.seed, base + 1))
-    if "draws" in shared:
-        draws = PosteriorDraws(counts, config.priors, RandomStream(config.seed, base + 2))
-    return redraws, _score(entries, counts, scenario.c, config, tables, draws)
 
 
 def _entries(scenario: Scenario, methods) -> tuple:
@@ -300,6 +262,14 @@ def _score(entries: tuple, counts: PairedCounts | tuple, c: float, config: Confi
 def _run_range(args):
     """Tallies of replicates lo..hi-1: (redraws, covered, lengths).
 
+    Replicate i depends only on (scenario, n, config, i). Its one table,
+    shared by every method and its one analysis, holds the cells sampled
+    from ``RandomStream(config.seed, 3 * i)`` (numerics._head_streams),
+    +0.5 each when ``correct``: a PairedCounts when a method reads shared
+    draws, else the plain tuple, whose cells the closed-form bounds read
+    to the same floats (integer cells have exact sums and products below
+    2**53).
+
     ``covered[k]`` counts the intervals of ``methods[k]`` that contain the
     true value and ``lengths[k]`` holds the lengths of its valid ones, in
     replicate order; the rest of the range's replicates were invalid.
@@ -311,15 +281,40 @@ def _run_range(args):
     redraws = 0
     covered = [0] * len(entries)
     lengths = [array("d") for _ in entries]
-    # the sample streams, with the uniforms of one draw each mixed in lane batches
-    streams = _head_streams(config.seed, range(_STREAMS_PER_REPLICATE * lo,
-                                               _STREAMS_PER_REPLICATE * hi, _STREAMS_PER_REPLICATE),
-                            _multinomial_reads(len(scenario.pi), n))
-    for i, sample_stream in zip(range(lo, hi), streams):
-        replicate_redraws, outcomes = _run_replicate(scenario, n, entries, shared, config, i,
-                                                     correct, cdfs, sample_stream)
-        redraws += replicate_redraws
-        for k, (hit, length) in enumerate(outcomes):
+    bases = range(_STREAMS_PER_REPLICATE * lo, _STREAMS_PER_REPLICATE * hi,
+                  _STREAMS_PER_REPLICATE)
+    streams = _head_streams(config.seed, bases, _multinomial_reads(len(scenario.pi), n))
+    for base, sample_stream in zip(bases, streams):
+        for attempt in range(_MAX_SAMPLE_ATTEMPTS):
+            cells = sample_multinomial(scenario.pi, n, sample_stream, cdfs)
+            if correct:
+                cells = [cell + 0.5 for cell in cells]
+            counts = PairedCounts(*cells) if shared else tuple(cells)
+            # redraw when the kappas or their variances cannot be estimated
+            # at all: an empty stratum, or a Youden estimate of zero (the
+            # variance divides by Y). Negative-Y samples keep their slot:
+            # their intervals are well defined and the small-sample coverage
+            # collapse depends on them. The analysis stays memoised, so the
+            # closed-form bounds read it.
+            try:
+                _analysis(counts, scenario.c)
+            except (NonEstimableError, DegenerateKappaError):
+                continue
+            break
+        else:
+            raise InfeasibleScenarioError(
+                f"no estimable sample of size {n} after {_MAX_SAMPLE_ATTEMPTS} draws; "
+                "the scenario is too degenerate to study")
+        redraws += attempt
+        # one bootstrap set and one posterior per replicate, shared by the
+        # difference and the ratio; built only when a method needs them
+        tables = draws = None
+        if "tables" in shared:
+            tables = BootstrapTables(counts, RandomStream(config.seed, base + 1))
+        if "draws" in shared:
+            draws = PosteriorDraws(counts, config.priors, RandomStream(config.seed, base + 2))
+        for k, (hit, length) in enumerate(_score(entries, counts, scenario.c, config,
+                                                 tables, draws)):
             if length is not None:
                 covered[k] += hit
                 lengths[k].append(length)

@@ -357,7 +357,9 @@ class TestSimulate:
         ("0.21,0.14,0.81,0.72,0.5,0.1,0.5,60,50", "{batch}:3: need at least 100 replicates, got 50"),
         ("0.21,0.14,0.81,0.72,0.5,0.1,1.5,60,100",
          "{batch}:3: dependence fraction must be in [0, 1]"),
-    ], ids=["N=50", "f=1.5"])
+        ("0.21,0.14,0.81,0.72,0.5,0.1,0.5,1e300,100",
+         "{batch}:3: sample size must be at most 2**26 = 67108864, got 1e+300"),
+    ], ids=["N=50", "f=1.5", "n=1e300"])
     def test_bad_last_row_fails_before_any_replicate(self, last, error, capsys, tmp_path,
                                                      monkeypatch):
         calls = []

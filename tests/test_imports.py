@@ -5,7 +5,9 @@ Every name a module imports is used there, exported or marked
 re-exports only names its modules list in ``__all__``, resolving
 simulate's names lazily so that no other command loads ``simulation`` or
 the process-pool modules. Only ``data_model.read_table`` opens a file to
-read, so the input formats share one reader.
+read, so the input formats share one reader, and only
+``inference._Resamples.statistics`` reads ``inference._kappa_stats``, so
+the resample store is the one producer of interval statistics.
 """
 
 import ast
@@ -167,3 +169,32 @@ def test_only_read_table_opens_files_to_read():
     readers = {(path.stem, where) for path in PACKAGE.glob("*.py")
                for where, _ in reading_opens(path.read_text(encoding="utf-8"))}
     assert readers == {("data_model", "read_table")}
+
+
+def references(source: str, name: str) -> list:
+    """(qualified function, line) of each use of ``name`` in a module's source."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name if where == "<module>" else f"{where}.{node.name}"
+        elif (isinstance(node, ast.Name) and node.id == name
+              or isinstance(node, ast.Attribute) and node.attr == name):
+            found.append((where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_reference_checker_names_the_enclosing_function():
+    source = ("f = g\n\n\nclass A:\n    def m(self):\n        return g(1)\n\n\n"
+              "def h():\n    def inner():\n        return mod.g\n    return g\n")
+    assert references(source, "g") == [("<module>", 1), ("A.m", 6), ("h.inner", 11), ("h", 12)]
+
+
+def test_only_the_resample_store_computes_interval_statistics():
+    users = {(path.stem, where) for path in PACKAGE.glob("*.py")
+             for where, _ in references(path.read_text(encoding="utf-8"), "_kappa_stats")}
+    assert users == {("inference", "_Resamples.statistics")}

@@ -483,7 +483,7 @@ class TestSharedDraws:
                  + [point + 0.01 * i for i in range(1, 31)])
         # both denominators are 1 at c = 0.5 and kappa2 = 0, so each row's difference is its N1
         tables = _HandBuilt(table8, [(1.0, 1.0, k1, 1.0, 1.0, 0.0) for k1 in stats])
-        assert inference._kappa_stats(tables.coefficients(100), 0.5)[0] == stats
+        assert tables.statistics(0.5, 100)[0] == stats
         ci = bootstrap_ci(table8, 0.5, "difference", config, tables)
         assert stats.count(point) == 40
 
@@ -494,6 +494,45 @@ class TestSharedDraws:
 
         assert (ci.lower, ci.upper) == bounds(30)
         assert (ci.lower, ci.upper) != bounds(70)  # ties counted as below
+
+    def test_a_target_short_of_b_scans_a_longer_prefix(self, table8):
+        # 1000 hand-built rows, both denominators 1 at c = 0.5: every 4th is
+        # not estimable (zeros) and every 5th has kappa2 = 0, so the first B
+        # rows give each target fewer than B statistics. The kappas spread
+        # around those of table8 at c = 0.5 (0.50 and 0.72).
+        config = ConfidenceConfig(bootstrap_b=100)
+        rows = [(0.0,) * 6 if i % 4 == 3 else
+                (1.0, 1.0, 0.5 + (i * 37 % 101 - 50) / 500, 1.0, 1.0,
+                 0.0 if i % 5 == 4 else 0.6 + i / 4000) for i in range(1000)]
+        tables = _HandBuilt(table8, rows)
+
+        def segment(start, stop, ratio):
+            """The statistics of rows start:stop, row by row."""
+            stats = []
+            for a1, b1, n1, a2, b2, n2 in rows[start:stop]:
+                den1, den2 = a1 * 0.5 + b1 * 0.5, a2 * 0.5 + b2 * 0.5
+                if den1 > 0.0 and den2 > 0.0:
+                    if not ratio:
+                        stats.append(n1 / den1 - n2 / den2)
+                    elif n2 != 0.0:
+                        stats.append(n1 / den1 / (n2 / den2))
+            return stats
+
+        kp = kappa_pair(accuracy_from_counts(table8), 0.5)
+        for target, point in (("difference", kp.delta), ("ratio", kp.theta)) * 2:
+            ratio = target == "ratio"
+            # the first B rows, then each time as many more rows as statistics are missing
+            stats, scanned = segment(0, 100, ratio), 100
+            while len(stats) < 100:
+                stats, scanned = (stats + segment(scanned, scanned + 100 - len(stats), ratio),
+                                  scanned + 100 - len(stats))
+            assert scanned == (166 if ratio else 133)  # up to the B-th accepted row
+            a_count = len([x for x in stats if x < point])
+            z0 = normal_quantile(a_count / 100)
+            ci = bootstrap_ci(table8, 0.5, target, config, tables)
+            assert (ci.lower, ci.upper, ci.point) == (
+                empirical_quantile(stats, normal_cdf(2.0 * z0 - config.z)),
+                empirical_quantile(stats, normal_cdf(2.0 * z0 + config.z)), point)
 
     def test_corrected_table_resamples_n_plus_4_from_corrected_proportions(self):
         raw = PairedCounts(3, 1, 2, 4, 0, 5, 1, 24)  # n = 40
@@ -510,7 +549,7 @@ class TestSharedDraws:
         for ratio in (False, True):
             expected = _reference_stats(accuracies, 0.3, ratio)
             assert len(expected) > 40
-            got = inference._kappa_stats(tables.coefficients(50), 0.3, 0, 50)[ratio]
+            got = tables.statistics(0.3, 50)[ratio]
             assert _bits(got) == _bits(expected)
         assert stream_state(tables._stream) == stream_state(stream)
 
@@ -568,7 +607,7 @@ class TestSharedDraws:
             for ratio in (False, True):
                 expected = _reference_stats(accuracies, c, ratio)
                 assert len(expected) == m
-                got = inference._kappa_stats(draws.coefficients(m), c)[ratio]
+                got = draws.statistics(c, m)[ratio]
                 assert _bits(got) == _bits(expected)
         assert stream_state(draws._stream) == stream_state(stream)
 
@@ -600,9 +639,9 @@ class TestOnePassPerC:
         passes = Counter()  # by the identity of the coefficient columns read
         kappa_stats = inference._kappa_stats
 
-        def counting(columns, c, start=0, stop=None):
+        def counting(columns, c, count):
             passes[id(columns)] += 1
-            return kappa_stats(columns, c, start, stop)
+            return kappa_stats(columns, c, count)
 
         monkeypatch.setattr(inference, "_kappa_stats", counting)
         report = build_analysis_report(table8)

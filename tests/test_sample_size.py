@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from kappacmp.inference import ConfidenceConfig, ConfidenceInterval, wald_ratio_
 from kappacmp.kappa_core import AccuracyEstimates, accuracy_from_counts, kappa_pair
 from kappacmp.numerics import RandomStream
 from kappacmp.sample_size import plan_iteration, precision_reached, required_sample_size
+import kappacmp.simulation as simulation
 from kappacmp.simulation import build_scenario_from_kappas, sample_counts
 
 
@@ -38,6 +40,22 @@ class TestRequiredSampleSize:
         sizes = [required_sample_size(acc, kp, phi) for phi in
                  (0.02, 0.05, 0.10, 0.20, 0.50)]
         assert sizes == sorted(sizes, reverse=True)
+
+    def test_planned_n_delivers_its_precision(self):
+        # 4000 seeded samples at the planned n = 767 (c = 0.1, phi = 0.10):
+        # the Wald-ratio half-width is below phi about half the time, so its
+        # median lies within 2% of phi (0.0999 at seed 0), and the interval
+        # keeps its 95% coverage to within 4 standard errors
+        sc, acc = table7_scenario_accuracy()
+        phi, replicates = 0.10, 4000
+        n = required_sample_size(acc, kappa_pair(acc, sc.c), phi)
+        assert (n, sc.c) == (767, 0.1)
+        redraws, covered, lengths = simulation._run_range(
+            (sc, n, ("wald-ratio",), ConfidenceConfig(seed=0), 0, replicates, False))
+        assert redraws == 0 and len(lengths[0]) == replicates
+        assert statistics.median(lengths[0]) / 2 == pytest.approx(phi, rel=0.02)
+        cp = covered[0] / replicates
+        assert abs(cp - 0.95) <= 4 * math.sqrt(0.95 * 0.05 / replicates)
 
     def test_inverse_square_scaling(self, table8):
         acc = accuracy_from_counts(table8)

@@ -119,6 +119,22 @@ class TestScenarioProbabilities:
         with pytest.raises(InfeasibleScenarioError):
             scenario_probabilities(0.9, 0.9, 0.9, 0.9, 0.5, 0.2, 0.0)
 
+    def test_null_scenarios_have_exact_truths(self):
+        # paper scenarios 7 and 8 are built with kappa1 = kappa2 = 0.4 but
+        # differ in the last bits; scenario 4 (0.4 and 0.8) does not tie
+        scenarios = paper_scenarios()
+        for sc in scenarios[6:8]:
+            assert sc.kappa1 != sc.kappa2
+            assert sc.kappa1 == pytest.approx(sc.kappa2, rel=1e-12)
+            assert (sc.delta, sc.theta) == (0.0, 1.0)
+        sc = scenarios[3]
+        assert (sc.delta, sc.theta) == (sc.kappa1 - sc.kappa2, sc.kappa1 / sc.kappa2)
+        # two uninformative tests: both kappas are 0, and the ratio stays undefined
+        sc = scenario_probabilities(0.5, 0.5, 0.5, 0.5, 0.4, 0.0, 0.0)
+        assert (sc.kappa1, sc.kappa2, sc.delta) == (0.0, 0.0, 0.0)
+        with pytest.raises(UndefinedRatioError):
+            _ = sc.theta
+
     def test_two_route_kappa_consistency(self):
         rng = np.random.RandomState(32)
         for row in random_accuracies(rng, 300):
@@ -383,7 +399,9 @@ class TestCoverageGrid:
         (("60", 100), "sample size must be an integer, got '60'"),
         ((0.0, 100), "sample size must be at least 1, got 0"),
         ((60, 50.0), "need at least 100 replicates, got 50"),
-    ], ids=["n=0", "N=50", "theta", "n=50.5", "N=150.5", "n=nan", "n='60'", "n=0.0", "N=50.0"])
+        ((2 ** 26 + 1, 100), r"sample size must be at most 2\*\*26 = 67108864, got 67108865"),
+    ], ids=["n=0", "N=50", "theta", "n=50.5", "N=150.5", "n=nan", "n='60'", "n=0.0", "N=50.0",
+            "n=2**26+1"])
     def test_bad_last_cell_fails_before_any_replicate(self, last, error, monkeypatch):
         calls = []
         run_range = simulation._run_range
@@ -608,9 +626,9 @@ class TestExactCoverage:
     N_REPLICATES = 4000
 
     @staticmethod
-    def exact_coverage(sc, n: int, config) -> list:
-        """The exact cp of each CLOSED_FORM method at (sc, n), in method order."""
-        entries = simulation._entries(sc, CLOSED_FORM)
+    def exact_coverage(sc, n: int, config, methods=CLOSED_FORM) -> list:
+        """The exact cp of each of ``methods`` at (sc, n), in method order."""
+        entries = simulation._entries(sc, methods)
         estimable = 0.0
         covered = [0.0] * len(entries)
         for table in all_tables(n):
@@ -635,9 +653,49 @@ class TestExactCoverage:
         for res, cp in zip(results, self.exact_coverage(sc, n, config), strict=True):
             assert abs(res.cp - cp) <= 4 * math.sqrt(cp * (1 - cp) / self.N_REPLICATES)
 
-    # paper scenario 4 has c = 0.5; scenario 1 (c = 0.1) also moves c
-    @pytest.mark.parametrize("number", [4, 1])
-    def test_relabelled_twin_has_the_same_exact_coverage(self, number):
+    # scenario 4's true delta and theta lie outside every two-subject
+    # interval; null scenario 7's (0 and 1) lie inside some
+    @pytest.mark.parametrize("number", [4, 7])
+    def test_exact_coverage_of_two_subjects_matches_a_hand_listing(self, number):
+        sc = paper_scenarios()[number - 1]
+        config = ConfidenceConfig(seed=0)
+        # the 36 tables of two subjects, in cells i <= j (s11, s10, s01, s00,
+        # r11, r10, r01, r00), with their probabilities
+        tables = []
+        for i, j in itertools.combinations_with_replacement(range(8), 2):
+            cells = [0] * 8
+            cells[i] += 1
+            cells[j] += 1
+            tables.append((i, j, PairedCounts(*cells), sc.pi[i] * sc.pi[j] * (1 if i == j else 2)))
+        assert sorted(t.cells() for _, _, t, _ in tables) == sorted(all_tables(2))
+        # estimable: one diseased subject (i < 4) and one not (j >= 4), and
+        # each test right on both or wrong on both, so that Se + Sp - 1 != 0
+        estimable = [(table, weight) for i, j, table, weight in tables
+                     if i < 4 <= j and (i in (0, 1)) == (j in (6, 7))
+                     and (i in (0, 2)) == (j in (5, 7))]
+        assert len(estimable) == 4
+        expected = []
+        for tag in CLOSED_FORM:
+            true_value = sc.delta if METHODS[tag].target == "difference" else sc.theta
+            covered = 0.0
+            for table, weight in estimable:
+                try:
+                    covered += weight * METHODS[tag].interval(table, sc.c, config).contains(
+                        true_value)
+                except simulation._INTERVAL_ERRORS:
+                    pass
+            expected.append(covered / math.fsum(weight for _, weight in estimable))
+        assert self.exact_coverage(sc, 2, config) == pytest.approx(expected, rel=1e-12)
+        assert (max(expected) > 0.0) is (number == 7)
+
+    # paper scenario 4 has c = 0.5; scenario 1 (c = 0.1) also moves c. The
+    # null scenarios 7 and 8 (kappa1 = kappa2) score every table against
+    # delta = 0 and theta = 1 exactly; Fieller's near-degenerate widths there
+    # still depend on the last bits, so it is left out for them
+    @pytest.mark.parametrize("number, methods", [(4, CLOSED_FORM), (1, CLOSED_FORM),
+                                                 (7, CLOSED_FORM[:3]), (8, CLOSED_FORM[:3])],
+                             ids=["4", "1", "7", "8"])
+    def test_relabelled_twin_has_the_same_exact_coverage(self, number, methods):
         # swapping the disease labels and both tests' results swaps Se with
         # Sp, p with q and eps1 with eps0, reverses the cells and replaces c
         # by 1 - c; every closed-form interval of a reversed table at 1 - c is
@@ -649,7 +707,8 @@ class TestExactCoverage:
         assert twin.pi == pytest.approx(sc.pi[::-1], rel=1e-12, abs=1e-15)
         assert (twin.delta, twin.theta) == pytest.approx((sc.delta, sc.theta), rel=1e-12)
         config = ConfidenceConfig(seed=0)
-        exact, twin_exact = self.exact_coverage(sc, 6, config), self.exact_coverage(twin, 6, config)
+        exact = self.exact_coverage(sc, 6, config, methods)
+        twin_exact = self.exact_coverage(twin, 6, config, methods)
         assert 0.0 < min(exact) and max(exact) < 1.0
         assert twin_exact == pytest.approx(exact, rel=1e-12)
 
@@ -854,7 +913,7 @@ class TestBatchIO:
 
     @pytest.mark.parametrize("sizes, field", [
         ("100,0", "N"), ("nan,100", "n"), ("inf,100", "n"), ("100,nan", "N"), ("100,inf", "N"),
-        ("50.5,100", "n"), ("0,100", "n"), ("100,99.5", "N"),
+        ("50.5,100", "n"), ("0,100", "n"), ("100,99.5", "N"), ("1e300,100", "n"),
     ])
     def test_bad_sizes_rejected(self, sizes, field):
         # the reader runs coverage_grid's checks: a bad row fails with the
