@@ -42,11 +42,13 @@ from .kappa_core import (
 )
 from .numerics import (
     RandomStream,
+    _multinomial_draw,
+    _multinomial_plan,
     normal_cdf,
     normal_quantile,
     sample_beta,  # noqa: F401 - perfbench/run.py traces inference.sample_beta
     sample_beta_rows,
-    sample_multinomial,
+    sample_multinomial,  # noqa: F401 - perfbench/run.py traces inference.sample_multinomial
     select_quantiles,
 )
 
@@ -199,7 +201,10 @@ class KappaCovariance:
 
 def _se_delta(var1: float, var2: float, cov12: float) -> float:
     """Standard error of kappa1 - kappa2."""
-    return math.sqrt(max(var1 + var2 - 2.0 * cov12, 0.0))
+    var = var1 + var2 - 2.0 * cov12
+    # max(var, 0.0), NaN and -0.0 included, without the builtin call: the
+    # closed-form bounds clip their variances so once per coverage replicate
+    return math.sqrt(0.0 if 0.0 > var else var)
 
 
 def _var_theta(k1: float, k2: float, var1: float, var2: float, cov12: float) -> float:
@@ -212,19 +217,14 @@ def _var_log_theta(k1: float, k2: float, var1: float, var2: float, cov12: float)
     return var1 / (k1 * k1) + var2 / (k2 * k2) - 2.0 * cov12 / (k1 * k2)
 
 
-def _a_coefficients(p: float, q: float, kappa: float, y: float, sp: float, c: float):
-    a1 = p * q - p * (q - c) * kappa
-    a2 = a1 + (q - c) * kappa
-    a3 = (1.0 - 2.0 * p) * y - ((1.0 - c - 2.0 * p) * y + sp + c - 1.0) * kappa
-    return a1, a2, a3
-
-
 def _covariance(accuracy: tuple, kappa1: float, kappa2: float, c: float, n: float):
     """(var1, var2, cov12, a1, a2) of the kappas at sample size ``n``, as plain floats.
 
     ``accuracy`` is (se1, sp1, se2, sp2, p, eps1, eps0) (accuracy_values)
     and ``n`` must be positive. The delta-method step of kappa_covariance,
-    which wraps it; DegenerateKappaError when a Youden index is zero.
+    which wraps it; DegenerateKappaError when a Youden index is zero. a_h
+    is the (a_h1, a_h2, a_h3) that maps the variances of (Se_h, Sp_h, p)
+    onto Var[kappa_h(c)].
     """
     se1, sp1, se2, sp2, p, eps1, eps0 = accuracy
     y1 = se1 + sp1 - 1.0
@@ -235,25 +235,37 @@ def _covariance(accuracy: tuple, kappa1: float, kappa2: float, c: float, n: floa
         raise DegenerateKappaError(
             f"variance is degenerate at Youden indices ({y1:g}, {y2:g})")
     q = 1.0 - p
-    var_se1 = se1 * (1.0 - se1) / (n * p)
-    var_se2 = se2 * (1.0 - se2) / (n * p)
-    var_sp1 = sp1 * (1.0 - sp1) / (n * q)
-    var_sp2 = sp2 * (1.0 - sp2) / (n * q)
-    var_p = p * q / n
-    cov_se = eps1 / (n * p)
-    cov_sp = eps0 / (n * q)
+    n_p = n * p
+    n_q = n * q
+    var_se1 = se1 * (1.0 - se1) / n_p
+    var_se2 = se2 * (1.0 - se2) / n_p
+    var_sp1 = sp1 * (1.0 - sp1) / n_q
+    var_sp2 = sp2 * (1.0 - sp2) / n_q
+    pq = p * q
+    var_p = pq / n
+    cov_se = eps1 / n_p
+    cov_sp = eps0 / n_q
 
-    a1 = _a_coefficients(p, q, kappa1, y1, sp1, c)
-    a2 = _a_coefficients(p, q, kappa2, y2, sp2, c)
+    # a_h1 = pq - p(q - c)kappa_h, a_h2 = a_h1 + (q - c)kappa_h and
+    # a_h3 = (1 - 2p)Y_h - ((1 - c - 2p)Y_h + Sp_h + c - 1)kappa_h
+    qc = q - c
+    p_qc = p * qc
+    one_2p = 1.0 - 2.0 * p
+    c_2p = 1.0 - c - 2.0 * p
+    a11 = pq - p_qc * kappa1
+    a12 = a11 + qc * kappa1
+    a13 = one_2p * y1 - (c_2p * y1 + sp1 + c - 1.0) * kappa1
+    a21 = pq - p_qc * kappa2
+    a22 = a21 + qc * kappa2
+    a23 = one_2p * y2 - (c_2p * y2 + sp2 + c - 1.0) * kappa2
 
-    scale1 = (kappa1 / (p * q * y1)) ** 2
-    scale2 = (kappa2 / (p * q * y2)) ** 2
-    var1 = scale1 * (a1[0] ** 2 * var_se1 + a1[1] ** 2 * var_sp1 + a1[2] ** 2 * var_p)
-    var2 = scale2 * (a2[0] ** 2 * var_se2 + a2[1] ** 2 * var_sp2 + a2[2] ** 2 * var_p)
+    scale1 = (kappa1 / (pq * y1)) ** 2
+    scale2 = (kappa2 / (pq * y2)) ** 2
+    var1 = scale1 * (a11 ** 2 * var_se1 + a12 ** 2 * var_sp1 + a13 ** 2 * var_p)
+    var2 = scale2 * (a21 ** 2 * var_se2 + a22 ** 2 * var_sp2 + a23 ** 2 * var_p)
     cov_scale = kappa1 * kappa2 / (p * p * q * q * y1 * y2)
-    cov12 = cov_scale * (a1[0] * a2[0] * cov_se + a1[1] * a2[1] * cov_sp
-                         + a1[2] * a2[2] * var_p)
-    return var1, var2, cov12, a1, a2
+    cov12 = cov_scale * (a11 * a21 * cov_se + a12 * a22 * cov_sp + a13 * a23 * var_p)
+    return var1, var2, cov12, (a11, a12, a13), (a21, a22, a23)
 
 
 def kappa_covariance(acc: AccuracyEstimates, kp: KappaPair, n: float) -> KappaCovariance:
@@ -284,10 +296,13 @@ _last_analysis: tuple = (None, None, None)
 def _analysis(counts: PairedCounts | tuple, c: float) -> tuple:
     """(kappa1, kappa2, var1, var2, cov12) of ``counts`` at ``c``, as plain floats.
 
-    ``counts`` is a PairedCounts or the tuple of its eight cells. One pass
-    from the cells through accuracy_values, weighted_kappa and _covariance:
-    the arithmetic of accuracy_from_counts, kappa_pair and
-    kappa_covariance, with their errors, and no objects built. The latest
+    ``counts`` is a PairedCounts or the tuple of its eight cells. One
+    inline pass from the cells: the arithmetic of accuracy_values and of
+    weighted_kappa for both tests, in their order, then one _covariance
+    call, so the floats are those of accuracy_from_counts, kappa_pair and
+    kappa_covariance, and no objects are built. Where a check of theirs
+    fails, the function that owns it runs and raises its error, so the
+    errors and messages are theirs too, in the same order. The latest
     result is memoised, keyed on the identity of ``counts`` and on ``c``,
     so the intervals and the test of one table at one c share one
     covariance. The memo holds ``counts``, so its id cannot be reused while
@@ -298,12 +313,32 @@ def _analysis(counts: PairedCounts | tuple, c: float) -> tuple:
     if counts is last_counts and c == last_c:
         return result
     cells = counts if isinstance(counts, tuple) else counts.cells()
-    accuracy = accuracy_values(*cells)
-    se1, sp1, se2, sp2, p, _, _ = accuracy
-    kappa1 = weighted_kappa(se1, sp1, p, c)
-    kappa2 = weighted_kappa(se2, sp2, p, c)
     s11, s10, s01, s00, r11, r10, r01, r00 = cells
-    n = (s11 + s10 + s01 + s00) + (r11 + r10 + r01 + r00)  # PairedCounts.n
+    s = s11 + s10 + s01 + s00
+    r = r11 + r10 + r01 + r00
+    if s <= 0 or r <= 0:
+        accuracy_values(*cells)  # raises its NonEstimableError
+    se1 = (s11 + s10) / s
+    sp1 = (r01 + r00) / r
+    se2 = (s11 + s01) / s
+    sp2 = (r10 + r00) / r
+    n = s + r  # PairedCounts.n
+    p = s / n
+    accuracy = (se1, sp1, se2, sp2, p, (s11 * s00 - s10 * s01) / (s * s),
+                (r11 * r00 - r10 * r01) / (r * r))
+    if not 0.0 < p < 1.0:  # an infinite or overflowing cell
+        AccuracyEstimates(*accuracy)  # raises the DomainError that names the field
+    q = 1.0 - p
+    big_q1 = p * se1 + q * (1.0 - sp1)
+    big_q2 = p * se2 + q * (1.0 - sp2)
+    den1 = p * (1.0 - big_q1) * c + q * big_q1 * (1.0 - c)
+    den2 = p * (1.0 - big_q2) * c + q * big_q2 * (1.0 - c)
+    if not (den1 > 0.0 and den2 > 0.0 and 0.0 <= c <= 1.0 and 0.0 <= se1 <= 1.0
+            and 0.0 <= sp1 <= 1.0 and 0.0 <= se2 <= 1.0 and 0.0 <= sp2 <= 1.0):
+        weighted_kappa(se1, sp1, p, c)  # raises the first error of the two kappas
+        weighted_kappa(se2, sp2, p, c)
+    kappa1 = p * q * (se1 + sp1 - 1.0) / den1
+    kappa2 = p * q * (se2 + sp2 - 1.0) / den2
     var1, var2, cov12, _, _ = _covariance(accuracy, kappa1, kappa2, c, n)
     result = kappa1, kappa2, var1, var2, cov12
     _last_analysis = (counts, c, result)
@@ -326,33 +361,35 @@ def bloch_test(counts: PairedCounts, c: float) -> TestResult:
     return TestResult(z_stat=z, p_value=2.0 * normal_cdf(-abs(z)))
 
 
-# The interval bounds: each returns (lower, upper, point) and needs a
-# config. METHODS calls them; the public *_ci functions wrap them in a
-# ConfidenceInterval through METHODS. The four closed-form bounds read the
-# table only through _analysis, so they also take the tuple of its cells.
+# The interval bounds: each returns (lower, upper, point). METHODS calls
+# them; the public *_ci functions wrap them in a ConfidenceInterval through
+# METHODS. The four closed-form bounds read the table only through its
+# analysis, the tuple (kappa1, kappa2, var1, var2, cov12) of _analysis, and
+# the critical value z, and clip a variance below 0 as _se_delta does.
 
-def _wald_diff(counts: PairedCounts, c: float, config: ConfidenceConfig) -> tuple:
-    kappa1, kappa2, var1, var2, cov12 = _analysis(counts, c)
+def _wald_diff(analysis: tuple, z: float) -> tuple:
+    kappa1, kappa2, var1, var2, cov12 = analysis
     delta = kappa1 - kappa2
-    half = config.z * _se_delta(var1, var2, cov12)
+    half = z * _se_delta(var1, var2, cov12)
     return delta - half, delta + half, delta
 
 
-def _wald_ratio(counts: PairedCounts, c: float, config: ConfidenceConfig) -> tuple:
-    kappa1, kappa2, var1, var2, cov12 = _analysis(counts, c)
+def _wald_ratio(analysis: tuple, z: float) -> tuple:
+    kappa1, kappa2, var1, var2, cov12 = analysis
     theta = kappa_ratio(kappa1, kappa2)
-    half = config.z * math.sqrt(max(_var_theta(kappa1, kappa2, var1, var2, cov12), 0.0))
+    var_theta = _var_theta(kappa1, kappa2, var1, var2, cov12)
+    half = z * math.sqrt(0.0 if 0.0 > var_theta else var_theta)
     return theta - half, theta + half, theta
 
 
-def _log_ratio(counts: PairedCounts, c: float, config: ConfidenceConfig) -> tuple:
-    kappa1, kappa2, var1, var2, cov12 = _analysis(counts, c)
+def _log_ratio(analysis: tuple, z: float) -> tuple:
+    kappa1, kappa2, var1, var2, cov12 = analysis
     if kappa1 <= 0.0 or kappa2 <= 0.0:
         raise LogIntervalError(
             f"logarithmic interval needs positive kappas, got ({kappa1:g}, {kappa2:g})")
     theta = kappa_ratio(kappa1, kappa2)
-    log_spread = config.z * math.sqrt(max(_var_log_theta(kappa1, kappa2, var1, var2, cov12),
-                                          0.0))
+    var_log_theta = _var_log_theta(kappa1, kappa2, var1, var2, cov12)
+    log_spread = z * math.sqrt(0.0 if 0.0 > var_log_theta else var_log_theta)
     try:
         spread = math.exp(log_spread)
     except OverflowError:
@@ -365,10 +402,9 @@ def _log_ratio(counts: PairedCounts, c: float, config: ConfidenceConfig) -> tupl
     return theta / spread, upper, theta
 
 
-def _fieller(counts: PairedCounts, c: float, config: ConfidenceConfig) -> tuple:
-    kappa1, kappa2, var1, var2, cov12 = _analysis(counts, c)
-    lower, upper = fieller_interval(kappa1, kappa2, var1, var2, cov12, config.z)
-    return lower, upper, kappa_ratio(kappa1, kappa2)
+def _fieller(analysis: tuple, z: float) -> tuple:
+    lower, upper = fieller_interval(*analysis, z)
+    return lower, upper, kappa_ratio(analysis[0], analysis[1])
 
 
 def wald_diff_ci(counts: PairedCounts, c: float,
@@ -448,8 +484,8 @@ def _add_coefficients(columns, accuracies) -> None:
         n2s.append(p * q * (se2 + sp2 - 1.0))
 
 
-def _kappa_stats(columns, c: float, count: int) -> tuple:
-    """(differences, ratios) at ``c`` of the first ``count`` rows, as two lists.
+def _kappa_stats(columns, c: float, start: int, stop: int) -> tuple:
+    """(differences, ratios) at ``c`` of rows ``start`` to ``stop`` - 1, as two lists.
 
     ``columns`` are c-free coefficients (see _add_coefficients). The
     differences are kappa1 - kappa2 and the ratios kappa1 / kappa2, of one
@@ -466,7 +502,7 @@ def _kappa_stats(columns, c: float, count: int) -> tuple:
     ratios = []
     add_difference = differences.append
     add_ratio = ratios.append
-    for a1, b1, n1, a2, b2, n2 in islice(zip(*columns), count):
+    for a1, b1, n1, a2, b2, n2 in islice(zip(*columns), start, stop):
         den1 = a1 * c + b1 * d
         den2 = a2 * c + b2 * d
         if den1 <= 0.0 or den2 <= 0.0:
@@ -489,19 +525,21 @@ class _Resamples:
     draw that raises DomainError, or whose stream refuses a read
     (DenormalsAreZeroError), is not tried again: its rows are dropped but
     their uniforms are spent, so every later call that needs rows past
-    those already drawn raises it. The statistics of the latest (c, count)
-    are kept too (``statistics``), so the difference and the ratio at one
-    c share them.
+    those already drawn raises it. The statistics at the latest c are kept
+    too (``statistics``), so the difference and the ratio at one c share
+    them, and each row is scanned once at that c.
     """
 
-    __slots__ = ("counts", "_stream", "_coefficients", "_error", "_stats")
+    __slots__ = ("counts", "_stream", "_coefficients", "_error", "_c", "_stats", "_marks")
 
     def __init__(self, counts: PairedCounts, stream: RandomStream):
         self.counts = counts
         self._stream = stream
         self._coefficients = tuple(array("d") for _ in range(6))
         self._error: DomainError | DenormalsAreZeroError | None = None
-        self._stats: tuple = (None, None)  # ((c, count), (differences, ratios))
+        self._c: float | None = None  # the c of _stats and _marks
+        self._stats: tuple = ([], [])  # (differences, ratios) of the longest prefix asked for
+        self._marks = {0: (0, 0)}  # prefix asked for -> (len(differences), len(ratios)) of it
 
     def coefficients(self, count: int) -> tuple:
         """The coefficient columns of at least the first ``count`` rows."""
@@ -518,12 +556,33 @@ class _Resamples:
         return columns
 
     def statistics(self, c: float, count: int) -> tuple:
-        """_kappa_stats at ``c`` of the first ``count`` rows; the latest pair is kept."""
-        key = (c, count)
-        if self._stats[0] != key:
-            self._stats = (None, None)  # freed before the next pair is built
-            self._stats = key, _kappa_stats(self.coefficients(count), c, count)
-        return self._stats[1]
+        """_kappa_stats at ``c`` of the first ``count`` rows.
+
+        At the latest c the store keeps the statistics of the longest prefix
+        asked for, and how many of each every prefix asked for holds. So a
+        prefix reads only the rows past the longest prefix asked for that it
+        contains: none when it was asked for before. The result is the kept
+        pair or new lists built from it, so a list that a caller holds never
+        changes. Another c drops the kept pair before its first pass.
+        """
+        if c != self._c:
+            self._c, self._stats, self._marks = c, ([], []), {0: (0, 0)}
+        marks = self._marks
+        start = max(mark for mark in marks if mark <= count)
+        longest = self._stats
+        if start == count == max(marks):
+            return longest
+        n_differences, n_ratios = marks[start]
+        if start == count:
+            return longest[0][:n_differences], longest[1][:n_ratios]
+        differences, ratios = _kappa_stats(self.coefficients(count), c, start, count)
+        if start:
+            differences = longest[0][:n_differences] + differences
+            ratios = longest[1][:n_ratios] + ratios
+        if count > max(marks):
+            self._stats = differences, ratios
+        marks[count] = (len(differences), len(ratios))
+        return differences, ratios
 
 
 class BootstrapTables(_Resamples):
@@ -543,13 +602,14 @@ class BootstrapTables(_Resamples):
         super().__init__(counts, stream)
         self.size = int(round(counts.n))
         self.probs = [cell / counts.n for cell in counts.cells()]
-        self._cdfs: dict = {}  # binomial CDFs shared by every resample (sample_multinomial)
+        self._cdfs: dict = {}  # plan and binomial CDFs shared by every resample
 
     def _draw(self, k: int) -> list:
+        plan, size = _multinomial_plan(self.probs, self.size, self._cdfs)
+        uniform = self._stream.uniform
         drawn = []
         for _ in range(k):
-            s11, s10, s01, s00, r11, r10, r01, r00 = sample_multinomial(
-                self.probs, self.size, self._stream, self._cdfs)
+            s11, s10, s01, s00, r11, r10, r01, r00 = _multinomial_draw(plan, size, uniform)
             # accuracy_from_counts on the integer cells: sums below 2**53
             # are exact, so the quotients are those of the float cells
             s = s11 + s10 + s01 + s00
@@ -697,12 +757,16 @@ class Method:
     """An interval: its target, the shared draw it reads (None, "tables" or
     "draws"), its ConfidenceInterval.method label and its
     ``call(counts, c, config, tables, draws)``, which returns the bounds as
-    (lower, upper, point) without checking their order."""
+    (lower, upper, point) without checking their order. A closed-form
+    interval also has its ``bound(analysis, z)``, which returns the same
+    bounds from the table's _analysis; its call is
+    ``bound(_analysis(counts, c), config.z)``. The others have None."""
 
     target: str
     draw: str | None
     label: str
     call: Callable[..., tuple[float, float, float]]
+    bound: Callable[[tuple, float], tuple[float, float, float]] | None = None
 
     def interval(self, counts: PairedCounts, c: float, config: ConfidenceConfig | None = None,
                  tables: BootstrapTables | None = None,
@@ -720,14 +784,15 @@ def _tag(kind: str, target: str) -> str:
 
 
 # every interval by tag, in report order; the calls look up this module's
-# bound functions when they run
+# bound functions when they run, and a closed-form ``bound`` is the function
+# itself, for callers that hold the analysis already
 METHODS = {
-    "wald-diff": Method("difference", None, "wald", lambda counts, c, config, tables, draws: _wald_diff(counts, c, config)),
+    "wald-diff": Method("difference", None, "wald", lambda counts, c, config, tables, draws: _wald_diff(_analysis(counts, c), config.z), _wald_diff),
     "boot-diff": Method("difference", "tables", "bootstrap-bc", lambda counts, c, config, tables, draws: _bootstrap(counts, c, "difference", config, tables)),
     "bayes-diff": Method("difference", "draws", "bayesian-quantile", lambda counts, c, config, tables, draws: _bayesian(counts, c, "difference", config, draws)),
-    "wald-ratio": Method("ratio", None, "wald", lambda counts, c, config, tables, draws: _wald_ratio(counts, c, config)),
-    "log-ratio": Method("ratio", None, "logarithmic", lambda counts, c, config, tables, draws: _log_ratio(counts, c, config)),
-    "fieller-ratio": Method("ratio", None, "fieller", lambda counts, c, config, tables, draws: _fieller(counts, c, config)),
+    "wald-ratio": Method("ratio", None, "wald", lambda counts, c, config, tables, draws: _wald_ratio(_analysis(counts, c), config.z), _wald_ratio),
+    "log-ratio": Method("ratio", None, "logarithmic", lambda counts, c, config, tables, draws: _log_ratio(_analysis(counts, c), config.z), _log_ratio),
+    "fieller-ratio": Method("ratio", None, "fieller", lambda counts, c, config, tables, draws: _fieller(_analysis(counts, c), config.z), _fieller),
     "boot-ratio": Method("ratio", "tables", "bootstrap-bc", lambda counts, c, config, tables, draws: _bootstrap(counts, c, "ratio", config, tables)),
     "bayes-ratio": Method("ratio", "draws", "bayesian-quantile", lambda counts, c, config, tables, draws: _bayesian(counts, c, "ratio", config, draws)),
 }

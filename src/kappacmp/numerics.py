@@ -515,8 +515,13 @@ def _binomial_chunk(tables: dict, n: int, p: float, u: float) -> int:
 
 
 # the cdfs key of (pi as a tuple, its plan) for the last vector
-# sample_multinomial validated
+# _multinomial_plan checked
 _PLAN = "plan"
+
+
+def _integral(value) -> bool:
+    """True for an integer or an integral float (50.0); False for 50.5, inf and nan."""
+    return isinstance(value, Integral) or (isinstance(value, float) and value.is_integer())
 
 
 def _plan(probs: list, cdfs: dict) -> list:
@@ -545,19 +550,14 @@ def _plan(probs: list, cdfs: dict) -> list:
     return plan
 
 
-def sample_multinomial(pi, n: int, stream: RandomStream, cdfs: dict | None = None) -> list[int]:
-    """One multinomial draw of size ``n`` via sequential conditional binomials.
+def _multinomial_plan(pi, n, cdfs: dict) -> tuple[list, int]:
+    """The checks of sample_multinomial: the plan of ``pi`` (_plan) and ``n`` as an int.
 
-    Each binomial is drawn by inverting its CDF (Devroye 1986, ch. III)
-    with one uniform per block of _BINOM_CHUNK trials. ``cdfs`` holds the
-    plan of the last ``pi`` it saw validated (_plan) and the binomial CDFs
-    built so far; a caller that draws many times from one ``pi`` passes
-    the same dict to every call to reuse them, and an equal vector is not
-    checked again while any other is. The counts and the stream's state
-    afterwards do not depend on it.
+    ``cdfs`` keeps the plan of the last vector checked, so an equal vector
+    is not checked or planned again, and the binomial CDFs built so far.
+    DomainError when ``pi`` is not a probability vector or ``n`` is not a
+    non-negative integer (an integral float counts; inf and nan do not).
     """
-    if cdfs is None:
-        cdfs = {}
     key = tuple(pi)
     planned = cdfs.get(_PLAN)
     if planned is not None and planned[0] == key:
@@ -573,36 +573,63 @@ def sample_multinomial(pi, n: int, stream: RandomStream, cdfs: dict | None = Non
             raise DomainError(f"multinomial probabilities must sum to 1, got {sum(probs)!r}")
         plan = _plan(probs, cdfs)
         cdfs[_PLAN] = (key, plan)
-    if n < 0 or n != int(n):
+    if not (_integral(n) and n >= 0):
         raise DomainError(f"multinomial size must be a non-negative integer, got {n!r}")
-    uniform = stream.uniform
+    return plan, int(n)
+
+
+def _multinomial_draw(plan: list, n: int, uniform) -> list[int]:
+    """One multinomial draw of size ``n`` over a checked ``plan`` (_multinomial_plan).
+
+    Reads one ``uniform()`` per block of _BINOM_CHUNK trials of each
+    binomial step, and takes its count from the stored CDF (bisect_right)
+    or, when the CDF is missing or ends below the uniform, from
+    _binomial_chunk. The one draw loop: sample_multinomial, the bootstrap
+    tables and a coverage range all run it.
+    """
     counts: list[int] = []
-    remaining = int(n)
+    append = counts.append
+    remaining = n
     for step in plan:
         if step is None or remaining == 0:
-            counts.append(0)
+            append(0)
         elif step is True:
-            counts.append(remaining)
+            append(remaining)
             remaining = 0
         else:
             p, flip, tables = step
             k = 0
             size = remaining
-            while size:
-                chunk = size if size <= _BINOM_CHUNK else _BINOM_CHUNK
-                size -= chunk
-                u = uniform()
-                table = tables.get(chunk)
-                if table is not None and u < (cdf := table[0])[-1]:
-                    k += bisect_right(cdf, u)
-                else:
-                    k += _binomial_chunk(tables, chunk, p, u)
+            while size > _BINOM_CHUNK:
+                k += _binomial_chunk(tables, _BINOM_CHUNK, p, uniform())
+                size -= _BINOM_CHUNK
+            # the last block, read straight from its stored CDF when that reaches u
+            u = uniform()
+            table = tables.get(size)
+            if table is not None and u < (cdf := table[0])[-1]:
+                k += bisect_right(cdf, u)
+            else:
+                k += _binomial_chunk(tables, size, p, u)
             if flip:
                 k = remaining - k
-            counts.append(k)
+            append(k)
             remaining -= k
-    counts.append(remaining)
+    append(remaining)
     return counts
+
+
+def sample_multinomial(pi, n: int, stream: RandomStream, cdfs: dict | None = None) -> list[int]:
+    """One multinomial draw of size ``n`` via sequential conditional binomials.
+
+    Each binomial is drawn by inverting its CDF (Devroye 1986, ch. III)
+    with one uniform per block of _BINOM_CHUNK trials. ``cdfs`` holds the
+    plan of the last ``pi`` it saw checked (_multinomial_plan) and the
+    binomial CDFs built so far; a caller that draws many times from one
+    ``pi`` passes the same dict to every call to reuse them. The counts and
+    the stream's state afterwards do not depend on it.
+    """
+    plan, n = _multinomial_plan(pi, n, {} if cdfs is None else cdfs)
+    return _multinomial_draw(plan, n, stream.uniform)
 
 
 _SAMPLE_STRIDE = 16  # select_quantiles takes its thresholds from every 16th value

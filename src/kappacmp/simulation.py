@@ -22,7 +22,6 @@ from array import array
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from numbers import Integral
 
 from .data_model import PairedCounts, read_table
 from .errors import (
@@ -62,7 +61,15 @@ from .kappa_core import (
     kappa_ratio,
     weighted_kappa,
 )
-from .numerics import RandomStream, _head_streams, _multinomial_reads, sample_multinomial
+from .numerics import (
+    RandomStream,
+    _head_streams,
+    _integral,
+    _multinomial_draw,
+    _multinomial_plan,
+    _multinomial_reads,
+    sample_multinomial,
+)
 
 __all__ = [
     "Scenario",
@@ -202,7 +209,7 @@ def _check_size(n) -> None:
 
 def _whole(value, name: str) -> int:
     """``value`` as an int when it is an integer or an integral float (50.0); else DomainError."""
-    if isinstance(value, Integral) or (isinstance(value, float) and value.is_integer()):
+    if _integral(value):
         return int(value)
     raise DomainError(f"{name} must be an integer, got {value!r}")
 
@@ -235,28 +242,41 @@ _MAX_SAMPLE_ATTEMPTS = 10_000
 
 
 def _entries(scenario: Scenario, methods) -> tuple:
-    """(tag, true value, call) of each method, resolved once per range."""
+    """(tag, true value, bound, call) of each method (inference.Method), resolved once per range."""
     return tuple((method, scenario.delta if METHODS[method].target == "difference"
-                  else scenario.theta, METHODS[method].call) for method in methods)
+                  else scenario.theta, METHODS[method].bound, METHODS[method].call)
+                 for method in methods)
 
 
-def _score(entries: tuple, counts: PairedCounts | tuple, c: float, config: ConfidenceConfig,
-           tables: BootstrapTables | None, draws: PosteriorDraws | None) -> list:
-    """(covered, length) of each entry's interval, in entry order; (False, None) when invalid.
+def _score(entries: tuple, analysis: tuple, counts: PairedCounts | tuple, c: float,
+           config: ConfidenceConfig, tables: BootstrapTables | None,
+           draws: PosteriorDraws | None, covered: list, lengths: list) -> None:
+    """Tally each entry's interval on one table, in entry order.
 
-    Scores the bounds as ConfidenceInterval.contains and .length score them,
-    and raises its DomainError when they are out of order.
+    ``covered[k]`` gains 1 when the interval of ``entries[k]`` contains its
+    true value, and ``lengths[k]`` gets the interval's length; an interval
+    that cannot be built (_INTERVAL_ERRORS) adds to neither. ``analysis``
+    is _analysis(counts, c), which the redraw rule computed: a closed-form
+    entry's bound reads it at config.z, and any other entry runs its call.
+    Scores the bounds as ConfidenceInterval.contains and .length score
+    them, and raises its DomainError when they are out of order.
     """
-    outcomes = []
-    for _, true_value, call in entries:
+    z = config.z
+    k = 0
+    for _, true_value, bound, call in entries:
         try:
-            lower, upper, _ = call(counts, c, config, tables, draws)
+            if bound is None:
+                lower, upper, _ = call(counts, c, config, tables, draws)
+            else:
+                lower, upper, _ = bound(analysis, z)
         except _INTERVAL_ERRORS:
-            outcomes.append((False, None))
+            pass
         else:
-            require_ordered(lower, upper)
-            outcomes.append((lower <= true_value <= upper, upper - lower))
-    return outcomes
+            if lower > upper:
+                require_ordered(lower, upper)  # raises
+            covered[k] += lower <= true_value <= upper
+            lengths[k].append(upper - lower)
+        k += 1
 
 
 def _run_range(args):
@@ -266,9 +286,10 @@ def _run_range(args):
     shared by every method and its one analysis, holds the cells sampled
     from ``RandomStream(config.seed, 3 * i)`` (numerics._head_streams),
     +0.5 each when ``correct``: a PairedCounts when a method reads shared
-    draws, else the plain tuple, whose cells the closed-form bounds read
-    to the same floats (integer cells have exact sums and products below
-    2**53).
+    draws, else the plain tuple, whose cells the analysis reads to the
+    same floats (integer cells have exact sums and products below 2**53).
+    The scenario's probabilities and ``n`` are checked, and its plan made,
+    once per range (numerics._multinomial_plan).
 
     ``covered[k]`` counts the intervals of ``methods[k]`` that contain the
     true value and ``lengths[k]`` holds the lengths of its valid ones, in
@@ -277,7 +298,9 @@ def _run_range(args):
     scenario, n, methods, config, lo, hi, correct = args
     entries = _entries(scenario, methods)
     shared = {METHODS[method].draw for method in methods} - {None}  # the draws they read
-    cdfs: dict = {}  # the scenario's multinomial plan and CDFs, shared by the range's samples
+    # the scenario's multinomial plan and CDFs, shared by the range's samples
+    plan, n = _multinomial_plan(scenario.pi, n, {})
+    c = scenario.c
     redraws = 0
     covered = [0] * len(entries)
     lengths = [array("d") for _ in entries]
@@ -285,8 +308,9 @@ def _run_range(args):
                   _STREAMS_PER_REPLICATE)
     streams = _head_streams(config.seed, bases, _multinomial_reads(len(scenario.pi), n))
     for base, sample_stream in zip(bases, streams):
+        uniform = sample_stream.uniform
         for attempt in range(_MAX_SAMPLE_ATTEMPTS):
-            cells = sample_multinomial(scenario.pi, n, sample_stream, cdfs)
+            cells = _multinomial_draw(plan, n, uniform)
             if correct:
                 cells = [cell + 0.5 for cell in cells]
             counts = PairedCounts(*cells) if shared else tuple(cells)
@@ -294,10 +318,10 @@ def _run_range(args):
             # at all: an empty stratum, or a Youden estimate of zero (the
             # variance divides by Y). Negative-Y samples keep their slot:
             # their intervals are well defined and the small-sample coverage
-            # collapse depends on them. The analysis stays memoised, so the
-            # closed-form bounds read it.
+            # collapse depends on them. The closed-form bounds read this
+            # analysis, and the resampled methods' memo hit finds it.
             try:
-                _analysis(counts, scenario.c)
+                analysis = _analysis(counts, c)
             except (NonEstimableError, DegenerateKappaError):
                 continue
             break
@@ -313,11 +337,7 @@ def _run_range(args):
             tables = BootstrapTables(counts, RandomStream(config.seed, base + 1))
         if "draws" in shared:
             draws = PosteriorDraws(counts, config.priors, RandomStream(config.seed, base + 2))
-        for k, (hit, length) in enumerate(_score(entries, counts, scenario.c, config,
-                                                 tables, draws)):
-            if length is not None:
-                covered[k] += hit
-                lengths[k].append(length)
+        _score(entries, analysis, counts, c, config, tables, draws, covered, lengths)
     return redraws, covered, lengths
 
 

@@ -7,7 +7,10 @@ simulate's names lazily so that no other command loads ``simulation`` or
 the process-pool modules. Only ``data_model.read_table`` opens a file to
 read, so the input formats share one reader, and only
 ``inference._Resamples.statistics`` reads ``inference._kappa_stats``, so
-the resample store is the one producer of interval statistics.
+the resample store is the one producer of interval statistics. One draw
+loop, ``numerics._multinomial_draw``, reads ``numerics._binomial_chunk``,
+and the closed-form bound functions are named only in ``inference``, so
+every multinomial draw and every closed-form interval takes one path.
 """
 
 import ast
@@ -198,3 +201,17 @@ def test_only_the_resample_store_computes_interval_statistics():
     users = {(path.stem, where) for path in PACKAGE.glob("*.py")
              for where, _ in references(path.read_text(encoding="utf-8"), "_kappa_stats")}
     assert users == {("inference", "_Resamples.statistics")}
+
+
+def test_one_draw_loop_reads_the_binomial_chunks():
+    users = {(path.stem, where) for path in PACKAGE.glob("*.py")
+             for where, _ in references(path.read_text(encoding="utf-8"), "_binomial_chunk")}
+    assert users == {("numerics", "_multinomial_draw")}
+
+
+@pytest.mark.parametrize("name", ["_wald_diff", "_wald_ratio", "_log_ratio", "_fieller"])
+def test_closed_form_bounds_are_named_only_in_inference(name):
+    # other modules reach a bound through inference.METHODS, never by name
+    modules = {path.stem for path in PACKAGE.glob("*.py")
+               if references(path.read_text(encoding="utf-8"), name)}
+    assert modules == {"inference"}

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -13,6 +14,7 @@ import kappacmp.numerics as numerics
 from conftest import (
     ReferenceStream,
     empirical_quantile,
+    paper_scenarios,
     random_accuracies,
     random_counts,
     stream_state,
@@ -639,9 +641,9 @@ class TestOnePassPerC:
         passes = Counter()  # by the identity of the coefficient columns read
         kappa_stats = inference._kappa_stats
 
-        def counting(columns, c, count):
+        def counting(columns, c, start, stop):
             passes[id(columns)] += 1
-            return kappa_stats(columns, c, count)
+            return kappa_stats(columns, c, start, stop)
 
         monkeypatch.setattr(inference, "_kappa_stats", counting)
         report = build_analysis_report(table8)
@@ -704,6 +706,81 @@ class TestOnePassPerC:
                 with pytest.raises(BootstrapFailedError):
                     bootstrap_ci(counts, 0.5, target, config, tables)
 
+    def test_a_prefix_at_the_kept_c_scans_each_row_once(self, monkeypatch):
+        passes = []  # (start, stop) of each statistics pass
+        kappa_stats = inference._kappa_stats
+
+        def recorded(columns, c, start, stop):
+            passes.append((start, stop))
+            return kappa_stats(columns, c, start, stop)
+
+        def fresh(count, c=0.4):
+            return BootstrapTables(SPARSE, RandomStream(5, inference.BOOTSTRAP_STREAM)).statistics(
+                c, count)
+
+        tables = BootstrapTables(SPARSE, RandomStream(5, inference.BOOTSTRAP_STREAM))
+        monkeypatch.setattr(inference, "_kappa_stats", recorded)
+        held = tables.statistics(0.4, 300)
+        copies = [list(stats) for stats in held]
+        for count in (700, 300, 500, 700, 900):
+            stats = tables.statistics(0.4, count)
+            monkeypatch.undo()
+            assert [_bits(x) for x in stats] == [_bits(x) for x in fresh(count)]
+            monkeypatch.setattr(inference, "_kappa_stats", recorded)
+        assert [list(stats) for stats in held] == copies  # a list handed out never changes
+        # a prefix asked for before reads no row; 500 reads on from 300
+        assert passes == [(0, 300), (300, 700), (300, 500), (700, 900)]
+        tables.statistics(0.6, 500)  # another c starts again from the first row
+        assert passes[-1] == (0, 500)
+
+    def test_sparse_bootstraps_read_far_fewer_rows_than_rescans(self, monkeypatch):
+        # 40 estimable tables of paper scenario 5 (p = 5%) at n = 25: many
+        # resamples have an empty stratum or kappa2 = 0, so both targets ask
+        # for longer prefixes than B
+        sc = paper_scenarios()[4]
+        counts = []
+        for i in itertools.count():
+            table = sample_counts(sc, 25, RandomStream(7, i))
+            try:
+                inference._analysis(table, sc.c)
+            except (NonEstimableError, DegenerateKappaError):
+                continue
+            counts.append(table)
+            if len(counts) == 40:
+                break
+        config = ConfidenceConfig(seed=0)
+        expected = [bootstrap_ci(table, sc.c, target, config)
+                    for table in counts for target in ("difference", "ratio")]
+        asked, read = [], []
+        statistics = inference._Resamples.statistics
+        kappa_stats = inference._kappa_stats
+
+        def asking(store, c, count):
+            asked.append((id(store), c, count))
+            return statistics(store, c, count)
+
+        def reading(columns, c, start, stop):
+            read.append(stop - start)
+            return kappa_stats(columns, c, start, stop)
+
+        monkeypatch.setattr(inference._Resamples, "statistics", asking)
+        monkeypatch.setattr(inference, "_kappa_stats", reading)
+        shared = []
+        for table in counts:
+            tables = BootstrapTables(table, RandomStream(0, inference.BOOTSTRAP_STREAM))
+            shared += [bootstrap_ci(table, sc.c, target, config, tables)
+                       for target in ("difference", "ratio")]
+        assert shared == expected
+        assert sum(count > config.bootstrap_b for _, _, count in asked) >= 40
+        # a store that kept only its latest (c, count) would rescan from the
+        # first row whenever the (c, count) asked for changes
+        rescans, kept = 0, {}
+        for store, c, count in asked:
+            if kept.get(store) != (c, count):
+                rescans += count
+                kept[store] = (c, count)
+        assert 2 * sum(read) <= rescans
+
     def test_growing_batches_leave_the_stream_where_scalar_draws_do(self, table8):
         tables = BootstrapTables(table8, RandomStream(9, inference.BOOTSTRAP_STREAM))
         stream = ReferenceStream(9, inference.BOOTSTRAP_STREAM)
@@ -738,7 +815,7 @@ class TestOnePassPerC:
         if kind == "tables":
             config = ConfidenceConfig(bootstrap_b=100, seed=3)
             resamples = BootstrapTables(table8, RandomStream(3, inference.BOOTSTRAP_STREAM))
-            interval, kernel = bootstrap_ci, "sample_multinomial"
+            interval, kernel = bootstrap_ci, "_multinomial_draw"
             larger = ConfidenceConfig(bootstrap_b=101, seed=3)
         else:
             config = ConfidenceConfig(bayes_m=1000, seed=3)
@@ -856,15 +933,24 @@ class TestSharedAnalysis:
         monkeypatch.setattr(inference, "_covariance", counted)
         return calls
 
-    def test_closed_form_coverage_computes_one_covariance_per_replicate(self, covariance_calls):
+    def test_closed_form_coverage_computes_one_covariance_per_replicate(self, covariance_calls,
+                                                                         monkeypatch):
+        plans = []  # numerics._plan calls: one multinomial plan per range, one per bootstrap set
+        plan = numerics._plan
+
+        def counted(*args):
+            plans.append(args)
+            return plan(*args)
+
+        monkeypatch.setattr(numerics, "_plan", counted)
         sc = build_scenario_from_kappas(0.3, 0.6, 0.8, 0.8, 0.25, 0.5, 0.5)
         coverage_study(sc, 200, 100, ["wald-diff", "wald-ratio", "log-ratio", "fieller-ratio"],
                        ConfidenceConfig(seed=2))
-        assert len(covariance_calls) == 100
+        assert (len(covariance_calls), len(plans)) == (100, 1)
         # the resampling methods read the same table, and its one analysis
         coverage_study(sc, 200, 100, ["wald-diff", "boot-diff", "bayes-ratio", "wald-ratio"],
                        ConfidenceConfig(seed=2, bootstrap_b=100, bayes_m=1000))
-        assert len(covariance_calls) == 200
+        assert (len(covariance_calls), len(plans)) == (200, 1 + 1 + 100)
 
     def test_one_table_at_one_c_shares_the_analysis(self, table8, covariance_calls):
         results = [f(table8, 0.5) for f in CLOSED_FORM]

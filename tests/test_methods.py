@@ -55,6 +55,10 @@ class TestRegistry:
             draws = PosteriorDraws(table8, FAST.priors, RandomStream(FAST.seed, BAYES_STREAM))
         lower, upper, point = entry.call(table8, 0.5, FAST, tables, draws)
         assert lower <= upper
+        # a closed-form interval also gives its bounds from the table's analysis
+        assert (entry.bound is None) is (entry.draw is not None)
+        if entry.bound is not None:
+            assert entry.bound(inference._analysis(table8, 0.5), FAST.z) == (lower, upper, point)
         ci = entry.interval(table8, 0.5, FAST, tables, draws)
         assert (ci.target, ci.method) == (entry.target, entry.label)
         assert (ci.lower, ci.upper, ci.point) == (lower, upper, point)
@@ -69,8 +73,9 @@ class TestRegistry:
 
         monkeypatch.setattr(inference, "_wald_ratio", wrapped)
         bounds = METHODS["wald-ratio"].call(table8, 0.5, FAST, None, None)
-        assert calls == [(table8, 0.5, FAST)]
-        assert bounds == original(table8, 0.5, FAST)
+        analysis = inference._analysis(table8, 0.5)
+        assert calls == [(analysis, FAST.z)]
+        assert bounds == original(analysis, FAST.z)
         ci = inference.wald_ratio_ci(table8, 0.5, FAST)
         assert len(calls) == 2 and (ci.lower, ci.upper, ci.point) == bounds
 

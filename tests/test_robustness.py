@@ -11,7 +11,7 @@ import random
 import pytest
 
 from kappacmp.data_model import PairedCounts, apply_continuity_correction
-from kappacmp.errors import KappaCmpError
+from kappacmp.errors import DomainError, KappaCmpError
 from kappacmp.inference import (
     BAYES_STREAM,
     BOOTSTRAP_STREAM,
@@ -26,8 +26,9 @@ from kappacmp.inference import (
     wald_ratio_ci,
 )
 from kappacmp.kappa_core import accuracy_from_counts, kappa_pair
-from kappacmp.numerics import RandomStream
+from kappacmp.numerics import RandomStream, sample_multinomial
 from kappacmp.sample_size import plan_iteration, required_sample_size
+from kappacmp.simulation import build_scenario_from_kappas, sample_counts
 
 FUZZ_SEED = 20240
 CLOSED_FORM_CS = (0.0, 0.05, 0.3, 0.5, 0.7, 0.9, 1.0)
@@ -136,3 +137,13 @@ def test_planner_sizes_are_non_negative_ints_or_raise_package_errors():
                 outcomes.append(_size_outcome(
                     lambda: plan_iteration(counts, c, phi, config=CONFIG).n_required))
     assert outcomes.count("ok") > 2000 and outcomes.count("raised") > 2000
+
+
+@pytest.mark.parametrize("size", [math.inf, math.nan], ids=["inf", "nan"])
+def test_non_finite_sample_sizes_raise_package_errors(size):
+    # float.is_integer() is False for both: the size is refused before any draw
+    with pytest.raises(DomainError, match="multinomial size must be a non-negative integer"):
+        sample_multinomial([0.5, 0.5], size, RandomStream(0))
+    scenario = build_scenario_from_kappas(0.3, 0.6, 0.8, 0.8, 0.25, 0.5, 0.5)
+    with pytest.raises(DomainError, match="multinomial size must be a non-negative integer"):
+        sample_counts(scenario, size, RandomStream(0))

@@ -8,6 +8,7 @@ import re
 import signal
 import subprocess
 import sys
+from array import array
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -461,34 +462,57 @@ def _scorer_cases():
     return cases
 
 
-def _scored(tag, true_value, counts, c, tables, draws):
-    """The scorer's outcome of one method, or the KappaCmpError it raised."""
+def _redrawn(counts, c) -> bool:
+    """True when a range's redraw rule rejects the table: its analysis raises."""
     try:
-        return simulation._score(((tag, true_value, METHODS[tag].call),),
-                                 counts, c, SCORER_CONFIG, tables, draws)[0]
+        simulation._analysis(counts, c)
+    except (NonEstimableError, DegenerateKappaError):
+        return True
+    return False
+
+
+def _scored(tag, true_value, counts, c, tables, draws):
+    """(covered, length) of one method as the scorer tallies it, (False, None)
+    when it tallies neither, or the KappaCmpError it raised.
+
+    The method is scored as a range scores it: a closed-form bound on the
+    table's analysis, any other method through its call.
+    """
+    method = METHODS[tag]
+    covered, lengths = [0], [array("d")]
+    try:
+        analysis = simulation._analysis(counts, c) if method.bound else None
+        simulation._score(((tag, true_value, method.bound, method.call),), analysis,
+                          counts, c, SCORER_CONFIG, tables, draws, covered, lengths)
     except KappaCmpError as exc:
         return type(exc)
+    return covered[0] == 1, lengths[0][0] if lengths[0] else None
 
 
 class TestScorer:
     @pytest.mark.filterwarnings("ignore:.*posterior draws had an undefined")
     def test_scores_every_method_as_the_public_interval(self):
         # (covered, length) bit for bit, invalid for an interval error, and
-        # any other KappaCmpError raised, on every method and table
+        # any other KappaCmpError raised, on every method and table. A range
+        # never scores a closed-form interval on a table the redraw rule
+        # rejects: there the public interval raises the analysis's error
         errors = set()
-        kappa2_zero = 0
+        kappa2_zero = redrawn = 0
         for counts, sc in _scorer_cases():
             c = sc.c
             tables = BootstrapTables(counts, RandomStream(SCORER_CONFIG.seed, 1))
             draws = PosteriorDraws(counts, SCORER_CONFIG.priors,
                                    RandomStream(SCORER_CONFIG.seed, 2))
-            for tag, true_value, _ in simulation._entries(sc, METHODS):
+            for tag, true_value, bound, _ in simulation._entries(sc, METHODS):
                 try:
                     ci = PUBLIC_CI[tag](counts, c, tables, draws)
                 except KappaCmpError as exc:
                     errors.add(type(exc))
                     interval_error = isinstance(exc, simulation._INTERVAL_ERRORS)
                     expected = (False, None) if interval_error else type(exc)
+                    if bound is not None and _redrawn(counts, c):
+                        expected = type(exc)  # the analysis's error, which the redraw rule catches
+                        redrawn += 1
                     assert _scored(tag, true_value, counts, c, tables, draws) == expected
                     continue
                 # the true value, the bounds and the floats just outside them
@@ -501,14 +525,21 @@ class TestScorer:
                     kappa2_zero += 1
         assert {LogIntervalError, DegenerateKappaError, FiellerInvalidError} <= errors
         assert kappa2_zero == 1
+        assert redrawn == 6 * 4  # six tables, among them both Youden-zero ones
 
     def test_bounds_out_of_order_raise_as_the_interval_does(self, table8):
-        def reversed_bounds(counts, c, config, tables, draws):
+        def reversed_call(counts, c, config, tables, draws):
             return 1.0, 0.5, 0.75
 
-        entries = (("wald-ratio", 0.7, reversed_bounds),)
-        with pytest.raises(DomainError, match=r"interval bounds out of order: \(1.0, 0.5\)"):
-            simulation._score(entries, table8, 0.5, SCORER_CONFIG, None, None)
+        def reversed_bound(analysis, z):
+            return 1.0, 0.5, 0.75
+
+        analysis = simulation._analysis(table8, 0.5)
+        for entries in ((("boot-ratio", 0.7, None, reversed_call),),
+                        (("wald-ratio", 0.7, reversed_bound, None),)):
+            with pytest.raises(DomainError, match=r"interval bounds out of order: \(1.0, 0.5\)"):
+                simulation._score(entries, analysis, table8, 0.5, SCORER_CONFIG, None, None,
+                                  [0], [array("d")])
 
 
 CLOSED_FORM = ("wald-diff", "wald-ratio", "log-ratio", "fieller-ratio")
@@ -631,15 +662,17 @@ class TestExactCoverage:
         entries = simulation._entries(sc, methods)
         estimable = 0.0
         covered = [0.0] * len(entries)
+        lengths = [array("d") for _ in entries]  # tallied, not read
         for table in all_tables(n):
             try:
-                simulation._analysis(table, sc.c)
+                analysis = simulation._analysis(table, sc.c)
             except (NonEstimableError, DegenerateKappaError):
                 continue
             weight = multinomial_pmf(table, sc.pi)
             estimable += weight
-            for k, (hit, _) in enumerate(simulation._score(entries, table, sc.c, config,
-                                                           None, None)):
+            tally = [0] * len(entries)
+            simulation._score(entries, analysis, table, sc.c, config, None, None, tally, lengths)
+            for k, hit in enumerate(tally):
                 covered[k] += weight * hit
         return [hits / estimable for hits in covered]
 
@@ -754,13 +787,13 @@ class TestSampleStreamHeads:
                 break
         built = count_streams(monkeypatch)
         drawn = []
-        sample = simulation.sample_multinomial
+        draw = simulation._multinomial_draw
 
         def recorded(*args):
-            drawn.append(sample(*args))
+            drawn.append(draw(*args))
             return drawn[-1]
 
-        monkeypatch.setattr(simulation, "sample_multinomial", recorded)
+        monkeypatch.setattr(simulation, "_multinomial_draw", recorded)
         redraws, _, _ = simulation._run_range((sc, 25, CLOSED_FORM, config, 0, 200, False))
         assert redraws == len(expected) - 200 > 0 and built == []
         assert drawn == expected
