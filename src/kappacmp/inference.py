@@ -289,30 +289,20 @@ def kappa_covariance(acc: AccuracyEstimates, kp: KappaPair, n: float) -> KappaCo
                            var_theta=var_theta, var_log_theta=var_log_theta)
 
 
-# (counts, c, analysis) of the latest _analysis; replaced as one tuple
-_last_analysis: tuple = (None, None, None)
+def _analysis(cells, c: float) -> tuple:
+    """(kappa1, kappa2, var1, var2, cov12) of a table at ``c``, as plain floats.
 
-
-def _analysis(counts: PairedCounts | tuple, c: float) -> tuple:
-    """(kappa1, kappa2, var1, var2, cov12) of ``counts`` at ``c``, as plain floats.
-
-    ``counts`` is a PairedCounts or the tuple of its eight cells. One
-    inline pass from the cells: the arithmetic of accuracy_values and of
-    weighted_kappa for both tests, in their order, then one _covariance
-    call, so the floats are those of accuracy_from_counts, kappa_pair and
-    kappa_covariance, and no objects are built. Where a check of theirs
-    fails, the function that owns it runs and raises its error, so the
-    errors and messages are theirs too, in the same order. The latest
-    result is memoised, keyed on the identity of ``counts`` and on ``c``,
-    so the intervals and the test of one table at one c share one
-    covariance. The memo holds ``counts``, so its id cannot be reused while
-    it is memoised; a failed analysis is not stored, so it raises again.
+    ``cells`` are the eight cells in table order (PairedCounts.cells()),
+    as any sequence. One inline pass from the cells: the arithmetic of
+    accuracy_values and of weighted_kappa for both tests, in their order,
+    then one _covariance call, so the floats are those of
+    accuracy_from_counts, kappa_pair and kappa_covariance, and no objects
+    are built. Where a check of theirs fails, the function that owns it
+    runs and raises its error, so the errors and messages are theirs too,
+    in the same order. Integer cells up to numerics._MAX_SIZE give the
+    floats of the same cells as floats: their sums and products stay below
+    2**53, so both are exact.
     """
-    global _last_analysis
-    last_counts, last_c, result = _last_analysis
-    if counts is last_counts and c == last_c:
-        return result
-    cells = counts if isinstance(counts, tuple) else counts.cells()
     s11, s10, s01, s00, r11, r10, r01, r00 = cells
     s = s11 + s10 + s01 + s00
     r = r11 + r10 + r01 + r00
@@ -340,14 +330,12 @@ def _analysis(counts: PairedCounts | tuple, c: float) -> tuple:
     kappa1 = p * q * (se1 + sp1 - 1.0) / den1
     kappa2 = p * q * (se2 + sp2 - 1.0) / den2
     var1, var2, cov12, _, _ = _covariance(accuracy, kappa1, kappa2, c, n)
-    result = kappa1, kappa2, var1, var2, cov12
-    _last_analysis = (counts, c, result)
-    return result
+    return kappa1, kappa2, var1, var2, cov12
 
 
 def bloch_test(counts: PairedCounts, c: float) -> TestResult:
     """Asymptotic z test of equal weighted kappas (two-sided)."""
-    kappa1, kappa2, var1, var2, cov12 = _analysis(counts, c)
+    kappa1, kappa2, var1, var2, cov12 = _analysis(counts.cells(), c)
     delta = kappa1 - kappa2
     se = _se_delta(var1, var2, cov12)
     # se and delta at rounding level count as 0: an exact 0 can compute as residue
@@ -646,7 +634,7 @@ def bootstrap_ci(counts: PairedCounts, c: float, target: str,
 
 def _bootstrap(counts: PairedCounts, c: float, target: str, config: ConfidenceConfig,
                tables: BootstrapTables | None) -> tuple:
-    kappa1, kappa2, _, _, _ = _analysis(counts, c)
+    kappa1, kappa2, _, _, _ = _analysis(counts.cells(), c)
     ratio = target == "ratio"
     point = kappa_ratio(kappa1, kappa2) if ratio else kappa1 - kappa2
     if tables is None:
@@ -760,7 +748,7 @@ class Method:
     (lower, upper, point) without checking their order. A closed-form
     interval also has its ``bound(analysis, z)``, which returns the same
     bounds from the table's _analysis; its call is
-    ``bound(_analysis(counts, c), config.z)``. The others have None."""
+    ``bound(_analysis(counts.cells(), c), config.z)``. The others have None."""
 
     target: str
     draw: str | None
@@ -787,12 +775,12 @@ def _tag(kind: str, target: str) -> str:
 # bound functions when they run, and a closed-form ``bound`` is the function
 # itself, for callers that hold the analysis already
 METHODS = {
-    "wald-diff": Method("difference", None, "wald", lambda counts, c, config, tables, draws: _wald_diff(_analysis(counts, c), config.z), _wald_diff),
+    "wald-diff": Method("difference", None, "wald", lambda counts, c, config, tables, draws: _wald_diff(_analysis(counts.cells(), c), config.z), _wald_diff),
     "boot-diff": Method("difference", "tables", "bootstrap-bc", lambda counts, c, config, tables, draws: _bootstrap(counts, c, "difference", config, tables)),
     "bayes-diff": Method("difference", "draws", "bayesian-quantile", lambda counts, c, config, tables, draws: _bayesian(counts, c, "difference", config, draws)),
-    "wald-ratio": Method("ratio", None, "wald", lambda counts, c, config, tables, draws: _wald_ratio(_analysis(counts, c), config.z), _wald_ratio),
-    "log-ratio": Method("ratio", None, "logarithmic", lambda counts, c, config, tables, draws: _log_ratio(_analysis(counts, c), config.z), _log_ratio),
-    "fieller-ratio": Method("ratio", None, "fieller", lambda counts, c, config, tables, draws: _fieller(_analysis(counts, c), config.z), _fieller),
+    "wald-ratio": Method("ratio", None, "wald", lambda counts, c, config, tables, draws: _wald_ratio(_analysis(counts.cells(), c), config.z), _wald_ratio),
+    "log-ratio": Method("ratio", None, "logarithmic", lambda counts, c, config, tables, draws: _log_ratio(_analysis(counts.cells(), c), config.z), _log_ratio),
+    "fieller-ratio": Method("ratio", None, "fieller", lambda counts, c, config, tables, draws: _fieller(_analysis(counts.cells(), c), config.z), _fieller),
     "boot-ratio": Method("ratio", "tables", "bootstrap-bc", lambda counts, c, config, tables, draws: _bootstrap(counts, c, "ratio", config, tables)),
     "bayes-ratio": Method("ratio", "draws", "bayesian-quantile", lambda counts, c, config, tables, draws: _bayesian(counts, c, "ratio", config, draws)),
 }

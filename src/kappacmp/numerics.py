@@ -312,13 +312,13 @@ def _uniform_blocks(state: int):
 
 
 def _head_streams(seed: int, streams, k: int):
-    """Stand-ins for ``RandomStream(seed, s)``, one per ``s`` of ``streams``, in order.
+    """The ``uniform`` of ``RandomStream(seed, s)``, one per ``s`` of ``streams``, in order.
 
-    Each has the stream's ``uniform``. Its first ``k`` values come from a
-    lane batch over up to _BLOCK streams (and _HEAD_LANES lanes) at a time:
-    both _mix64 steps of each stream's starting state, then its first ``k``
-    counters. A read past them continues in blocks of the stream's own
-    state from counter ``k`` + 1 on (_uniform_blocks).
+    The first ``k`` values of each come from a lane batch over up to
+    _BLOCK streams (and _HEAD_LANES lanes) at a time: both _mix64 steps of
+    each stream's starting state, then its first ``k`` counters. A read
+    past them continues in blocks of the stream's own state from counter
+    ``k`` + 1 on (_uniform_blocks).
     """
     seed &= _MASK64
     streams = iter(streams)
@@ -336,20 +336,7 @@ def _head_streams(seed: int, streams, k: int):
         z = (spread + _lane_steps(k, count)) & mask
         uniforms = [r * _RAW_SCALE for r in _raw_uniforms(_mix_lanes(z, mask), lanes)]
         for i, s in enumerate(batch):
-            yield _HeadStream(uniforms[i::count], seed, s)
-
-
-class _HeadStream:
-    """Stands in for a RandomStream read only through ``uniform`` (_head_streams).
-
-    ``head`` holds the stream's first uniforms; the rest are mixed in
-    blocks of the stream's own state, from the first read past them on.
-    """
-
-    __slots__ = ("uniform",)
-
-    def __init__(self, head: list, seed: int, stream: int):
-        self.uniform = chain.from_iterable(_head_and_tail(head, seed, stream)).__next__
+            yield chain.from_iterable(_head_and_tail(uniforms[i::count], seed, s)).__next__
 
 
 def _head_and_tail(head: list, seed: int, stream: int):
@@ -517,6 +504,7 @@ def _binomial_chunk(tables: dict, n: int, p: float, u: float) -> int:
 # the cdfs key of (pi as a tuple, its plan) for the last vector
 # _multinomial_plan checked
 _PLAN = "plan"
+_MAX_SIZE = 2 ** 26  # the largest multinomial size: its counts' sums and products stay below 2**53
 
 
 def _integral(value) -> bool:
@@ -551,12 +539,12 @@ def _plan(probs: list, cdfs: dict) -> list:
 
 
 def _multinomial_plan(pi, n, cdfs: dict) -> tuple[list, int]:
-    """The checks of sample_multinomial: the plan of ``pi`` (_plan) and ``n`` as an int.
+    """The checks of every multinomial draw: the plan of ``pi`` (_plan) and ``n`` as an int.
 
     ``cdfs`` keeps the plan of the last vector checked, so an equal vector
     is not checked or planned again, and the binomial CDFs built so far.
-    DomainError when ``pi`` is not a probability vector or ``n`` is not a
-    non-negative integer (an integral float counts; inf and nan do not).
+    DomainError when ``pi`` is not a probability vector or ``n`` is not an
+    integer from 0 to _MAX_SIZE (an integral float counts; inf and nan do not).
     """
     key = tuple(pi)
     planned = cdfs.get(_PLAN)
@@ -575,6 +563,8 @@ def _multinomial_plan(pi, n, cdfs: dict) -> tuple[list, int]:
         cdfs[_PLAN] = (key, plan)
     if not (_integral(n) and n >= 0):
         raise DomainError(f"multinomial size must be a non-negative integer, got {n!r}")
+    if n > _MAX_SIZE:
+        raise DomainError(f"multinomial size must be at most 2**26 = {_MAX_SIZE}, got {n!r}")
     return plan, int(n)
 
 
@@ -618,17 +608,15 @@ def _multinomial_draw(plan: list, n: int, uniform) -> list[int]:
     return counts
 
 
-def sample_multinomial(pi, n: int, stream: RandomStream, cdfs: dict | None = None) -> list[int]:
+def sample_multinomial(pi, n: int, stream: RandomStream) -> list[int]:
     """One multinomial draw of size ``n`` via sequential conditional binomials.
 
     Each binomial is drawn by inverting its CDF (Devroye 1986, ch. III)
-    with one uniform per block of _BINOM_CHUNK trials. ``cdfs`` holds the
-    plan of the last ``pi`` it saw checked (_multinomial_plan) and the
-    binomial CDFs built so far; a caller that draws many times from one
-    ``pi`` passes the same dict to every call to reuse them. The counts and
-    the stream's state afterwards do not depend on it.
+    with one uniform per block of _BINOM_CHUNK trials. A caller that draws
+    many times from one ``pi`` keeps its own dict for _multinomial_plan and
+    runs _multinomial_draw, which reuses the plan and the CDFs built so far.
     """
-    plan, n = _multinomial_plan(pi, n, {} if cdfs is None else cdfs)
+    plan, n = _multinomial_plan(pi, n, {})
     return _multinomial_draw(plan, n, stream.uniform)
 
 

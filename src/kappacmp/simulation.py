@@ -62,6 +62,7 @@ from .kappa_core import (
     weighted_kappa,
 )
 from .numerics import (
+    _MAX_SIZE,
     RandomStream,
     _head_streams,
     _integral,
@@ -190,15 +191,10 @@ def build_scenario_from_kappas(k0_1: float, k1_1: float, k0_2: float, k1_2: floa
                                   f * eps1_max, f * eps0_max, c=c)
 
 
-def sample_counts(scenario: Scenario, n: int, stream: RandomStream,
-                  cdfs: dict | None = None) -> PairedCounts:
-    """One multinomial sample of size ``n`` from the scenario.
-
-    ``cdfs`` is passed on to sample_multinomial: one dict shared by the
-    samples of a scenario reuses their plan and binomial CDFs.
-    """
+def sample_counts(scenario: Scenario, n: int, stream: RandomStream) -> PairedCounts:
+    """One multinomial sample of size ``n`` from the scenario."""
     _check_size(n)
-    return PairedCounts(*sample_multinomial(scenario.pi, n, stream, cdfs))
+    return PairedCounts(*sample_multinomial(scenario.pi, n, stream))
 
 
 def _check_size(n) -> None:
@@ -223,15 +219,12 @@ def _check_replicates(n_replicates) -> None:
         raise DomainError(f"need at least {_MIN_REPLICATES} replicates, got {n_replicates}")
 
 
-_MAX_CELL_SIZE = 2 ** 26  # a replicate's integer cells keep exact sums and products below 2**53
-
-
 def _check_cell(n, n_replicates) -> tuple[int, int]:
     """A coverage cell's sample size and replicate count as ints; DomainError when it cannot run."""
     size, n_replicates = _whole(n, "sample size"), _whole(n_replicates, "replicate count")
     _check_size(size)
-    if size > _MAX_CELL_SIZE:
-        raise DomainError(f"sample size must be at most 2**26 = {_MAX_CELL_SIZE}, got {n!r}")
+    if size > _MAX_SIZE:
+        raise DomainError(f"sample size must be at most 2**26 = {_MAX_SIZE}, got {n!r}")
     _check_replicates(n_replicates)
     return size, n_replicates
 
@@ -248,7 +241,7 @@ def _entries(scenario: Scenario, methods) -> tuple:
                  for method in methods)
 
 
-def _score(entries: tuple, analysis: tuple, counts: PairedCounts | tuple, c: float,
+def _score(entries: tuple, analysis: tuple, counts: PairedCounts | None, c: float,
            config: ConfidenceConfig, tables: BootstrapTables | None,
            draws: PosteriorDraws | None, covered: list, lengths: list) -> None:
     """Tally each entry's interval on one table, in entry order.
@@ -256,8 +249,9 @@ def _score(entries: tuple, analysis: tuple, counts: PairedCounts | tuple, c: flo
     ``covered[k]`` gains 1 when the interval of ``entries[k]`` contains its
     true value, and ``lengths[k]`` gets the interval's length; an interval
     that cannot be built (_INTERVAL_ERRORS) adds to neither. ``analysis``
-    is _analysis(counts, c), which the redraw rule computed: a closed-form
-    entry's bound reads it at config.z, and any other entry runs its call.
+    is the table's _analysis at ``c``, which the redraw rule computed: a
+    closed-form entry's bound reads it at config.z, and any other entry
+    runs its call on ``counts``, None when every entry is closed-form.
     Scores the bounds as ConfidenceInterval.contains and .length score
     them, and raises its DomainError when they are out of order.
     """
@@ -285,9 +279,8 @@ def _run_range(args):
     Replicate i depends only on (scenario, n, config, i). Its one table,
     shared by every method and its one analysis, holds the cells sampled
     from ``RandomStream(config.seed, 3 * i)`` (numerics._head_streams),
-    +0.5 each when ``correct``: a PairedCounts when a method reads shared
-    draws, else the plain tuple, whose cells the analysis reads to the
-    same floats (integer cells have exact sums and products below 2**53).
+    +0.5 each when ``correct``. The analysis reads the list drawn; a
+    PairedCounts of it is built only when a method reads shared draws.
     The scenario's probabilities and ``n`` are checked, and its plan made,
     once per range (numerics._multinomial_plan).
 
@@ -307,21 +300,18 @@ def _run_range(args):
     bases = range(_STREAMS_PER_REPLICATE * lo, _STREAMS_PER_REPLICATE * hi,
                   _STREAMS_PER_REPLICATE)
     streams = _head_streams(config.seed, bases, _multinomial_reads(len(scenario.pi), n))
-    for base, sample_stream in zip(bases, streams):
-        uniform = sample_stream.uniform
+    for base, uniform in zip(bases, streams):
         for attempt in range(_MAX_SAMPLE_ATTEMPTS):
             cells = _multinomial_draw(plan, n, uniform)
             if correct:
                 cells = [cell + 0.5 for cell in cells]
-            counts = PairedCounts(*cells) if shared else tuple(cells)
             # redraw when the kappas or their variances cannot be estimated
             # at all: an empty stratum, or a Youden estimate of zero (the
             # variance divides by Y). Negative-Y samples keep their slot:
             # their intervals are well defined and the small-sample coverage
-            # collapse depends on them. The closed-form bounds read this
-            # analysis, and the resampled methods' memo hit finds it.
+            # collapse depends on them. The closed-form bounds read this analysis.
             try:
-                analysis = _analysis(counts, c)
+                analysis = _analysis(cells, c)
             except (NonEstimableError, DegenerateKappaError):
                 continue
             break
@@ -330,8 +320,9 @@ def _run_range(args):
                 f"no estimable sample of size {n} after {_MAX_SAMPLE_ATTEMPTS} draws; "
                 "the scenario is too degenerate to study")
         redraws += attempt
-        # one bootstrap set and one posterior per replicate, shared by the
-        # difference and the ratio; built only when a method needs them
+        # the table, one bootstrap set and one posterior per replicate, shared
+        # by the difference and the ratio; built only when a method needs them
+        counts = PairedCounts(*cells) if shared else None
         tables = draws = None
         if "tables" in shared:
             tables = BootstrapTables(counts, RandomStream(config.seed, base + 1))

@@ -11,6 +11,8 @@ the resample store is the one producer of interval statistics. One draw
 loop, ``numerics._multinomial_draw``, reads ``numerics._binomial_chunk``,
 and the closed-form bound functions are named only in ``inference``, so
 every multinomial draw and every closed-form interval takes one path.
+Only the worker pool's functions in ``simulation`` rebind a module
+global, so no other call keeps state between calls.
 """
 
 import ast
@@ -145,20 +147,22 @@ def opens_to_read(call: ast.Call) -> bool:
                 and set(mode.value) & set("wax"))
 
 
+def located(source: str):
+    """(qualified enclosing function or class, node) of every node of a module's source."""
+    def visit(node, where):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name if where == "<module>" else f"{where}.{node.name}"
+        yield where, node
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, where)
+
+    return visit(ast.parse(source), "<module>")
+
+
 def reading_opens(source: str) -> list:
     """(function, line) of each call in a module's source that opens a file to read."""
-    found = []
-
-    def visit(node, where):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = node.name
-        elif isinstance(node, ast.Call) and opens_to_read(node):
-            found.append((where, node.lineno))
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    visit(ast.parse(source), "<module>")
-    return found
+    return [(where, node.lineno) for where, node in located(source)
+            if isinstance(node, ast.Call) and opens_to_read(node)]
 
 
 def test_open_checker_flags_only_reads():
@@ -176,19 +180,15 @@ def test_only_read_table_opens_files_to_read():
 
 def references(source: str, name: str) -> list:
     """(qualified function, line) of each use of ``name`` in a module's source."""
-    found = []
+    return [(where, node.lineno) for where, node in located(source)
+            if isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name]
 
-    def visit(node, where):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = node.name if where == "<module>" else f"{where}.{node.name}"
-        elif (isinstance(node, ast.Name) and node.id == name
-              or isinstance(node, ast.Attribute) and node.attr == name):
-            found.append((where, node.lineno))
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
 
-    visit(ast.parse(source), "<module>")
-    return found
+def global_statements(source: str) -> list:
+    """(qualified function, names) of each ``global`` statement in a module's source."""
+    return [(where, tuple(node.names)) for where, node in located(source)
+            if isinstance(node, ast.Global)]
 
 
 def test_reference_checker_names_the_enclosing_function():
@@ -215,3 +215,18 @@ def test_closed_form_bounds_are_named_only_in_inference(name):
     modules = {path.stem for path in PACKAGE.glob("*.py")
                if references(path.read_text(encoding="utf-8"), name)}
     assert modules == {"inference"}
+
+
+def test_global_checker_names_the_enclosing_function():
+    source = ("x = 0\n\n\ndef f():\n    global x\n\n\nclass A:\n    def m(self):\n"
+              "        global x, y\n")
+    assert global_statements(source) == [("f", ("x",)), ("A.m", ("x", "y"))]
+
+
+def test_only_the_worker_pool_is_module_state_that_functions_rebind():
+    # a function that rebinds a module global keeps state no caller passed
+    # it; only the shared worker pool of parallel coverage cells does
+    users = {(path.stem, where, names) for path in PACKAGE.glob("*.py")
+             for where, names in global_statements(path.read_text(encoding="utf-8"))}
+    assert users == {("simulation", "_drop_pool", ("_pool",)),
+                     ("simulation", "_map_ranges", ("_pool", "_pool_workers"))}

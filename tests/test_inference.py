@@ -742,7 +742,7 @@ class TestOnePassPerC:
         for i in itertools.count():
             table = sample_counts(sc, 25, RandomStream(7, i))
             try:
-                inference._analysis(table, sc.c)
+                inference._analysis(table.cells(), sc.c)
             except (NonEstimableError, DegenerateKappaError):
                 continue
             counts.append(table)
@@ -947,17 +947,23 @@ class TestSharedAnalysis:
         coverage_study(sc, 200, 100, ["wald-diff", "wald-ratio", "log-ratio", "fieller-ratio"],
                        ConfidenceConfig(seed=2))
         assert (len(covariance_calls), len(plans)) == (100, 1)
-        # the resampling methods read the same table, and its one analysis
+        # the resampling methods read the same table; the closed-form bounds
+        # read its one analysis, and boot-diff computes one more for its point
         coverage_study(sc, 200, 100, ["wald-diff", "boot-diff", "bayes-ratio", "wald-ratio"],
                        ConfidenceConfig(seed=2, bootstrap_b=100, bayes_m=1000))
-        assert (len(covariance_calls), len(plans)) == (200, 1 + 1 + 100)
+        assert (len(covariance_calls), len(plans)) == (100 + 100 + 100, 1 + 1 + 100)
 
-    def test_one_table_at_one_c_shares_the_analysis(self, table8, covariance_calls):
-        results = [f(table8, 0.5) for f in CLOSED_FORM]
-        bootstrap_ci(table8, 0.5, "ratio", SHARED_CONFIG)
-        assert len(covariance_calls) == 1
-        assert results == [f(table8, 0.5) for f in CLOSED_FORM]
-        assert len(covariance_calls) == 1
+    def test_each_closed_form_call_computes_one_analysis(self, table8, covariance_calls):
+        results = []
+        for calls, f in enumerate(CLOSED_FORM, 1):
+            results.append(f(table8, 0.5))
+            assert len(covariance_calls) == calls
+        bootstrap_ci(table8, 0.5, "ratio", SHARED_CONFIG)  # the analysis of its point
+        assert len(covariance_calls) == len(CLOSED_FORM) + 1
+        # nothing is kept between calls: a second round gives the same bits
+        again = [f(table8, 0.5) for f in CLOSED_FORM]
+        assert len(covariance_calls) == 2 * len(CLOSED_FORM) + 1
+        assert repr(again) == repr(results)
 
     def test_equal_but_distinct_table_or_another_c_recomputes(self, table8, covariance_calls):
         wald_diff_ci(table8, 0.5)
@@ -996,7 +1002,33 @@ class TestSharedAnalysis:
         for counts in tables:
             for c in (0.0, 0.3, 1.0, 1.5):
                 expected = outcome(lambda: public(counts, c))
-                assert outcome(lambda: inference._analysis(counts, c)) == expected
+                assert outcome(lambda: inference._analysis(counts.cells(), c)) == expected
+                kinds.add(expected[0] if isinstance(expected[0], type) else "ok")
+        assert kinds == {"ok", DomainError, NonEstimableError, DegenerateKappaError}
+
+    def test_analysis_reads_any_sequence_of_the_cells(self):
+        # a tuple, a list and integer cells give the same bits, or the same
+        # error and message, as the table's float cells; the last table has
+        # the largest size a multinomial draw takes
+        rng = np.random.RandomState(32)
+        tables = [rng.randint(0, high, size=8).tolist() for high in (2, 4, 30, 400)
+                  for _ in range(40)]
+        tables.append([2**24, 3, 5, 2**24 - 7, 2**24 + 1, 11, 13, 2**24 - 26])
+        assert sum(tables[-1]) == numerics._MAX_SIZE
+
+        def outcome(cells, c):
+            try:
+                return tuple(x.hex() for x in inference._analysis(cells, c))
+            except (DomainError, NonEstimableError, DegenerateKappaError) as exc:
+                return type(exc), str(exc)
+
+        kinds = set()
+        for cells in tables:
+            floats = PairedCounts(*cells).cells()
+            for c in (0.0, 0.3, 1.0, 1.5):
+                expected = outcome(floats, c)
+                assert outcome(list(floats), c) == outcome(cells, c) == expected
+                assert outcome(tuple(cells), c) == expected
                 kinds.add(expected[0] if isinstance(expected[0], type) else "ok")
         assert kinds == {"ok", DomainError, NonEstimableError, DegenerateKappaError}
 

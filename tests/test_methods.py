@@ -58,7 +58,7 @@ class TestRegistry:
         # a closed-form interval also gives its bounds from the table's analysis
         assert (entry.bound is None) is (entry.draw is not None)
         if entry.bound is not None:
-            assert entry.bound(inference._analysis(table8, 0.5), FAST.z) == (lower, upper, point)
+            assert entry.bound(inference._analysis(table8.cells(), 0.5), FAST.z) == (lower, upper, point)
         ci = entry.interval(table8, 0.5, FAST, tables, draws)
         assert (ci.target, ci.method) == (entry.target, entry.label)
         assert (ci.lower, ci.upper, ci.point) == (lower, upper, point)
@@ -73,7 +73,7 @@ class TestRegistry:
 
         monkeypatch.setattr(inference, "_wald_ratio", wrapped)
         bounds = METHODS["wald-ratio"].call(table8, 0.5, FAST, None, None)
-        analysis = inference._analysis(table8, 0.5)
+        analysis = inference._analysis(table8.cells(), 0.5)
         assert calls == [(analysis, FAST.z)]
         assert bounds == original(analysis, FAST.z)
         ci = inference.wald_ratio_ci(table8, 0.5, FAST)

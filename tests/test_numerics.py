@@ -22,6 +22,8 @@ from kappacmp.numerics import (
     RandomStream,
     _binomial_chunk,
     _head_streams,
+    _multinomial_draw,
+    _multinomial_plan,
     _multinomial_reads,
     _plan,
     normal_cdf,
@@ -261,16 +263,23 @@ class TestMultinomial:
         stream = RandomStream(0)
         cdfs = {}
         pi = [0.5, 0.5]
-        assert sum(sample_multinomial(pi, 5, stream, cdfs)) == 5
+        assert sum(planned_multinomial(pi, 5, stream, cdfs)) == 5
         for invalid in ([0.5, 0.4], [1.2, -0.2], []):
             with pytest.raises(DomainError):
-                sample_multinomial(invalid, 5, stream, cdfs)
+                planned_multinomial(invalid, 5, stream, cdfs)
         pi[1] = 0.6  # the same list, changed since it was validated
         with pytest.raises(DomainError):
-            sample_multinomial(pi, 5, stream, cdfs)
-        assert sum(sample_multinomial((0.5, 0.5), 5, stream, cdfs)) == 5
-        with pytest.raises(DomainError):
-            sample_multinomial((0.5, 0.5), -1, stream, cdfs)  # the size, on every draw
+            planned_multinomial(pi, 5, stream, cdfs)
+        assert sum(planned_multinomial((0.5, 0.5), 5, stream, cdfs)) == 5
+        for size in (-1, 2**26 + 1):  # the size, on every draw
+            with pytest.raises(DomainError):
+                planned_multinomial((0.5, 0.5), size, stream, cdfs)
+
+
+def planned_multinomial(pi, n, stream, cdfs):
+    """One draw through a caller's own dict: _multinomial_plan, then _multinomial_draw."""
+    plan, n = _multinomial_plan(pi, n, cdfs)
+    return _multinomial_draw(plan, n, stream.uniform)
 
 
 # -- reference sampler: the walk up the binomial CDF from k = 0 on every draw --
@@ -344,18 +353,22 @@ class TestMultinomialMatchesWalk:
         [0.3, 0.6, 0.1, 0.0, 0.0],
     )
 
-    # no dict, a fresh dict for every draw, or one dict shared by the draws
+    # sample_multinomial, a fresh dict for every planned draw, or one dict
+    # shared by the planned draws
     @pytest.mark.parametrize("shared", [False, True, "cold"])
     def test_counts_and_stream_state(self, shared):
         for pi in self.PIS:
-            cdfs = {} if shared is True else None
+            cdfs = {}
             stream, reference = RandomStream(9, 4), ReferenceStream(9, 4)
             for n in self.SIZES:
                 for _ in range(40):
-                    draw = sample_multinomial(pi, n, stream, {} if shared == "cold" else cdfs)
+                    if shared is False:
+                        draw = sample_multinomial(pi, n, stream)
+                    else:
+                        draw = planned_multinomial(pi, n, stream, {} if shared == "cold" else cdfs)
                     assert draw == walk_multinomial(pi, n, reference)
                 assert stream_state(stream) == stream_state(reference)
-            assert shared is not True or cdfs
+            assert bool(cdfs) is (shared is True)
 
     def test_plan_takes_each_kind_of_step(self):
         tables = {}
@@ -372,7 +385,8 @@ class TestMultinomialMatchesWalk:
         stream, reference = RandomStream(3, 3), ReferenceStream(3, 3)
         for _ in range(200):
             for pi in self.PIS:
-                assert sample_multinomial(pi, 300, stream, cdfs) == walk_multinomial(pi, 300, reference)
+                assert (planned_multinomial(pi, 300, stream, cdfs)
+                        == walk_multinomial(pi, 300, reference))
         assert stream_state(stream) == stream_state(reference)
 
     @pytest.mark.parametrize("n, p", [(1, 0.3), (17, 0.3), (300, 0.5), (1000, 0.01)])
@@ -391,7 +405,7 @@ class TestMultinomialMatchesWalk:
             for n in self.SIZES:
                 cdfs = {}
                 for _ in range(2):
-                    assert (sample_multinomial(pi, n, _TopUniform(), cdfs)
+                    assert (planned_multinomial(pi, n, _TopUniform(), cdfs)
                             == walk_multinomial(pi, n, _TopUniform()))
 
 
@@ -454,15 +468,15 @@ class TestStreams:
     def test_head_streams_match_scalar_streams(self, seed, k):
         ids = [0, 3 * 999, 2**64 - 1]
         for read in (0, k, k + 1, k + 37, k + 1016 + 37):
-            for s, head in zip(ids, _head_streams(seed, ids, k), strict=True):
+            for s, uniform in zip(ids, _head_streams(seed, ids, k), strict=True):
                 expected = list(itertools.islice(reference_uniforms(seed, s), read))
-                assert [head.uniform() for _ in range(read)] == expected
+                assert [uniform() for _ in range(read)] == expected
         assert list(_head_streams(seed, [], k)) == []
 
     @pytest.mark.parametrize("count, k", [(2 * _BLOCK + 3, 1), (7, _HEAD_LANES // 3)])
     def test_head_streams_span_several_batches(self, count, k):
         ids = range(5, 5 + count)
-        heads = [[head.uniform() for _ in range(k + 1)] for head in _head_streams(11, ids, k)]
+        heads = [[uniform() for _ in range(k + 1)] for uniform in _head_streams(11, ids, k)]
         assert heads == [list(itertools.islice(reference_uniforms(11, s), k + 1)) for s in ids]
 
     def test_denormals_are_zero_is_refused(self, monkeypatch):
@@ -471,7 +485,7 @@ class TestStreams:
         expected = list(itertools.islice(reference_uniforms(1, 2), 2 * _FIRST_BLOCK))
         stream, head, fresh = RandomStream(1, 2), next(_head_streams(1, [2], 3)), RandomStream(1, 2)
         assert [stream.uniform() for _ in range(_FIRST_BLOCK)] == expected[:_FIRST_BLOCK]
-        assert [head.uniform() for _ in range(3)] == expected[:3]
+        assert [head() for _ in range(3)] == expected[:3]
         monkeypatch.setattr(numerics, "_PROBE", 0.0)
         # a refused read raises again on every later read; it never ends the stream
         for _ in range(3):
@@ -482,14 +496,14 @@ class TestStreams:
             with pytest.raises(DenormalsAreZeroError):
                 stream.raw()
             with pytest.raises(DenormalsAreZeroError):
-                head.uniform()  # past its head, in its own blocks
+                head()  # past its head, in its own blocks
             with pytest.raises(DenormalsAreZeroError):
                 next(_head_streams(1, [2], 7))
         assert issubclass(DenormalsAreZeroError, KappaCmpError)
         # with gradual underflow back, each stream goes on from the counter it stopped at
         monkeypatch.undo()
         assert [stream.uniform() for _ in range(_FIRST_BLOCK)] == expected[_FIRST_BLOCK:]
-        assert [head.uniform() for _ in range(_FIRST_BLOCK)] == expected[3:3 + _FIRST_BLOCK]
+        assert [head() for _ in range(_FIRST_BLOCK)] == expected[3:3 + _FIRST_BLOCK]
         assert stream_state(fresh) == (None, expected[0])
 
     @pytest.mark.parametrize("seed, tag", [(1.5, 0), (1, None), ("1", 2), (1, 2.0), (None, 0)])

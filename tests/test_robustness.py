@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from kappacmp.cli import build_analysis_report
 from kappacmp.data_model import PairedCounts, apply_continuity_correction
 from kappacmp.errors import DomainError, KappaCmpError
 from kappacmp.inference import (
@@ -147,3 +148,30 @@ def test_non_finite_sample_sizes_raise_package_errors(size):
     scenario = build_scenario_from_kappas(0.3, 0.6, 0.8, 0.8, 0.25, 0.5, 0.5)
     with pytest.raises(DomainError, match="multinomial size must be a non-negative integer"):
         sample_counts(scenario, size, RandomStream(0))
+
+
+# 3 * 10**8 subjects: past the largest size a multinomial draw takes
+HUGE_TABLE = PairedCounts(41_000_000, 0, 40_000_000, 8_000_000, 5_000_000, 1_000_000,
+                          24_000_000, 181_000_000)
+
+
+@pytest.mark.parametrize("size", [2**26 + 1, 10**12, 1e300])
+def test_sizes_past_the_cap_raise_package_errors(size):
+    # refused before the first block of trials, which a huge size would loop over for hours
+    with pytest.raises(DomainError, match=r"multinomial size must be at most 2\*\*26"):
+        sample_multinomial([0.5, 0.5], size, RandomStream(0))
+    scenario = build_scenario_from_kappas(0.3, 0.6, 0.8, 0.8, 0.25, 0.5, 0.5)
+    with pytest.raises(DomainError, match=r"multinomial size must be at most 2\*\*26"):
+        sample_counts(scenario, size, RandomStream(0))
+
+
+def test_largest_size_is_drawn():
+    assert sum(sample_multinomial([0.5, 0.5], 2**26, RandomStream(0))) == 2**26
+
+
+def test_analysis_past_the_cap_reports_both_bootstraps_invalid():
+    row, = build_analysis_report(HUGE_TABLE, cs=[0.5], config=CONFIG).rows
+    assert {"boot-diff", "boot-ratio"} <= set(row.interval_errors)
+    assert "multinomial size must be at most 2**26" in row.interval_errors["boot-diff"]
+    # the closed-form and posterior intervals do not resample the table
+    assert {"wald-diff", "bayes-diff"} <= set(row.intervals)

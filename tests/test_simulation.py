@@ -465,7 +465,7 @@ def _scorer_cases():
 def _redrawn(counts, c) -> bool:
     """True when a range's redraw rule rejects the table: its analysis raises."""
     try:
-        simulation._analysis(counts, c)
+        simulation._analysis(counts.cells(), c)
     except (NonEstimableError, DegenerateKappaError):
         return True
     return False
@@ -481,7 +481,7 @@ def _scored(tag, true_value, counts, c, tables, draws):
     method = METHODS[tag]
     covered, lengths = [0], [array("d")]
     try:
-        analysis = simulation._analysis(counts, c) if method.bound else None
+        analysis = simulation._analysis(counts.cells(), c) if method.bound else None
         simulation._score(((tag, true_value, method.bound, method.call),), analysis,
                           counts, c, SCORER_CONFIG, tables, draws, covered, lengths)
     except KappaCmpError as exc:
@@ -534,7 +534,7 @@ class TestScorer:
         def reversed_bound(analysis, z):
             return 1.0, 0.5, 0.75
 
-        analysis = simulation._analysis(table8, 0.5)
+        analysis = simulation._analysis(table8.cells(), 0.5)
         for entries in ((("boot-ratio", 0.7, None, reversed_call),),
                         (("wald-ratio", 0.7, reversed_bound, None),)):
             with pytest.raises(DomainError, match=r"interval bounds out of order: \(1.0, 0.5\)"):
@@ -552,13 +552,12 @@ def object_route(sc, n, n_replicates, methods, config, correct):
     table whose kappas or covariance cannot be estimated is redrawn; each
     interval is scored by ConfidenceInterval.contains and .length.
     """
-    cdfs = {}
     replicates = []
     for index in range(n_replicates):
         stream = RandomStream(config.seed, simulation._STREAMS_PER_REPLICATE * index)
         redraws = 0
         while True:
-            counts = sample_counts(sc, n, stream, cdfs)
+            counts = sample_counts(sc, n, stream)
             if correct:
                 counts = apply_continuity_correction(counts)
             try:
@@ -781,7 +780,7 @@ class TestSampleStreamHeads:
             while True:
                 expected.append(numerics.sample_multinomial(sc.pi, 25, stream))
                 try:
-                    simulation._analysis(tuple(expected[-1]), sc.c)
+                    simulation._analysis(expected[-1], sc.c)
                 except (NonEstimableError, DegenerateKappaError):
                     continue
                 break
