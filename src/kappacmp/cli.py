@@ -178,9 +178,11 @@ def build_analysis_report(counts: PairedCounts, cs=None, methods=None,
                                 test_error=test_error, intervals=intervals,
                                 interval_errors=errors, inverse=inverse))
     for row in rows:
-        error = row.interval_errors.get("fieller-ratio")
-        if error is not None:
-            warnings.append(f"Fieller interval invalid at c={row.c:g}: {error}")
+        for method in methods:
+            error = row.interval_errors.get(method)
+            if error is not None:
+                name = "Fieller" if method == "fieller-ratio" else method
+                warnings.append(f"{name} interval invalid at c={row.c:g}: {error}")
 
     plan = None
     if precision is not None:

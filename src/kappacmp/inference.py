@@ -119,6 +119,9 @@ class ConfidenceConfig:
     def __post_init__(self):
         if not 0.0 < self.conf < 1.0:
             raise DomainError(f"confidence level must be in (0, 1), got {self.conf!r}")
+        if 1.0 - self.alpha / 2.0 == 1.0:
+            raise DomainError(f"confidence level {self.conf!r} is too close to 1: "
+                              "1 - alpha/2 rounds to 1, so its critical value is infinite")
         if not (isinstance(self.bootstrap_b, Integral) and self.bootstrap_b >= 100):
             raise DomainError(f"bootstrap needs integer B >= 100, got {self.bootstrap_b!r}")
         if not (isinstance(self.bayes_m, Integral) and self.bayes_m >= 1000):
@@ -582,7 +585,7 @@ class BootstrapTables(_Resamples):
     an empty stratum is not estimable, and its coefficients are zeros.
     """
 
-    __slots__ = ("size", "probs", "_cdfs")
+    __slots__ = ("size", "probs", "_plan")
 
     def __init__(self, counts: PairedCounts, stream: RandomStream):
         if counts.n <= 0:
@@ -590,10 +593,12 @@ class BootstrapTables(_Resamples):
         super().__init__(counts, stream)
         self.size = int(round(counts.n))
         self.probs = [cell / counts.n for cell in counts.cells()]
-        self._cdfs: dict = {}  # plan and binomial CDFs shared by every resample
+        self._plan: tuple | None = None  # (plan, size) of the first draw, shared by every resample
 
     def _draw(self, k: int) -> list:
-        plan, size = _multinomial_plan(self.probs, self.size, self._cdfs)
+        if self._plan is None:
+            self._plan = _multinomial_plan(self.probs, self.size)
+        plan, size = self._plan
         uniform = self._stream.uniform
         drawn = []
         for _ in range(k):
@@ -714,7 +719,8 @@ def bayesian_ci(counts: PairedCounts, c: float, target: str,
     pushed through the kappa formula; the reported point is the posterior
     mean of the target statistic. Draws with a non-positive Youden index
     are kept (the posterior ranges over all parameter values); ratio draws
-    with kappa2 exactly zero are excluded.
+    with kappa2 exactly zero are excluded. DegenerateKappaError when no
+    draw is left.
     """
     return METHODS[_tag("bayes", target)].interval(counts, c, config, draws=draws)
 
@@ -730,6 +736,9 @@ def _bayesian(counts: PairedCounts, c: float, target: str, config: ConfidenceCon
     elif (draws.counts, draws.priors) != (counts, config.priors):
         raise DomainError("the posterior draws were made for another table or prior")
     stats = draws.statistics(c, config.bayes_m)[target == "ratio"]
+    if not stats:
+        raise DegenerateKappaError(f"no posterior draw has a defined {target} "
+                                   "(kappa2 exactly 0, or a zero kappa denominator)")
     excluded = config.bayes_m - len(stats)  # measure-zero events; excluded but counted
     if excluded:
         warnings.warn(f"{excluded} of {config.bayes_m} posterior draws had an undefined "

@@ -501,9 +501,6 @@ def _binomial_chunk(tables: dict, n: int, p: float, u: float) -> int:
     return bisect_right(cdf, u)
 
 
-# the cdfs key of (pi as a tuple, its plan) for the last vector
-# _multinomial_plan checked
-_PLAN = "plan"
 _MAX_SIZE = 2 ** 26  # the largest multinomial size: its counts' sums and products stay below 2**53
 
 
@@ -512,16 +509,30 @@ def _integral(value) -> bool:
     return isinstance(value, Integral) or (isinstance(value, float) and value.is_integer())
 
 
-def _plan(probs: list, cdfs: dict) -> list:
-    """The conditional binomial of each cell but the last, worked out once per vector.
+def _multinomial_plan(pi, n) -> tuple[list, int]:
+    """The checks of every multinomial draw: the plan of ``pi`` and ``n`` as an int.
 
-    Each step is None (the cell draws 0), True (it takes all that remain)
-    or (p, flip, tables): a Binomial(remaining, p) draw with p <= 0.5, taken
+    The plan holds the conditional binomial of each cell but the last. Each
+    step is None (the cell draws 0), True (it takes all that remain) or
+    (p, flip, tables): a Binomial(remaining, p) draw with p <= 0.5, taken
     as remaining minus the draw when ``flip`` (the conditional probability
-    was 1 - p > 0.5). ``tables`` holds the CDFs of that p by size
-    (_binomial_chunk) and lives in ``cdfs`` under p, so vectors that share a
-    conditional probability share its CDFs.
+    was 1 - p > 0.5). ``tables`` is the step's own dict of the CDFs of p by
+    size (_binomial_chunk), filled by the draws that reuse the plan.
+    DomainError when ``pi`` is not a probability vector or ``n`` is not an
+    integer from 0 to _MAX_SIZE (an integral float counts; inf and nan do not).
     """
+    probs = [float(x) for x in pi]
+    if not probs:
+        raise DomainError("multinomial needs at least one category")
+    # written so that a NaN fails both checks
+    if any(not x >= 0.0 for x in probs):
+        raise DomainError("multinomial probabilities must be non-negative")
+    if not abs(sum(probs) - 1.0) <= 1e-9:
+        raise DomainError(f"multinomial probabilities must sum to 1, got {sum(probs)!r}")
+    if not (_integral(n) and n >= 0):
+        raise DomainError(f"multinomial size must be a non-negative integer, got {n!r}")
+    if n > _MAX_SIZE:
+        raise DomainError(f"multinomial size must be at most 2**26 = {_MAX_SIZE}, got {n!r}")
     plan = []
     mass = 1.0
     for pj in probs[:-1]:
@@ -533,38 +544,8 @@ def _plan(probs: list, cdfs: dict) -> list:
         else:
             flip = cond > 0.5
             p = 1.0 - cond if flip else cond
-            plan.append((p, flip, cdfs.setdefault(p, {})))
+            plan.append((p, flip, {}))
         mass -= pj
-    return plan
-
-
-def _multinomial_plan(pi, n, cdfs: dict) -> tuple[list, int]:
-    """The checks of every multinomial draw: the plan of ``pi`` (_plan) and ``n`` as an int.
-
-    ``cdfs`` keeps the plan of the last vector checked, so an equal vector
-    is not checked or planned again, and the binomial CDFs built so far.
-    DomainError when ``pi`` is not a probability vector or ``n`` is not an
-    integer from 0 to _MAX_SIZE (an integral float counts; inf and nan do not).
-    """
-    key = tuple(pi)
-    planned = cdfs.get(_PLAN)
-    if planned is not None and planned[0] == key:
-        plan = planned[1]
-    else:
-        probs = [float(x) for x in key]
-        if not probs:
-            raise DomainError("multinomial needs at least one category")
-        # written so that a NaN fails both checks
-        if any(not x >= 0.0 for x in probs):
-            raise DomainError("multinomial probabilities must be non-negative")
-        if not abs(sum(probs) - 1.0) <= 1e-9:
-            raise DomainError(f"multinomial probabilities must sum to 1, got {sum(probs)!r}")
-        plan = _plan(probs, cdfs)
-        cdfs[_PLAN] = (key, plan)
-    if not (_integral(n) and n >= 0):
-        raise DomainError(f"multinomial size must be a non-negative integer, got {n!r}")
-    if n > _MAX_SIZE:
-        raise DomainError(f"multinomial size must be at most 2**26 = {_MAX_SIZE}, got {n!r}")
     return plan, int(n)
 
 
@@ -613,10 +594,10 @@ def sample_multinomial(pi, n: int, stream: RandomStream) -> list[int]:
 
     Each binomial is drawn by inverting its CDF (Devroye 1986, ch. III)
     with one uniform per block of _BINOM_CHUNK trials. A caller that draws
-    many times from one ``pi`` keeps its own dict for _multinomial_plan and
-    runs _multinomial_draw, which reuses the plan and the CDFs built so far.
+    many times from one ``pi`` keeps the plan of _multinomial_plan and runs
+    _multinomial_draw, which reuses the plan and the CDFs built so far.
     """
-    plan, n = _multinomial_plan(pi, n, {})
+    plan, n = _multinomial_plan(pi, n)
     return _multinomial_draw(plan, n, stream.uniform)
 
 

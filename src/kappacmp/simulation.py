@@ -292,7 +292,7 @@ def _run_range(args):
     entries = _entries(scenario, methods)
     shared = {METHODS[method].draw for method in methods} - {None}  # the draws they read
     # the scenario's multinomial plan and CDFs, shared by the range's samples
-    plan, n = _multinomial_plan(scenario.pi, n, {})
+    plan, n = _multinomial_plan(scenario.pi, n)
     c = scenario.c
     redraws = 0
     covered = [0] * len(entries)

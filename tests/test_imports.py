@@ -12,7 +12,9 @@ loop, ``numerics._multinomial_draw``, reads ``numerics._binomial_chunk``,
 and the closed-form bound functions are named only in ``inference``, so
 every multinomial draw and every closed-form interval takes one path.
 Only the worker pool's functions in ``simulation`` rebind a module
-global, so no other call keeps state between calls.
+global, so no other call keeps state between calls. Every call of
+``numerics._multinomial_plan`` passes only the vector and the size, so
+only ``numerics`` knows how a plan stores its CDF tables.
 """
 
 import ast
@@ -185,6 +187,14 @@ def references(source: str, name: str) -> list:
             or isinstance(node, ast.Attribute) and node.attr == name]
 
 
+def calls(source: str, name: str) -> list:
+    """(qualified function, argument count) of each call of ``name`` in a module's source."""
+    return [(where, len(node.args) + len(node.keywords)) for where, node in located(source)
+            if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id == name
+                or isinstance(node.func, ast.Attribute) and node.func.attr == name)]
+
+
 def global_statements(source: str) -> list:
     """(qualified function, names) of each ``global`` statement in a module's source."""
     return [(where, tuple(node.names)) for where, node in located(source)
@@ -207,6 +217,20 @@ def test_one_draw_loop_reads_the_binomial_chunks():
     users = {(path.stem, where) for path in PACKAGE.glob("*.py")
              for where, _ in references(path.read_text(encoding="utf-8"), "_binomial_chunk")}
     assert users == {("numerics", "_multinomial_draw")}
+
+
+def test_call_checker_counts_every_argument():
+    source = "f(1)\n\n\ndef g(p):\n    return mod.f(p, 2, k=3), f\n"
+    assert calls(source, "f") == [("<module>", 1), ("g", 3)]
+
+
+def test_multinomial_plans_take_only_the_vector_and_the_size():
+    # the plan owns its CDF tables: no caller passes a store of its own
+    planners = {(path.stem, where, count) for path in PACKAGE.glob("*.py")
+                for where, count in calls(path.read_text(encoding="utf-8"), "_multinomial_plan")}
+    assert planners == {("numerics", "sample_multinomial", 2),
+                        ("inference", "BootstrapTables._draw", 2),
+                        ("simulation", "_run_range", 2)}
 
 
 @pytest.mark.parametrize("name", ["_wald_diff", "_wald_ratio", "_log_ratio", "_fieller"])

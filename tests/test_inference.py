@@ -11,6 +11,7 @@ import pytest
 
 import kappacmp.inference as inference
 import kappacmp.numerics as numerics
+import kappacmp.simulation as simulation
 from conftest import (
     ReferenceStream,
     empirical_quantile,
@@ -935,14 +936,16 @@ class TestSharedAnalysis:
 
     def test_closed_form_coverage_computes_one_covariance_per_replicate(self, covariance_calls,
                                                                          monkeypatch):
-        plans = []  # numerics._plan calls: one multinomial plan per range, one per bootstrap set
-        plan = numerics._plan
+        plans = []  # _multinomial_plan calls: one per range, one per bootstrap set
+        plan = numerics._multinomial_plan
 
         def counted(*args):
             plans.append(args)
             return plan(*args)
 
-        monkeypatch.setattr(numerics, "_plan", counted)
+        # the range and the bootstrap tables call the names they imported
+        monkeypatch.setattr(simulation, "_multinomial_plan", counted)
+        monkeypatch.setattr(inference, "_multinomial_plan", counted)
         sc = build_scenario_from_kappas(0.3, 0.6, 0.8, 0.8, 0.25, 0.5, 0.5)
         coverage_study(sc, 200, 100, ["wald-diff", "wald-ratio", "log-ratio", "fieller-ratio"],
                        ConfidenceConfig(seed=2))

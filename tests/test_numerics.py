@@ -25,7 +25,6 @@ from kappacmp.numerics import (
     _multinomial_draw,
     _multinomial_plan,
     _multinomial_reads,
-    _plan,
     normal_cdf,
     normal_quantile,
     sample_beta,
@@ -257,29 +256,36 @@ class TestMultinomial:
         for pi in ([math.nan, 0.5, 0.5], [0.5, 0.5, math.nan], [math.inf, 0.5, 0.5]):
             with pytest.raises(DomainError):
                 sample_multinomial(pi, 5, stream)
+        # the plan checks every vector and size it is given
+        for pi, size in (([0.5, 0.4], 5), ([1.2, -0.2], 5), ([], 5), ((0.5, 0.5), -1),
+                         ((0.5, 0.5), 5.5), ((0.5, 0.5), 2**26 + 1)):
+            with pytest.raises(DomainError):
+                _multinomial_plan(pi, size)
+        assert _multinomial_plan((0.5, 0.5), 5.0)[1] == 5
+        assert stream_state(stream) == stream_state(RandomStream(0))  # nothing was drawn
 
     def test_shared_dict_validates_every_other_vector(self):
-        # the dict remembers only the vector it saw validated
+        # no memo of a validated vector: each draw checks the vector it is given
         stream = RandomStream(0)
-        cdfs = {}
         pi = [0.5, 0.5]
-        assert sum(planned_multinomial(pi, 5, stream, cdfs)) == 5
+        assert sum(planned_multinomial(pi, 5, stream)) == 5
         for invalid in ([0.5, 0.4], [1.2, -0.2], []):
             with pytest.raises(DomainError):
-                planned_multinomial(invalid, 5, stream, cdfs)
+                planned_multinomial(invalid, 5, stream)
         pi[1] = 0.6  # the same list, changed since it was validated
         with pytest.raises(DomainError):
-            planned_multinomial(pi, 5, stream, cdfs)
-        assert sum(planned_multinomial((0.5, 0.5), 5, stream, cdfs)) == 5
+            planned_multinomial(pi, 5, stream)
+        assert sum(planned_multinomial((0.5, 0.5), 5, stream)) == 5
         for size in (-1, 2**26 + 1):  # the size, on every draw
             with pytest.raises(DomainError):
-                planned_multinomial((0.5, 0.5), size, stream, cdfs)
+                planned_multinomial((0.5, 0.5), size, stream)
 
 
-def planned_multinomial(pi, n, stream, cdfs):
-    """One draw through a caller's own dict: _multinomial_plan, then _multinomial_draw."""
-    plan, n = _multinomial_plan(pi, n, cdfs)
-    return _multinomial_draw(plan, n, stream.uniform)
+def planned_multinomial(pi, n, stream, plan=None):
+    """One draw through _multinomial_plan, then _multinomial_draw over ``plan``
+    when one is given (a plan of ``pi`` kept across draws), else a fresh one."""
+    fresh, n = _multinomial_plan(pi, n)
+    return _multinomial_draw(fresh if plan is None else plan, n, stream.uniform)
 
 
 # -- reference sampler: the walk up the binomial CDF from k = 0 on every draw --
@@ -353,41 +359,41 @@ class TestMultinomialMatchesWalk:
         [0.3, 0.6, 0.1, 0.0, 0.0],
     )
 
-    # sample_multinomial, a fresh dict for every planned draw, or one dict
-    # shared by the planned draws
+    # sample_multinomial, one plan of each vector kept across draws and
+    # sizes, or a fresh plan for every planned draw
     @pytest.mark.parametrize("shared", [False, True, "cold"])
     def test_counts_and_stream_state(self, shared):
         for pi in self.PIS:
-            cdfs = {}
+            kept, _ = _multinomial_plan(pi, 0)
             stream, reference = RandomStream(9, 4), ReferenceStream(9, 4)
             for n in self.SIZES:
                 for _ in range(40):
                     if shared is False:
                         draw = sample_multinomial(pi, n, stream)
                     else:
-                        draw = planned_multinomial(pi, n, stream, {} if shared == "cold" else cdfs)
+                        draw = planned_multinomial(pi, n, stream, kept if shared is True else None)
                     assert draw == walk_multinomial(pi, n, reference)
                 assert stream_state(stream) == stream_state(reference)
-            assert bool(cdfs) is (shared is True)
+            # the kept plan's steps hold the CDFs its draws built, and only its draws build them
+            built = [step[2] for step in kept if isinstance(step, tuple)]
+            assert any(built) is (shared is True)
 
     def test_plan_takes_each_kind_of_step(self):
-        tables = {}
-        assert _plan([0.2, 0.8, 0.0, 0.0], tables) == [(0.2, False, tables[0.2]), True, None]
+        plan, n = _multinomial_plan([0.2, 0.8, 0.0, 0.0], 7)
+        assert (plan, n) == ([(0.2, False, {}), True, None], 7)
         # a conditional above 0.5 is drawn as its complement, and flipped
-        (p, flip, cdfs), = _plan([0.7, 0.3], tables)
-        assert (p, flip) == (1.0 - 0.7, True) and cdfs is tables[p]
-        *_, take_all, zero = _plan([0.3, 0.6, 0.1, 0.0, 0.0], tables)
+        (p, flip, tables), = _multinomial_plan([0.7, 0.3], 0)[0]
+        assert (p, flip, tables) == (1.0 - 0.7, True, {})
+        plan, _ = _multinomial_plan([0.3, 0.6, 0.1, 0.0, 0.0], 0)
+        *_, take_all, zero = plan
         assert take_all is True and zero is None  # a clamped conditional, then no mass left
-
-    def test_shared_cdfs_serve_another_probability_vector(self):
-        # CDFs are keyed by conditional p and then size, so vectors may share one dict
-        cdfs = {}
-        stream, reference = RandomStream(3, 3), ReferenceStream(3, 3)
-        for _ in range(200):
-            for pi in self.PIS:
-                assert (planned_multinomial(pi, 300, stream, cdfs)
-                        == walk_multinomial(pi, 300, reference))
-        assert stream_state(stream) == stream_state(reference)
+        # each step has its own fresh tables, even for an equal conditional
+        # p, in one plan or in two plans of one vector
+        first, second = _multinomial_plan([0.5, 0.25, 0.25], 0)[0]
+        assert first[:2] == second[:2] == (0.5, False)
+        assert first[2] == second[2] == {} and first[2] is not second[2]
+        again = _multinomial_plan([0.5, 0.25, 0.25], 0)[0][0]
+        assert again[2] is not first[2]
 
     @pytest.mark.parametrize("n, p", [(1, 0.3), (17, 0.3), (300, 0.5), (1000, 0.01)])
     def test_uniform_beyond_the_final_cdf_value_gives_n(self, n, p):
@@ -403,9 +409,9 @@ class TestMultinomialMatchesWalk:
     def test_top_uniform_multinomial_matches_walk(self):
         for pi in self.PIS:
             for n in self.SIZES:
-                cdfs = {}
+                plan, _ = _multinomial_plan(pi, n)
                 for _ in range(2):
-                    assert (planned_multinomial(pi, n, _TopUniform(), cdfs)
+                    assert (planned_multinomial(pi, n, _TopUniform(), plan)
                             == walk_multinomial(pi, n, _TopUniform()))
 
 

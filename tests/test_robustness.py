@@ -12,13 +12,15 @@ import pytest
 
 from kappacmp.cli import build_analysis_report
 from kappacmp.data_model import PairedCounts, apply_continuity_correction
-from kappacmp.errors import DomainError, KappaCmpError
+from kappacmp.errors import DegenerateKappaError, DomainError, KappaCmpError
 from kappacmp.inference import (
     BAYES_STREAM,
     BOOTSTRAP_STREAM,
+    BetaPrior,
     BootstrapTables,
     ConfidenceConfig,
     PosteriorDraws,
+    Priors,
     bayesian_ci,
     bootstrap_ci,
     fieller_ratio_ci,
@@ -29,7 +31,7 @@ from kappacmp.inference import (
 from kappacmp.kappa_core import accuracy_from_counts, kappa_pair
 from kappacmp.numerics import RandomStream, sample_multinomial
 from kappacmp.sample_size import plan_iteration, required_sample_size
-from kappacmp.simulation import build_scenario_from_kappas, sample_counts
+from kappacmp.simulation import build_scenario_from_kappas, coverage_study, sample_counts
 
 FUZZ_SEED = 20240
 CLOSED_FORM_CS = (0.0, 0.05, 0.3, 0.5, 0.7, 0.9, 1.0)
@@ -170,8 +172,39 @@ def test_largest_size_is_drawn():
 
 
 def test_analysis_past_the_cap_reports_both_bootstraps_invalid():
-    row, = build_analysis_report(HUGE_TABLE, cs=[0.5], config=CONFIG).rows
+    report = build_analysis_report(HUGE_TABLE, cs=[0.5], config=CONFIG)
+    row, = report.rows
     assert {"boot-diff", "boot-ratio"} <= set(row.interval_errors)
     assert "multinomial size must be at most 2**26" in row.interval_errors["boot-diff"]
     # the closed-form and posterior intervals do not resample the table
     assert {"wald-diff", "bayes-diff"} <= set(row.intervals)
+    # and the report names the method, c and reason of each
+    for method in ("boot-diff", "boot-ratio"):
+        assert (f"{method} interval invalid at c=0.5: multinomial size must be at most "
+                "2**26 = 67108864, got 300000000") in report.warnings
+
+
+def test_confidence_level_whose_critical_value_rounds_to_one_is_refused():
+    # 1 - alpha/2 rounds to 1.0, where normal_quantile is undefined
+    with pytest.raises(DomainError, match=r"confidence level 0\.9999999999999999 is too close"):
+        ConfidenceConfig(conf=0.9999999999999999)
+    # the next level down has a finite critical value
+    assert 8.0 < ConfidenceConfig(conf=1.0 - 2.0**-52).z < math.inf
+
+
+# a prior so strong that every posterior draw has Se = Sp = 1/2: kappa2 is
+# exactly 0 on every draw, so no ratio is defined
+FLAT_HALF = ConfidenceConfig(bayes_m=1000, priors=Priors(*[BetaPrior(1e300, 1e300)] * 5))
+
+
+def test_posterior_without_a_defined_ratio_is_an_invalid_interval():
+    counts = PairedCounts(41, 0, 40, 8, 5, 1, 24, 181)
+    with pytest.raises(DegenerateKappaError, match="no posterior draw has a defined ratio"):
+        bayesian_ci(counts, 0.5, "ratio", FLAT_HALF)
+    row, = build_analysis_report(counts, cs=[0.5], methods=["bayes-diff", "bayes-ratio"],
+                                 config=FLAT_HALF).rows
+    assert list(row.intervals) == ["bayes-diff"] and list(row.interval_errors) == ["bayes-ratio"]
+    # a coverage study counts the ratio invalid on every replicate and runs on
+    scenario = build_scenario_from_kappas(0.3, 0.6, 0.8, 0.8, 0.25, 0.5, 0.5)
+    diff, ratio = coverage_study(scenario, 50, 100, ["bayes-diff", "bayes-ratio"], FLAT_HALF)
+    assert (diff.invalid, ratio.invalid) == (0, 100)
