@@ -36,7 +36,7 @@ from .kappa_core import (
     KappaPair,
     accuracy_from_counts,
     accuracy_values,
-    kappa_pair,  # noqa: F401 - perfbench/run.py traces inference.kappa_pair
+    kappa_pair,
     kappa_ratio,
     weighted_kappa,
 )
@@ -521,16 +521,15 @@ class _Resamples:
     them, and each row is scanned once at that c.
     """
 
-    __slots__ = ("counts", "_stream", "_coefficients", "_error", "_c", "_stats", "_marks")
+    __slots__ = ("counts", "_stream", "_coefficients", "_error", "_c", "_kept")
 
     def __init__(self, counts: PairedCounts, stream: RandomStream):
         self.counts = counts
         self._stream = stream
         self._coefficients = tuple(array("d") for _ in range(6))
         self._error: DomainError | DenormalsAreZeroError | None = None
-        self._c: float | None = None  # the c of _stats and _marks
-        self._stats: tuple = ([], [])  # (differences, ratios) of the longest prefix asked for
-        self._marks = {0: (0, 0)}  # prefix asked for -> (len(differences), len(ratios)) of it
+        self._c: float | None = None  # the c of _kept
+        self._kept: tuple = (0, ([], []))  # (rows scanned, _kappa_stats of those rows)
 
     def coefficients(self, count: int) -> tuple:
         """The coefficient columns of at least the first ``count`` rows."""
@@ -546,34 +545,30 @@ class _Resamples:
                 raise
         return columns
 
-    def statistics(self, c: float, count: int) -> tuple:
-        """_kappa_stats at ``c`` of the first ``count`` rows.
+    def statistics(self, c: float, which: int, k: int, limit: int) -> list:
+        """The first ``k`` statistics at ``c`` within the first ``limit`` rows.
 
-        At the latest c the store keeps the statistics of the longest prefix
-        asked for, and how many of each every prefix asked for holds. So a
-        prefix reads only the rows past the longest prefix asked for that it
-        contains: none when it was asked for before. The result is the kept
-        pair or new lists built from it, so a list that a caller holds never
-        changes. Another c drops the kept pair before its first pass.
+        ``which`` picks the differences (0) or the ratios (1) of
+        _kappa_stats; fewer than ``k`` come back when the first ``limit``
+        rows hold fewer. At the latest c the store keeps the statistics of
+        the rows scanned so far, and scans on only while the target is
+        short of ``k``: first to row ``k``, then as far as its share
+        accepted suggests, never past ``limit``. A ``limit`` below the rows
+        kept gets a pass of its own, and another c starts again from the
+        first row. Kept lists are replaced, never extended, so a list that
+        a caller holds never changes.
         """
         if c != self._c:
-            self._c, self._stats, self._marks = c, ([], []), {0: (0, 0)}
-        marks = self._marks
-        start = max(mark for mark in marks if mark <= count)
-        longest = self._stats
-        if start == count == max(marks):
-            return longest
-        n_differences, n_ratios = marks[start]
-        if start == count:
-            return longest[0][:n_differences], longest[1][:n_ratios]
-        differences, ratios = _kappa_stats(self.coefficients(count), c, start, count)
-        if start:
-            differences = longest[0][:n_differences] + differences
-            ratios = longest[1][:n_ratios] + ratios
-        if count > max(marks):
-            self._stats = differences, ratios
-        marks[count] = (len(differences), len(ratios))
-        return differences, ratios
+            self._c, self._kept = c, (0, ([], []))
+        rows, stats = self._kept
+        if limit < rows:
+            return _kappa_stats(self.coefficients(limit), c, 0, limit)[which][:k]
+        while len(stats[which]) < k and rows < limit:
+            stop = min(k if rows < k else math.ceil(rows * k / max(len(stats[which]), 1)), limit)
+            differences, ratios = _kappa_stats(self.coefficients(stop), c, rows, stop)
+            rows, stats = stop, (stats[0] + differences, stats[1] + ratios)
+            self._kept = rows, stats
+        return stats[which] if len(stats[which]) <= k else stats[which][:k]
 
 
 class BootstrapTables(_Resamples):
@@ -639,23 +634,16 @@ def bootstrap_ci(counts: PairedCounts, c: float, target: str,
 
 def _bootstrap(counts: PairedCounts, c: float, target: str, config: ConfidenceConfig,
                tables: BootstrapTables | None) -> tuple:
-    kappa1, kappa2, _, _, _ = _analysis(counts.cells(), c)
+    pair = kappa_pair(accuracy_from_counts(counts), c)
     ratio = target == "ratio"
-    point = kappa_ratio(kappa1, kappa2) if ratio else kappa1 - kappa2
+    point = pair.theta if ratio else pair.delta
     if tables is None:
         tables = BootstrapTables(counts, RandomStream(config.seed, BOOTSTRAP_STREAM))
     elif tables.counts != counts:
         raise DomainError("the bootstrap tables were drawn from another table")
     b = config.bootstrap_b
     budget = _BOOTSTRAP_DRAW_FACTOR * b  # read per call, so a patched factor applies
-    # the first B tables serve both targets. A target short of B accepted
-    # asks the store for a prefix as long as its share accepted suggests, and
-    # keeps the first B statistics: those of the shortest prefix with B
-    scanned = min(b, budget)
-    stats = tables.statistics(c, scanned)[ratio]
-    while len(stats) < b and scanned < budget:
-        scanned = min(math.ceil(scanned * b / max(len(stats), 1)), budget)
-        stats = tables.statistics(c, scanned)[ratio][:b]
+    stats = tables.statistics(c, ratio, b, budget)
     if len(stats) < b:
         raise BootstrapFailedError(
             f"only {len(stats)} of {b} replicates were estimable within {budget} draws")
@@ -735,7 +723,7 @@ def _bayesian(counts: PairedCounts, c: float, target: str, config: ConfidenceCon
         draws = PosteriorDraws(counts, config.priors, RandomStream(config.seed, BAYES_STREAM))
     elif (draws.counts, draws.priors) != (counts, config.priors):
         raise DomainError("the posterior draws were made for another table or prior")
-    stats = draws.statistics(c, config.bayes_m)[target == "ratio"]
+    stats = draws.statistics(c, target == "ratio", config.bayes_m, config.bayes_m)
     if not stats:
         raise DegenerateKappaError(f"no posterior draw has a defined {target} "
                                    "(kappa2 exactly 0, or a zero kappa denominator)")

@@ -22,6 +22,7 @@ from array import array
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from numbers import Integral
 
 from .data_model import PairedCounts, read_table
 from .errors import (
@@ -203,29 +204,23 @@ def _check_size(n) -> None:
         raise DomainError(f"sample size must be at least 1, got {n!r}")
 
 
-def _whole(value, name: str) -> int:
-    """``value`` as an int when it is an integer or an integral float (50.0); else DomainError."""
-    if _integral(value):
-        return int(value)
-    raise DomainError(f"{name} must be an integer, got {value!r}")
-
-
 _MIN_REPLICATES = 100
 
 
-def _check_replicates(n_replicates) -> None:
-    """DomainError when a cell has too few replicates for a coverage estimate."""
-    if n_replicates < _MIN_REPLICATES:
-        raise DomainError(f"need at least {_MIN_REPLICATES} replicates, got {n_replicates}")
-
-
 def _check_cell(n, n_replicates) -> tuple[int, int]:
-    """A coverage cell's sample size and replicate count as ints; DomainError when it cannot run."""
-    size, n_replicates = _whole(n, "sample size"), _whole(n_replicates, "replicate count")
+    """A coverage cell's sample size and replicate count as ints; DomainError when it cannot run.
+
+    An integer or an integral float (50.0) is taken as an int.
+    """
+    for value, name in ((n, "sample size"), (n_replicates, "replicate count")):
+        if not _integral(value):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+    size, n_replicates = int(n), int(n_replicates)
     _check_size(size)
     if size > _MAX_SIZE:
         raise DomainError(f"sample size must be at most 2**26 = {_MAX_SIZE}, got {n!r}")
-    _check_replicates(n_replicates)
+    if n_replicates < _MIN_REPLICATES:
+        raise DomainError(f"need at least {_MIN_REPLICATES} replicates, got {n_replicates}")
     return size, n_replicates
 
 
@@ -387,18 +382,21 @@ def coverage_grid(cells, methods, config: ConfidenceConfig | None = None,
     every sampled table before the intervals are built (the small-sample
     variant of the experiment).
 
-    With ``jobs > 1`` each cell's replicates are split into at most
-    ``jobs`` ranges, and ``jobs`` is at most the CPU count. The ranges run
-    on one worker pool per process, with a worker per range. The first
-    parallel cell builds the pool and later cells and calls reuse it. It
-    is replaced when a cell needs another worker count or when a worker
-    has died, and it lives until the process exits. Its workers are
+    ``jobs`` must be an integer of at least 1. With ``jobs > 1`` each
+    cell's replicates are split into at most ``jobs`` ranges, and ``jobs``
+    is at most the CPU count. The ranges run on one worker pool per
+    process, with a worker per range. The first parallel cell builds the
+    pool and later cells and calls reuse it. It is replaced when a cell
+    needs another worker count or when a worker has died, and it lives
+    until the process exits. Its workers are
     forked when it is built and run the code as it was then: a test that
     monkeypatches ``simulation`` or ``inference`` and uses ``jobs > 1``
     must call ``_drop_pool()`` first.
     """
     config = config or DEFAULT_CONFIG
     methods = check_methods(methods)
+    if not (isinstance(jobs, Integral) and jobs >= 1):
+        raise DomainError(f"jobs must be an integer >= 1, got {jobs!r}")
     ratio = any(METHODS[m].target == "ratio" for m in methods)
     checked = []
     for scenario, n, n_replicates in cells:

@@ -423,6 +423,14 @@ class TestSimulate:
         assert len(progress) == 25 and progress[-1].startswith("done in ")
         assert progress[2].startswith("row 3/24 n=100 N=100  wald-ratio ")
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_usage_error(self, jobs, capsys, tmp_path):
+        batch = tmp_path / "batch.csv"
+        batch.write_text(BATCH, encoding="utf-8")
+        code, out, err = run(capsys, ["simulate", "--batch", str(batch), "--jobs", jobs])
+        assert code == 1 and out == ""
+        assert err == f"error: jobs must be an integer >= 1, got {jobs}\n"
+
     def test_zero_replicates_is_usage_error(self, capsys, tmp_path):
         batch = tmp_path / "batch.csv"
         batch.write_text("k0_1,k1_1,k0_2,k1_2,p,c,f,n,N\n"

@@ -7,7 +7,9 @@ simulate's names lazily so that no other command loads ``simulation`` or
 the process-pool modules. Only ``data_model.read_table`` opens a file to
 read, so the input formats share one reader, and only
 ``inference._Resamples.statistics`` reads ``inference._kappa_stats``, so
-the resample store is the one producer of interval statistics. One draw
+the resample store is the one producer of interval statistics, and only
+the bootstrap and the Bayesian interval ask it, each for the first k
+statistics within a row limit. One draw
 loop, ``numerics._multinomial_draw``, reads ``numerics._binomial_chunk``,
 and the closed-form bound functions are named only in ``inference``, so
 every multinomial draw and every closed-form interval takes one path.
@@ -211,6 +213,13 @@ def test_only_the_resample_store_computes_interval_statistics():
     users = {(path.stem, where) for path in PACKAGE.glob("*.py")
              for where, _ in references(path.read_text(encoding="utf-8"), "_kappa_stats")}
     assert users == {("inference", "_Resamples.statistics")}
+
+
+def test_the_resampled_intervals_ask_the_store_one_question():
+    # (c, which, k, limit): the store alone decides how many rows to scan
+    askers = {(path.stem, where, count) for path in PACKAGE.glob("*.py")
+              for where, count in calls(path.read_text(encoding="utf-8"), "statistics")}
+    assert askers == {("inference", "_bootstrap", 4), ("inference", "_bayesian", 4)}
 
 
 def test_one_draw_loop_reads_the_binomial_chunks():

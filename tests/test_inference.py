@@ -486,7 +486,7 @@ class TestSharedDraws:
                  + [point + 0.01 * i for i in range(1, 31)])
         # both denominators are 1 at c = 0.5 and kappa2 = 0, so each row's difference is its N1
         tables = _HandBuilt(table8, [(1.0, 1.0, k1, 1.0, 1.0, 0.0) for k1 in stats])
-        assert tables.statistics(0.5, 100)[0] == stats
+        assert tables.statistics(0.5, 0, 100, 100) == stats
         ci = bootstrap_ci(table8, 0.5, "difference", config, tables)
         assert stats.count(point) == 40
 
@@ -552,7 +552,7 @@ class TestSharedDraws:
         for ratio in (False, True):
             expected = _reference_stats(accuracies, 0.3, ratio)
             assert len(expected) > 40
-            got = tables.statistics(0.3, 50)[ratio]
+            got = tables.statistics(0.3, ratio, 50, 50)
             assert _bits(got) == _bits(expected)
         assert stream_state(tables._stream) == stream_state(stream)
 
@@ -610,7 +610,7 @@ class TestSharedDraws:
             for ratio in (False, True):
                 expected = _reference_stats(accuracies, c, ratio)
                 assert len(expected) == m
-                got = draws.statistics(c, m)[ratio]
+                got = draws.statistics(c, ratio, m, m)
                 assert _bits(got) == _bits(expected)
         assert stream_state(draws._stream) == stream_state(stream)
 
@@ -715,29 +715,34 @@ class TestOnePassPerC:
             passes.append((start, stop))
             return kappa_stats(columns, c, start, stop)
 
-        def fresh(count, c=0.4):
+        def fresh(which, k, limit, c=0.4):
             return BootstrapTables(SPARSE, RandomStream(5, inference.BOOTSTRAP_STREAM)).statistics(
-                c, count)
+                c, which, k, limit)
 
         tables = BootstrapTables(SPARSE, RandomStream(5, inference.BOOTSTRAP_STREAM))
         monkeypatch.setattr(inference, "_kappa_stats", recorded)
-        held = tables.statistics(0.4, 300)
+        held = [tables.statistics(0.4, which, 300, 300) for which in (0, 1)]
         copies = [list(stats) for stats in held]
-        for count in (700, 300, 500, 700, 900):
-            stats = tables.statistics(0.4, count)
+        for which, k, limit in ((0, 700, 700), (0, 700, 700), (1, 300, 700), (0, 300, 500),
+                                (0, 900, 900), (1, 900, 9000)):
+            stats = tables.statistics(0.4, which, k, limit)
             monkeypatch.undo()
-            assert [_bits(x) for x in stats] == [_bits(x) for x in fresh(count)]
+            assert _bits(stats) == _bits(fresh(which, k, limit))
             monkeypatch.setattr(inference, "_kappa_stats", recorded)
         assert [list(stats) for stats in held] == copies  # a list handed out never changes
-        # a prefix asked for before reads no row; 500 reads on from 300
-        assert passes == [(0, 300), (300, 700), (300, 500), (700, 900)]
-        tables.statistics(0.6, 500)  # another c starts again from the first row
+        # both targets of 300 rows share one pass, and 700 reads on from 300;
+        # the 685 ratios of those 700 rows hold the first 300, so asking for
+        # them, or for 700 again, reads no row; a limit below the 700 rows
+        # kept gets a pass of its own; 900 reads on from 700, and 900 ratios
+        # from the 882 of 900 rows read on to ceil(900 * 900 / 882) = 919
+        assert passes == [(0, 300), (300, 700), (0, 500), (700, 900), (900, 919)]
+        tables.statistics(0.6, 0, 500, 500)  # another c starts again from the first row
         assert passes[-1] == (0, 500)
 
     def test_sparse_bootstraps_read_far_fewer_rows_than_rescans(self, monkeypatch):
         # 40 estimable tables of paper scenario 5 (p = 5%) at n = 25: many
-        # resamples have an empty stratum or kappa2 = 0, so both targets ask
-        # for longer prefixes than B
+        # resamples have an empty stratum or kappa2 = 0, so both targets
+        # scan past the first B rows
         sc = paper_scenarios()[4]
         counts = []
         for i in itertools.count():
@@ -752,19 +757,13 @@ class TestOnePassPerC:
         config = ConfidenceConfig(seed=0)
         expected = [bootstrap_ci(table, sc.c, target, config)
                     for table in counts for target in ("difference", "ratio")]
-        asked, read = [], []
-        statistics = inference._Resamples.statistics
+        passes = []  # (start, stop) of each statistics pass
         kappa_stats = inference._kappa_stats
 
-        def asking(store, c, count):
-            asked.append((id(store), c, count))
-            return statistics(store, c, count)
-
         def reading(columns, c, start, stop):
-            read.append(stop - start)
+            passes.append((start, stop))
             return kappa_stats(columns, c, start, stop)
 
-        monkeypatch.setattr(inference._Resamples, "statistics", asking)
         monkeypatch.setattr(inference, "_kappa_stats", reading)
         shared = []
         for table in counts:
@@ -772,15 +771,11 @@ class TestOnePassPerC:
             shared += [bootstrap_ci(table, sc.c, target, config, tables)
                        for target in ("difference", "ratio")]
         assert shared == expected
-        assert sum(count > config.bootstrap_b for _, _, count in asked) >= 40
-        # a store that kept only its latest (c, count) would rescan from the
-        # first row whenever the (c, count) asked for changes
-        rescans, kept = 0, {}
-        for store, c, count in asked:
-            if kept.get(store) != (c, count):
-                rescans += count
-                kept[store] = (c, count)
-        assert 2 * sum(read) <= rescans
+        read = sum(stop - start for start, stop in passes)
+        assert (read, len(passes)) == (109_556, 90)
+        assert sum(stop > config.bootstrap_b for _, stop in passes) >= 40
+        # passes that each rescanned from the first row would read nearly twice as many
+        assert sum(stop for _, stop in passes) > 1.9 * read
 
     def test_growing_batches_leave_the_stream_where_scalar_draws_do(self, table8):
         tables = BootstrapTables(table8, RandomStream(9, inference.BOOTSTRAP_STREAM))
@@ -951,21 +946,21 @@ class TestSharedAnalysis:
                        ConfidenceConfig(seed=2))
         assert (len(covariance_calls), len(plans)) == (100, 1)
         # the resampling methods read the same table; the closed-form bounds
-        # read its one analysis, and boot-diff computes one more for its point
+        # read its one analysis, and boot-diff's point needs only the kappas
         coverage_study(sc, 200, 100, ["wald-diff", "boot-diff", "bayes-ratio", "wald-ratio"],
                        ConfidenceConfig(seed=2, bootstrap_b=100, bayes_m=1000))
-        assert (len(covariance_calls), len(plans)) == (100 + 100 + 100, 1 + 1 + 100)
+        assert (len(covariance_calls), len(plans)) == (100 + 100, 1 + 1 + 100)
 
     def test_each_closed_form_call_computes_one_analysis(self, table8, covariance_calls):
         results = []
         for calls, f in enumerate(CLOSED_FORM, 1):
             results.append(f(table8, 0.5))
             assert len(covariance_calls) == calls
-        bootstrap_ci(table8, 0.5, "ratio", SHARED_CONFIG)  # the analysis of its point
-        assert len(covariance_calls) == len(CLOSED_FORM) + 1
+        bootstrap_ci(table8, 0.5, "ratio", SHARED_CONFIG)  # its point needs only the kappas
+        assert len(covariance_calls) == len(CLOSED_FORM)
         # nothing is kept between calls: a second round gives the same bits
         again = [f(table8, 0.5) for f in CLOSED_FORM]
-        assert len(covariance_calls) == 2 * len(CLOSED_FORM) + 1
+        assert len(covariance_calls) == 2 * len(CLOSED_FORM)
         assert repr(again) == repr(results)
 
     def test_equal_but_distinct_table_or_another_c_recomputes(self, table8, covariance_calls):
@@ -1042,6 +1037,18 @@ class TestSharedAnalysis:
                 with pytest.raises(DegenerateKappaError):
                     f(YOUDEN_ZERO, 0.5)
         assert len(covariance_calls) == 1 + 2 * len(CLOSED_FORM)
+
+    def test_bootstrap_point_needs_only_the_kappas(self, covariance_calls):
+        # Y1 = 0: kappa1 = 0 has no delta-method variance, yet its resamples
+        # give both bootstrap intervals around the plug-in kappas
+        counts = PairedCounts(50, 0, 50, 0, 0, 50, 0, 50)
+        with pytest.raises(DegenerateKappaError, match="Youden indices"):
+            wald_diff_ci(counts, 0.5)
+        difference = bootstrap_ci(counts, 0.5, "difference", SHARED_CONFIG)
+        ratio = bootstrap_ci(counts, 0.5, "ratio", SHARED_CONFIG)
+        assert (difference.point, ratio.point) == (-1.0, 0.0)
+        assert difference.lower < -1.0 < difference.upper and ratio.lower < 0.0 < ratio.upper
+        assert len(covariance_calls) == 1
 
 
 class TestInversion:

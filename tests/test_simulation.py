@@ -420,6 +420,16 @@ class TestCoverageGrid:
             list(coverage_grid([*self.CELLS, bad], self.METHODS, ConfidenceConfig(seed=4)))
         assert calls == []
 
+    @pytest.mark.parametrize("jobs", [0, -1, 1.5, 2.0, "2", None])
+    def test_jobs_that_is_not_a_positive_integer_fails_before_any_replicate(self, jobs,
+                                                                            monkeypatch):
+        # -1 is not "all cores": a worker count below 1 would run serially without a word
+        calls = []
+        monkeypatch.setattr(simulation, "_run_range", calls.append)
+        with pytest.raises(DomainError, match=f"jobs must be an integer >= 1, got {jobs!r}"):
+            coverage_grid(self.CELLS, self.METHODS, ConfidenceConfig(seed=4), jobs=jobs)
+        assert calls == []
+
 
 SCORER_CONFIG = ConfidenceConfig(bootstrap_b=100, bayes_m=1000, seed=4)
 # each tag's public interval function, on (counts, c, tables, draws)
