@@ -352,11 +352,10 @@ def bloch_test(counts: PairedCounts, c: float) -> TestResult:
     return TestResult(z_stat=z, p_value=2.0 * normal_cdf(-abs(z)))
 
 
-# The interval bounds: each returns (lower, upper, point). METHODS calls
-# them; the public *_ci functions wrap them in a ConfidenceInterval through
-# METHODS. The four closed-form bounds read the table only through its
-# analysis, the tuple (kappa1, kappa2, var1, var2, cov12) of _analysis, and
-# the critical value z, and clip a variance below 0 as _se_delta does.
+# The closed-form bounds, held by their METHODS entries: each returns
+# (lower, upper, point) from the table's analysis, the tuple (kappa1,
+# kappa2, var1, var2, cov12) of _analysis, and the critical value z, and
+# clips a variance below 0 as _se_delta does.
 
 def _wald_diff(analysis: tuple, z: float) -> tuple:
     kappa1, kappa2, var1, var2, cov12 = analysis
@@ -740,24 +739,26 @@ def _bayesian(counts: PairedCounts, c: float, target: str, config: ConfidenceCon
 @dataclass(frozen=True, slots=True)
 class Method:
     """An interval: its target, the shared draw it reads (None, "tables" or
-    "draws"), its ConfidenceInterval.method label and its
-    ``call(counts, c, config, tables, draws)``, which returns the bounds as
-    (lower, upper, point) without checking their order. A closed-form
-    interval also has its ``bound(analysis, z)``, which returns the same
-    bounds from the table's _analysis; its call is
-    ``bound(_analysis(counts.cells(), c), config.z)``. The others have None."""
+    "draws"), its ConfidenceInterval.method label and, when closed form, its
+    ``bound(analysis, z)``: (lower, upper, point) from the table's _analysis,
+    in any order. The resampled ones have None; interval runs _bootstrap or _bayesian."""
 
     target: str
     draw: str | None
     label: str
-    call: Callable[..., tuple[float, float, float]]
     bound: Callable[[tuple, float], tuple[float, float, float]] | None = None
 
     def interval(self, counts: PairedCounts, c: float, config: ConfidenceConfig | None = None,
                  tables: BootstrapTables | None = None,
                  draws: PosteriorDraws | None = None) -> ConfidenceInterval:
-        """The call's bounds as a ConfidenceInterval, by default at DEFAULT_CONFIG."""
-        lower, upper, point = self.call(counts, c, config or DEFAULT_CONFIG, tables, draws)
+        """The interval on ``counts`` at ``c``, by default at DEFAULT_CONFIG."""
+        config = config or DEFAULT_CONFIG
+        if self.draw == "tables":
+            lower, upper, point = _bootstrap(counts, c, self.target, config, tables)
+        elif self.draw == "draws":
+            lower, upper, point = _bayesian(counts, c, self.target, config, draws)
+        else:
+            lower, upper, point = self.bound(_analysis(counts.cells(), c), config.z)
         return ConfidenceInterval(self.target, self.label, lower, upper, point)
 
 
@@ -768,28 +769,35 @@ def _tag(kind: str, target: str) -> str:
     return f"{kind}-diff" if target == "difference" else f"{kind}-ratio"
 
 
-# every interval by tag, in report order; the calls look up this module's
-# bound functions when they run, and a closed-form ``bound`` is the function
-# itself, for callers that hold the analysis already
+# every interval by tag, in report order: analyze, the public *_ci functions
+# and the coverage scorer all reach a closed-form interval through its bound
 METHODS = {
-    "wald-diff": Method("difference", None, "wald", lambda counts, c, config, tables, draws: _wald_diff(_analysis(counts.cells(), c), config.z), _wald_diff),
-    "boot-diff": Method("difference", "tables", "bootstrap-bc", lambda counts, c, config, tables, draws: _bootstrap(counts, c, "difference", config, tables)),
-    "bayes-diff": Method("difference", "draws", "bayesian-quantile", lambda counts, c, config, tables, draws: _bayesian(counts, c, "difference", config, draws)),
-    "wald-ratio": Method("ratio", None, "wald", lambda counts, c, config, tables, draws: _wald_ratio(_analysis(counts.cells(), c), config.z), _wald_ratio),
-    "log-ratio": Method("ratio", None, "logarithmic", lambda counts, c, config, tables, draws: _log_ratio(_analysis(counts.cells(), c), config.z), _log_ratio),
-    "fieller-ratio": Method("ratio", None, "fieller", lambda counts, c, config, tables, draws: _fieller(_analysis(counts.cells(), c), config.z), _fieller),
-    "boot-ratio": Method("ratio", "tables", "bootstrap-bc", lambda counts, c, config, tables, draws: _bootstrap(counts, c, "ratio", config, tables)),
-    "bayes-ratio": Method("ratio", "draws", "bayesian-quantile", lambda counts, c, config, tables, draws: _bayesian(counts, c, "ratio", config, draws)),
+    "wald-diff": Method("difference", None, "wald", _wald_diff),
+    "boot-diff": Method("difference", "tables", "bootstrap-bc"),
+    "bayes-diff": Method("difference", "draws", "bayesian-quantile"),
+    "wald-ratio": Method("ratio", None, "wald", _wald_ratio),
+    "log-ratio": Method("ratio", None, "logarithmic", _log_ratio),
+    "fieller-ratio": Method("ratio", None, "fieller", _fieller),
+    "boot-ratio": Method("ratio", "tables", "bootstrap-bc"),
+    "bayes-ratio": Method("ratio", "draws", "bayesian-quantile"),
 }
 
 
 def check_methods(methods) -> tuple:
-    """``methods`` as a tuple; DomainError names the first tag not in METHODS."""
+    """``methods`` as a tuple of distinct tags of METHODS.
+
+    DomainError refuses an empty list and names the first tag not in
+    METHODS or the first repeated one, whichever comes first.
+    """
     methods = tuple(methods)
-    for method in methods:
+    choices = ", ".join(sorted(METHODS))
+    if not methods:
+        raise DomainError(f"the method list is empty; choose from {choices}")
+    for k, method in enumerate(methods):
         if method not in METHODS:
-            raise DomainError(
-                f"unknown method {method!r}; choose from {', '.join(sorted(METHODS))}")
+            raise DomainError(f"unknown method {method!r}; choose from {choices}")
+        if method in methods[:k]:
+            raise DomainError(f"the method list names {method!r} twice")
     return methods
 
 

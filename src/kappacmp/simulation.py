@@ -230,10 +230,9 @@ _MAX_SAMPLE_ATTEMPTS = 10_000
 
 
 def _entries(scenario: Scenario, methods) -> tuple:
-    """(tag, true value, bound, call) of each method (inference.Method), resolved once per range."""
-    return tuple((method, scenario.delta if METHODS[method].target == "difference"
-                  else scenario.theta, METHODS[method].bound, METHODS[method].call)
-                 for method in methods)
+    """(true value, bound, method) of each tag's inference.Method, resolved once per range."""
+    return tuple((scenario.delta if METHODS[tag].target == "difference" else scenario.theta,
+                  METHODS[tag].bound, METHODS[tag]) for tag in methods)
 
 
 def _score(entries: tuple, analysis: tuple, counts: PairedCounts | None, c: float,
@@ -246,16 +245,17 @@ def _score(entries: tuple, analysis: tuple, counts: PairedCounts | None, c: floa
     that cannot be built (_INTERVAL_ERRORS) adds to neither. ``analysis``
     is the table's _analysis at ``c``, which the redraw rule computed: a
     closed-form entry's bound reads it at config.z, and any other entry
-    runs its call on ``counts``, None when every entry is closed-form.
+    builds its interval on ``counts``, None when every entry is closed-form.
     Scores the bounds as ConfidenceInterval.contains and .length score
     them, and raises its DomainError when they are out of order.
     """
     z = config.z
     k = 0
-    for _, true_value, bound, call in entries:
+    for true_value, bound, method in entries:
         try:
             if bound is None:
-                lower, upper, _ = call(counts, c, config, tables, draws)
+                ci = method.interval(counts, c, config, tables, draws)
+                lower, upper = ci.lower, ci.upper
             else:
                 lower, upper, _ = bound(analysis, z)
         except _INTERVAL_ERRORS:

@@ -12,7 +12,10 @@ the bootstrap and the Bayesian interval ask it, each for the first k
 statistics within a row limit. One draw
 loop, ``numerics._multinomial_draw``, reads ``numerics._binomial_chunk``,
 and the closed-form bound functions are named only in ``inference``, so
-every multinomial draw and every closed-form interval takes one path.
+every multinomial draw and every closed-form interval takes one path. The
+package holds no lambda, and only ``inference.Method.interval`` runs the
+bootstrap and the Bayesian interval, so every interval is evaluated in one
+place.
 Only the worker pool's functions in ``simulation`` rebind a module
 global, so no other call keeps state between calls. Every call of
 ``numerics._multinomial_plan`` passes only the vector and the size, so
@@ -240,6 +243,19 @@ def test_multinomial_plans_take_only_the_vector_and_the_size():
     assert planners == {("numerics", "sample_multinomial", 2),
                         ("inference", "BootstrapTables._draw", 2),
                         ("simulation", "_run_range", 2)}
+
+
+def test_one_evaluation_path_per_interval():
+    # a METHODS entry is data: no lambda anywhere in the package, and only
+    # Method.interval runs the resampled intervals
+    lambdas = [(path.stem, where, node.lineno) for path in PACKAGE.glob("*.py")
+               for where, node in located(path.read_text(encoding="utf-8"))
+               if isinstance(node, ast.Lambda)]
+    assert lambdas == []
+    runners = {(path.stem, where) for path in PACKAGE.glob("*.py")
+               for name in ("_bootstrap", "_bayesian")
+               for where, _ in calls(path.read_text(encoding="utf-8"), name)}
+    assert runners == {("inference", "Method.interval")}
 
 
 @pytest.mark.parametrize("name", ["_wald_diff", "_wald_ratio", "_log_ratio", "_fieller"])

@@ -1,5 +1,7 @@
 """The method registry: declarations, validation, shared draws and report order."""
 
+import dataclasses
+
 import pytest
 
 from kappacmp import cli, inference, simulation
@@ -46,38 +48,61 @@ class TestRegistry:
         ]
 
     @pytest.mark.parametrize("tag", list(METHODS))
-    def test_call_builds_its_target_from_its_declared_draw_alone(self, table8, tag):
+    def test_interval_builds_its_target_from_its_declared_draw_alone(self, table8, tag):
         entry = METHODS[tag]
         tables = draws = None
         if entry.draw == "tables":
             tables = BootstrapTables(table8, RandomStream(FAST.seed, BOOTSTRAP_STREAM))
         elif entry.draw == "draws":
             draws = PosteriorDraws(table8, FAST.priors, RandomStream(FAST.seed, BAYES_STREAM))
-        lower, upper, point = entry.call(table8, 0.5, FAST, tables, draws)
-        assert lower <= upper
-        # a closed-form interval also gives its bounds from the table's analysis
-        assert (entry.bound is None) is (entry.draw is not None)
-        if entry.bound is not None:
-            assert entry.bound(inference._analysis(table8.cells(), 0.5), FAST.z) == (lower, upper, point)
         ci = entry.interval(table8, 0.5, FAST, tables, draws)
         assert (ci.target, ci.method) == (entry.target, entry.label)
-        assert (ci.lower, ci.upper, ci.point) == (lower, upper, point)
+        assert ci.lower <= ci.upper
+        # a resampled interval draws the same shared draw when given none
+        assert entry.interval(table8, 0.5, FAST) == ci
+        # a closed-form interval is its bound on the table's analysis
+        assert (entry.bound is None) is (entry.draw is not None)
+        if entry.bound is not None:
+            assert entry.bound(inference._analysis(table8.cells(), 0.5), FAST.z) \
+                == (ci.lower, ci.upper, ci.point)
 
-    def test_calls_look_up_the_interval_functions_when_they_run(self, table8, monkeypatch):
+    def test_every_caller_reaches_a_closed_form_bound_through_its_entry(
+            self, table8, scenario, monkeypatch):
+        # analyze, the public interval and the coverage scorer each call the
+        # bound of the entry that METHODS holds when they run
         calls = []
-        original = inference._wald_ratio
+        original = METHODS["wald-ratio"].bound
 
-        def wrapped(*args):
-            calls.append(args)
-            return original(*args)
+        def wrapped(analysis, z):
+            calls.append((analysis, z))
+            return original(analysis, z)
 
-        monkeypatch.setattr(inference, "_wald_ratio", wrapped)
-        bounds = METHODS["wald-ratio"].call(table8, 0.5, FAST, None, None)
+        unwrapped = coverage_study(scenario, 40, 100, ["wald-ratio"], FAST)
+        monkeypatch.setitem(inference.METHODS, "wald-ratio",
+                            dataclasses.replace(METHODS["wald-ratio"], bound=wrapped))
         analysis = inference._analysis(table8.cells(), 0.5)
-        assert calls == [(analysis, FAST.z)]
-        assert bounds == original(analysis, FAST.z)
+
         ci = inference.wald_ratio_ci(table8, 0.5, FAST)
-        assert len(calls) == 2 and (ci.lower, ci.upper, ci.point) == bounds
+        assert calls == [(analysis, FAST.z)]
+        assert (ci.lower, ci.upper, ci.point) == original(analysis, FAST.z)
+
+        calls.clear()
+        report = build_analysis_report(table8, cs=[0.5], methods=["wald-ratio"], config=FAST,
+                                       correct=False)
+        assert calls == [(analysis, FAST.z)]
+        assert report.rows[0].intervals["wald-ratio"] == ci
+
+        calls.clear()
+        analyses = []  # the analysis of each replicate's table, as the redraw rule accepts it
+
+        def recorded(cells, c):
+            analyses.append(inference._analysis(cells, c))
+            return analyses[-1]
+
+        monkeypatch.setattr(simulation, "_analysis", recorded)
+        assert coverage_study(scenario, 40, 100, ["wald-ratio"], FAST, jobs=1) == unwrapped
+        assert len(analyses) == 100
+        assert calls == [(each, FAST.z) for each in analyses]
 
     def test_check_methods_returns_a_tuple(self):
         assert check_methods(iter(["log-ratio", "wald-diff"])) == ("log-ratio", "wald-diff")
@@ -85,6 +110,24 @@ class TestRegistry:
     def test_check_methods_names_the_first_unknown_tag(self):
         with pytest.raises(DomainError, match="unknown method 'nope'"):
             check_methods(["wald-diff", "nope", "bad"])
+
+    def test_check_methods_refuses_an_empty_list(self):
+        with pytest.raises(DomainError, match="^the method list is empty; choose from "):
+            check_methods(iter([]))
+
+    @pytest.mark.parametrize("methods, named", [
+        (["wald-diff", "wald-diff"], "wald-diff"),
+        (["log-ratio", "boot-diff", "log-ratio", "boot-diff"], "log-ratio"),
+    ])
+    def test_check_methods_names_the_first_repeated_tag(self, methods, named):
+        with pytest.raises(DomainError, match=f"^the method list names '{named}' twice$"):
+            check_methods(methods)
+
+    def test_check_methods_names_whichever_fault_comes_first(self):
+        with pytest.raises(DomainError, match="unknown method 'nope'"):
+            check_methods(["wald-diff", "nope", "wald-diff"])
+        with pytest.raises(DomainError, match="names 'wald-diff' twice"):
+            check_methods(["wald-diff", "wald-diff", "nope"])
 
 
 class TestUnknownMethods:
@@ -96,18 +139,38 @@ class TestUnknownMethods:
         with pytest.raises(DomainError, match="unknown method 'nope'"):
             coverage_study(scenario, 100, 100, ["wald-diff", "nope"])
 
-    def test_analyze_and_simulate_exit_2_with_one_message(self, capsys, tmp_path):
+    @pytest.mark.parametrize("methods", [[], ["wald-diff", "wald-diff"]],
+                             ids=["empty", "repeated"])
+    def test_empty_or_repeated_list_runs_no_replicate(self, scenario, table8, methods,
+                                                      monkeypatch):
+        def run_range(args):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(simulation, "_run_range", run_range)
+        with pytest.raises(DomainError, match="^the method list "):
+            coverage_study(scenario, 100, 100, methods)
+        with pytest.raises(DomainError, match="^the method list "):
+            build_analysis_report(table8, cs=[0.5], methods=methods)
+
+    @pytest.mark.parametrize("methods, message", [
+        ("wald-diff,nope", "unknown method 'nope'; choose from "),
+        (",", "the method list is empty; choose from "),
+        ("wald-diff,wald-diff", "the method list names 'wald-diff' twice"),
+    ], ids=["unknown", "empty", "repeated"])
+    def test_analyze_and_simulate_exit_2_with_one_message(self, methods, message, capsys,
+                                                          tmp_path):
         messages = []
-        for argv in (["analyze", *TABLE8, "--methods", "wald-diff,nope"],
+        for argv in (["analyze", *TABLE8, "--methods", methods],
                      ["simulate", "--batch", str(tmp_path / "absent.csv"),
-                      "--methods", "wald-diff,nope"]):
+                      "--methods", methods]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
             err = capsys.readouterr().err
-            messages.append(err[err.index("unknown method"):])
+            assert err.count("argument --methods: ") == 1
+            messages.append(err[err.index("argument --methods: "):])
         assert messages[0] == messages[1]
-        assert messages[0].startswith("unknown method 'nope'; choose from ")
+        assert messages[0].startswith("argument --methods: " + message)
 
 
 class TestSharedDrawsPerReplicate:

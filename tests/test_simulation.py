@@ -17,7 +17,7 @@ import pytest
 
 import kappacmp.simulation as simulation
 from conftest import PAPER_GRID, paper_scenarios, random_accuracies
-from kappacmp import numerics
+from kappacmp import inference, numerics
 from kappacmp.data_model import PairedCounts, apply_continuity_correction, recommend_method
 from kappacmp.errors import (
     DegenerateKappaError,
@@ -486,13 +486,13 @@ def _scored(tag, true_value, counts, c, tables, draws):
     when it tallies neither, or the KappaCmpError it raised.
 
     The method is scored as a range scores it: a closed-form bound on the
-    table's analysis, any other method through its call.
+    table's analysis, any other method through its interval.
     """
     method = METHODS[tag]
     covered, lengths = [0], [array("d")]
     try:
         analysis = simulation._analysis(counts.cells(), c) if method.bound else None
-        simulation._score(((tag, true_value, method.bound, method.call),), analysis,
+        simulation._score(((true_value, method.bound, method),), analysis,
                           counts, c, SCORER_CONFIG, tables, draws, covered, lengths)
     except KappaCmpError as exc:
         return type(exc)
@@ -513,7 +513,7 @@ class TestScorer:
             tables = BootstrapTables(counts, RandomStream(SCORER_CONFIG.seed, 1))
             draws = PosteriorDraws(counts, SCORER_CONFIG.priors,
                                    RandomStream(SCORER_CONFIG.seed, 2))
-            for tag, true_value, bound, _ in simulation._entries(sc, METHODS):
+            for tag, (true_value, bound, _) in zip(METHODS, simulation._entries(sc, METHODS)):
                 try:
                     ci = PUBLIC_CI[tag](counts, c, tables, draws)
                 except KappaCmpError as exc:
@@ -537,16 +537,17 @@ class TestScorer:
         assert kappa2_zero == 1
         assert redrawn == 6 * 4  # six tables, among them both Youden-zero ones
 
-    def test_bounds_out_of_order_raise_as_the_interval_does(self, table8):
-        def reversed_call(counts, c, config, tables, draws):
+    def test_bounds_out_of_order_raise_as_the_interval_does(self, table8, monkeypatch):
+        def reversed_bootstrap(counts, c, target, config, tables):
             return 1.0, 0.5, 0.75
 
         def reversed_bound(analysis, z):
             return 1.0, 0.5, 0.75
 
+        monkeypatch.setattr(inference, "_bootstrap", reversed_bootstrap)
         analysis = simulation._analysis(table8.cells(), 0.5)
-        for entries in ((("boot-ratio", 0.7, None, reversed_call),),
-                        (("wald-ratio", 0.7, reversed_bound, None),)):
+        for entries in (((0.7, None, METHODS["boot-ratio"]),),
+                        ((0.7, reversed_bound, METHODS["wald-ratio"]),)):
             with pytest.raises(DomainError, match=r"interval bounds out of order: \(1.0, 0.5\)"):
                 simulation._score(entries, analysis, table8, 0.5, SCORER_CONFIG, None, None,
                                   [0], [array("d")])
