@@ -11,6 +11,8 @@ between the tests into the kappa covariance.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from array import array
 from collections.abc import Callable
@@ -730,10 +732,22 @@ def _bayesian(counts: PairedCounts, c: float, target: str, config: ConfidenceCon
     if excluded:
         warnings.warn(f"{excluded} of {config.bayes_m} posterior draws had an undefined "
                       f"{target} (kappa2 exactly 0, or a zero kappa denominator) and "
-                      "were excluded from its quantiles", stacklevel=2)
+                      "were excluded from its quantiles", stacklevel=_caller_stacklevel())
     alpha = config.alpha
     lower, upper = select_quantiles(stats, alpha / 2.0, 1.0 - alpha / 2.0)
     return lower, upper, math.fsum(stats) / len(stats)
+
+
+_PACKAGE_PREFIX = os.path.dirname(os.path.abspath(__file__)) + os.sep
+
+
+def _caller_stacklevel() -> int:
+    """The warnings.warn stacklevel, for the function that calls this one,
+    that names the first frame outside the package: the user's call."""
+    frame, level = sys._getframe(1), 1
+    while frame.f_back is not None and frame.f_code.co_filename.startswith(_PACKAGE_PREFIX):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 @dataclass(frozen=True, slots=True)

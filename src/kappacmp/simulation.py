@@ -95,6 +95,13 @@ _KAPPA_TIE = 1e-12  # kappas this close are equal up to rounding: a null scenari
 _INTERVAL_ERRORS = (DegenerateKappaError, UndefinedRatioError, LogIntervalError,
                     FiellerInvalidError, BootstrapFailedError, NonEstimableError)
 
+# The redraw rule: a table is redrawn when its kappas or their variances
+# cannot be estimated at all, an empty stratum or a Youden estimate of zero
+# (the variance divides by Y). Negative-Y tables keep their slot: their
+# intervals are well defined and the small-sample coverage collapse depends
+# on them.
+_REDRAW_ERRORS = (NonEstimableError, DegenerateKappaError)
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -235,63 +242,20 @@ def _entries(scenario: Scenario, methods) -> tuple:
                   METHODS[tag].bound, METHODS[tag]) for tag in methods)
 
 
-def _score(entries: tuple, analysis: tuple, counts: PairedCounts | None, c: float,
-           config: ConfidenceConfig, tables: BootstrapTables | None,
-           draws: PosteriorDraws | None, covered: list, lengths: list) -> None:
-    """Tally each entry's interval on one table, in entry order.
+def _sampled_tables(scenario: Scenario, n: int, config: ConfidenceConfig, lo: int, hi: int,
+                    correct: bool):
+    """The tables of replicates lo..hi-1: ``(1, cells, analysis, stream base, redraws)`` each.
 
-    ``covered[k]`` gains 1 when the interval of ``entries[k]`` contains its
-    true value, and ``lengths[k]`` gets the interval's length; an interval
-    that cannot be built (_INTERVAL_ERRORS) adds to neither. ``analysis``
-    is the table's _analysis at ``c``, which the redraw rule computed: a
-    closed-form entry's bound reads it at config.z, and any other entry
-    builds its interval on ``counts``, None when every entry is closed-form.
-    Scores the bounds as ConfidenceInterval.contains and .length score
-    them, and raises its DomainError when they are out of order.
+    Replicate i depends only on (scenario, n, config, i). Its table holds
+    the cells sampled from ``RandomStream(config.seed, 3 * i)``
+    (numerics._head_streams), +0.5 each when ``correct``, as a list;
+    ``analysis`` is its _analysis at the scenario's c, the stream base is
+    3i and ``redraws`` counts the tables drawn before it and rejected. The
+    scenario's probabilities and ``n`` are checked, and its plan made, once
+    per range (numerics._multinomial_plan).
     """
-    z = config.z
-    k = 0
-    for true_value, bound, method in entries:
-        try:
-            if bound is None:
-                ci = method.interval(counts, c, config, tables, draws)
-                lower, upper = ci.lower, ci.upper
-            else:
-                lower, upper, _ = bound(analysis, z)
-        except _INTERVAL_ERRORS:
-            pass
-        else:
-            if lower > upper:
-                require_ordered(lower, upper)  # raises
-            covered[k] += lower <= true_value <= upper
-            lengths[k].append(upper - lower)
-        k += 1
-
-
-def _run_range(args):
-    """Tallies of replicates lo..hi-1: (redraws, covered, lengths).
-
-    Replicate i depends only on (scenario, n, config, i). Its one table,
-    shared by every method and its one analysis, holds the cells sampled
-    from ``RandomStream(config.seed, 3 * i)`` (numerics._head_streams),
-    +0.5 each when ``correct``. The analysis reads the list drawn; a
-    PairedCounts of it is built only when a method reads shared draws.
-    The scenario's probabilities and ``n`` are checked, and its plan made,
-    once per range (numerics._multinomial_plan).
-
-    ``covered[k]`` counts the intervals of ``methods[k]`` that contain the
-    true value and ``lengths[k]`` holds the lengths of its valid ones, in
-    replicate order; the rest of the range's replicates were invalid.
-    """
-    scenario, n, methods, config, lo, hi, correct = args
-    entries = _entries(scenario, methods)
-    shared = {METHODS[method].draw for method in methods} - {None}  # the draws they read
-    # the scenario's multinomial plan and CDFs, shared by the range's samples
     plan, n = _multinomial_plan(scenario.pi, n)
     c = scenario.c
-    redraws = 0
-    covered = [0] * len(entries)
-    lengths = [array("d") for _ in entries]
     bases = range(_STREAMS_PER_REPLICATE * lo, _STREAMS_PER_REPLICATE * hi,
                   _STREAMS_PER_REPLICATE)
     streams = _head_streams(config.seed, bases, _multinomial_reads(len(scenario.pi), n))
@@ -300,30 +264,80 @@ def _run_range(args):
             cells = _multinomial_draw(plan, n, uniform)
             if correct:
                 cells = [cell + 0.5 for cell in cells]
-            # redraw when the kappas or their variances cannot be estimated
-            # at all: an empty stratum, or a Youden estimate of zero (the
-            # variance divides by Y). Negative-Y samples keep their slot:
-            # their intervals are well defined and the small-sample coverage
-            # collapse depends on them. The closed-form bounds read this analysis.
             try:
                 analysis = _analysis(cells, c)
-            except (NonEstimableError, DegenerateKappaError):
+            except _REDRAW_ERRORS:
                 continue
             break
         else:
             raise InfeasibleScenarioError(
                 f"no estimable sample of size {n} after {_MAX_SAMPLE_ATTEMPTS} draws; "
                 "the scenario is too degenerate to study")
-        redraws += attempt
-        # the table, one bootstrap set and one posterior per replicate, shared
-        # by the difference and the ratio; built only when a method needs them
+        yield 1, cells, analysis, base, attempt
+
+
+def _tally(entries: tuple, tables, c: float, config: ConfidenceConfig) -> tuple:
+    """(redraws, total weight, covered, lengths) of every entry over ``tables``.
+
+    ``tables`` yields ``(weight, cells, analysis, stream base, redraws)``:
+    the replicates of _sampled_tables, each of weight 1, or listed tables
+    weighted by their probability. ``analysis`` is the table's _analysis at
+    ``c``, which a closed-form entry's bound reads at config.z; any other
+    entry builds its interval on a PairedCounts of the cells with the
+    table's bootstrap set and posterior, drawn from the streams base + 1 and
+    base + 2 and shared by the difference and the ratio. The base is read
+    only when an entry reads shared draws.
+
+    ``covered[k]`` sums the weights of the tables whose interval of
+    ``entries[k]`` contains its true value, and ``lengths[k]`` holds the
+    lengths of its valid intervals, unweighted and in table order; an
+    interval that cannot be built (_INTERVAL_ERRORS) adds to neither.
+    Scores the bounds as ConfidenceInterval.contains and .length score
+    them, and raises its DomainError when they are out of order.
+    """
+    shared = {method.draw for _, _, method in entries} - {None}  # the draws they read
+    z = config.z
+    redraws = total = 0
+    covered = [0] * len(entries)
+    lengths = [array("d") for _ in entries]
+    for weight, cells, analysis, base, redrawn in tables:
+        redraws += redrawn
+        total += weight
+        # the table and its shared draws, built only when a method reads them
         counts = PairedCounts(*cells) if shared else None
-        tables = draws = None
+        boot = draws = None
         if "tables" in shared:
-            tables = BootstrapTables(counts, RandomStream(config.seed, base + 1))
+            boot = BootstrapTables(counts, RandomStream(config.seed, base + 1))
         if "draws" in shared:
             draws = PosteriorDraws(counts, config.priors, RandomStream(config.seed, base + 2))
-        _score(entries, analysis, counts, c, config, tables, draws, covered, lengths)
+        k = 0
+        for true_value, bound, method in entries:
+            try:
+                if bound is None:
+                    ci = method.interval(counts, c, config, boot, draws)
+                    lower, upper = ci.lower, ci.upper
+                else:
+                    lower, upper, _ = bound(analysis, z)
+            except _INTERVAL_ERRORS:
+                pass
+            else:
+                if lower > upper:
+                    require_ordered(lower, upper)  # raises
+                if lower <= true_value <= upper:
+                    covered[k] += weight
+                lengths[k].append(upper - lower)
+            k += 1
+    return redraws, total, covered, lengths
+
+
+def _run_range(args):
+    """(redraws, covered, lengths) of replicates lo..hi-1: the _tally of the
+    range's _sampled_tables, with ``covered[k]`` and ``lengths[k]`` those of
+    ``methods[k]``."""
+    scenario, n, methods, config, lo, hi, correct = args
+    redraws, _, covered, lengths = _tally(
+        _entries(scenario, methods), _sampled_tables(scenario, n, config, lo, hi, correct),
+        scenario.c, config)
     return redraws, covered, lengths
 
 
@@ -375,9 +389,11 @@ def coverage_grid(cells, methods, config: ConfidenceConfig | None = None,
     generator then yields each cell's CoverageResult list, in order, as
     the cell finishes.
 
-    Every replicate derives its random streams from (seed, replicate
-    index) and results are aggregated in index order, so the output is
-    bitwise identical for any ``jobs`` count and any grouping of cells.
+    A cell's replicates run in ranges, each the _tally of its
+    _sampled_tables (_run_range). Every replicate derives its random
+    streams from (seed, replicate index) and the ranges' tallies are
+    aggregated in index order, so the output is bitwise identical for any
+    ``jobs`` count and any grouping of cells.
     With ``correct=True`` the +0.5 continuity correction is applied to
     every sampled table before the intervals are built (the small-sample
     variant of the experiment).

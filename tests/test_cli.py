@@ -338,20 +338,28 @@ class TestSimulate:
                      "--jobs", "2", "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_all_methods_report_matches_recorded_digest(self, capsys, tmp_path):
-        # sha256 of this report recorded before the bootstrap tables and the
-        # posterior draws were shared between the difference and the ratio
+    # sha256 of each report: the first recorded before the bootstrap tables and
+    # the posterior draws were shared between the difference and the ratio, the
+    # second (paper scenario 5 at n = 25: many redraws) before the coverage
+    # tally took its tables from a source
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("row, digest", [
+        ("0.30,0.60,0.80,0.80,0.25,0.5,0.5,40,100",
+         "08d4dfe3f1eac56b8d7ffea02f303954b473c7cd00ec870127f4b5d88a4b6151"),
+        ("0.60,0.60,0.40,0.90,0.05,0.9,0.5,25,100",
+         "823a995e9eeb61e4c0afe5178d9332f6306ca688c33d92432a9a1da558b86870"),
+    ], ids=["scenario-n40", "redraws-n25"])
+    def test_all_methods_report_matches_recorded_digest(self, row, digest, jobs, capsys,
+                                                        tmp_path):
         batch = tmp_path / "batch.csv"
-        batch.write_text("k0_1,k1_1,k0_2,k1_2,p,c,f,n,N\n"
-                         "0.30,0.60,0.80,0.80,0.25,0.5,0.5,40,100\n", encoding="utf-8")
+        batch.write_text(f"k0_1,k1_1,k0_2,k1_2,p,c,f,n,N\n{row}\n", encoding="utf-8")
         out = tmp_path / "report.txt"
         code, _, _ = run(capsys, ["simulate", "--batch", str(batch), "--methods",
                                   "wald-diff,boot-diff,bayes-diff,wald-ratio,log-ratio,"
                                   "fieller-ratio,boot-ratio,bayes-ratio",
-                                  *FAST, "--seed", "3", "--out", str(out)])
+                                  *FAST, "--seed", "3", "--jobs", jobs, "--out", str(out)])
         assert code == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "08d4dfe3f1eac56b8d7ffea02f303954b473c7cd00ec870127f4b5d88a4b6151")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("last, error", [
         ("0.21,0.14,0.81,0.72,0.5,0.1,0.5,60,50", "{batch}:3: need at least 100 replicates, got 50"),

@@ -19,7 +19,10 @@ place.
 Only the worker pool's functions in ``simulation`` rebind a module
 global, so no other call keeps state between calls. Every call of
 ``numerics._multinomial_plan`` passes only the vector and the size, so
-only ``numerics`` knows how a plan stores its CDF tables.
+only ``numerics`` knows how a plan stores its CDF tables. In
+``simulation`` only ``_tally`` builds an interval and only
+``_sampled_tables`` plans and draws tables, so sampled and listed tables
+share one scorer.
 """
 
 import ast
@@ -242,7 +245,7 @@ def test_multinomial_plans_take_only_the_vector_and_the_size():
                 for where, count in calls(path.read_text(encoding="utf-8"), "_multinomial_plan")}
     assert planners == {("numerics", "sample_multinomial", 2),
                         ("inference", "BootstrapTables._draw", 2),
-                        ("simulation", "_run_range", 2)}
+                        ("simulation", "_sampled_tables", 2)}
 
 
 def test_one_evaluation_path_per_interval():
@@ -256,6 +259,17 @@ def test_one_evaluation_path_per_interval():
                for name in ("_bootstrap", "_bayesian")
                for where, _ in calls(path.read_text(encoding="utf-8"), name)}
     assert runners == {("inference", "Method.interval")}
+
+
+def test_one_scorer_for_every_table_source():
+    # a coverage range is a table source plus _tally: only _tally builds an
+    # interval, and only the sampled source plans and draws the tables
+    source = (PACKAGE / "simulation.py").read_text(encoding="utf-8")
+    scorers = {where for name in ("bound", "interval") for where, _ in calls(source, name)}
+    assert scorers == {"_tally"}
+    samplers = {where for name in ("_multinomial_plan", "_head_streams")
+                for where, _ in calls(source, name)}
+    assert samplers == {"_sampled_tables"}
 
 
 @pytest.mark.parametrize("name", ["_wald_diff", "_wald_ratio", "_log_ratio", "_fieller"])

@@ -33,6 +33,7 @@ from kappacmp.errors import (
     NonEstimableError,
 )
 from kappacmp.inference import (
+    METHODS,
     BetaPrior,
     BootstrapTables,
     ConfidenceConfig,
@@ -628,6 +629,12 @@ class TestSharedDraws:
             bayesian_ci(table8, 0.5, "difference", config, draws)
         with pytest.warns(UserWarning, match="^2 of 1000 posterior draws"):
             bayesian_ci(table8, 0.5, "ratio", config, draws)
+        # the warning names the line that called the library, not a library frame
+        for call in (bayesian_ci, METHODS["bayes-ratio"].interval):
+            args = (table8, 0.5, "ratio") if call is bayesian_ci else (table8, 0.5)
+            with pytest.warns(UserWarning, match="^2 of 1000 posterior draws") as record:
+                call(*args, config, draws=draws)
+            assert [warning.filename for warning in record] == [__file__]
         draws = _HandBuilt(table8, clean + clean[:2])
         with warnings.catch_warnings():
             warnings.simplefilter("error")

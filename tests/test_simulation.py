@@ -8,7 +8,6 @@ import re
 import signal
 import subprocess
 import sys
-from array import array
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -476,27 +475,31 @@ def _redrawn(counts, c) -> bool:
     """True when a range's redraw rule rejects the table: its analysis raises."""
     try:
         simulation._analysis(counts.cells(), c)
-    except (NonEstimableError, DegenerateKappaError):
+    except simulation._REDRAW_ERRORS:
         return True
     return False
 
 
-def _scored(tag, true_value, counts, c, tables, draws):
-    """(covered, length) of one method as the scorer tallies it, (False, None)
-    when it tallies neither, or the KappaCmpError it raised.
+def _scored(tag, values, counts, c):
+    """(covered, length) of one method at each true value in ``values`` as
+    _tally tallies it, (False, None) where it tallies neither, or the
+    KappaCmpError it raised.
 
-    The method is scored as a range scores it: a closed-form bound on the
-    table's analysis, any other method through its interval.
+    The source is the one table ``counts`` of weight 1 and stream base 0,
+    so its shared draws are those of BootstrapTables(counts,
+    RandomStream(seed, 1)) and PosteriorDraws(counts, priors,
+    RandomStream(seed, 2)); a closed-form method reads the table's analysis.
     """
     method = METHODS[tag]
-    covered, lengths = [0], [array("d")]
+    entries = tuple((value, method.bound, method) for value in values)
     try:
         analysis = simulation._analysis(counts.cells(), c) if method.bound else None
-        simulation._score(((true_value, method.bound, method),), analysis,
-                          counts, c, SCORER_CONFIG, tables, draws, covered, lengths)
+        redraws, total, covered, lengths = simulation._tally(
+            entries, [(1, counts.cells(), analysis, 0, 0)], c, SCORER_CONFIG)
     except KappaCmpError as exc:
         return type(exc)
-    return covered[0] == 1, lengths[0][0] if lengths[0] else None
+    assert (redraws, total) == (0, 1)
+    return [(hit == 1, length[0] if length else None) for hit, length in zip(covered, lengths)]
 
 
 class TestScorer:
@@ -519,16 +522,17 @@ class TestScorer:
                 except KappaCmpError as exc:
                     errors.add(type(exc))
                     interval_error = isinstance(exc, simulation._INTERVAL_ERRORS)
-                    expected = (False, None) if interval_error else type(exc)
+                    expected = [(False, None)] if interval_error else type(exc)
                     if bound is not None and _redrawn(counts, c):
                         expected = type(exc)  # the analysis's error, which the redraw rule catches
                         redrawn += 1
-                    assert _scored(tag, true_value, counts, c, tables, draws) == expected
+                    assert _scored(tag, [true_value], counts, c) == expected
                     continue
                 # the true value, the bounds and the floats just outside them
-                for value in (true_value, ci.lower, ci.upper, math.nextafter(ci.lower, -math.inf),
-                              math.nextafter(ci.upper, math.inf)):
-                    hit, length = _scored(tag, value, counts, c, tables, draws)
+                values = (true_value, ci.lower, ci.upper, math.nextafter(ci.lower, -math.inf),
+                          math.nextafter(ci.upper, math.inf))
+                for value, (hit, length) in zip(values, _scored(tag, values, counts, c),
+                                                strict=True):
                     assert hit is ci.contains(value)
                     assert length.hex() == ci.length.hex()
                 if tag == "bayes-ratio" and counts.cells() == (3, 4, 2, 1, 2, 1, 3, 4):
@@ -545,12 +549,27 @@ class TestScorer:
             return 1.0, 0.5, 0.75
 
         monkeypatch.setattr(inference, "_bootstrap", reversed_bootstrap)
-        analysis = simulation._analysis(table8.cells(), 0.5)
+        source = [(1, table8.cells(), simulation._analysis(table8.cells(), 0.5), 0, 0)]
         for entries in (((0.7, None, METHODS["boot-ratio"]),),
                         ((0.7, reversed_bound, METHODS["wald-ratio"]),)):
             with pytest.raises(DomainError, match=r"interval bounds out of order: \(1.0, 0.5\)"):
-                simulation._score(entries, analysis, table8, 0.5, SCORER_CONFIG, None, None,
-                                  [0], [array("d")])
+                simulation._tally(entries, source, 0.5, SCORER_CONFIG)
+
+    def test_tally_adds_each_table_weight(self):
+        # wald-diff at c = 0.5 gives (-0.345, -0.100) on the first table and
+        # (-0.150, 0.116) on the second
+        method = METHODS["wald-diff"]
+        listed = [(0.25, (41, 0, 40, 8, 5, 1, 24, 181), 2),
+                  (0.75, (30, 10, 12, 20, 8, 14, 15, 190), 3)]
+        source = [(weight, cells, simulation._analysis(cells, 0.5), None, redraws)
+                  for weight, cells, redraws in listed]
+        # true values inside the first interval only, both, the second only and neither
+        entries = tuple((value, method.bound, method) for value in (-0.3, -0.12, 0.0, 0.5))
+        redraws, total, covered, lengths = simulation._tally(entries, source, 0.5, SCORER_CONFIG)
+        assert (redraws, total, covered) == (5, 1.0, [0.25, 1.0, 0.75, 0])
+        widths = [method.interval(PairedCounts(*cells), 0.5, SCORER_CONFIG).length
+                  for _, cells, _ in listed]
+        assert [list(entry_lengths) for entry_lengths in lengths] == [widths] * len(entries)
 
 
 CLOSED_FORM = ("wald-diff", "wald-ratio", "log-ratio", "fieller-ratio")
@@ -667,23 +686,21 @@ class TestExactCoverage:
     N_REPLICATES = 4000
 
     @staticmethod
-    def exact_coverage(sc, n: int, config, methods=CLOSED_FORM) -> list:
-        """The exact cp of each of ``methods`` at (sc, n), in method order."""
-        entries = simulation._entries(sc, methods)
-        estimable = 0.0
-        covered = [0.0] * len(entries)
-        lengths = [array("d") for _ in entries]  # tallied, not read
+    def listed_tables(sc, n: int):
+        """A listed source: every table of ``n`` subjects that the redraw rule
+        keeps, weighted by its probability, with its analysis at sc.c."""
         for table in all_tables(n):
             try:
                 analysis = simulation._analysis(table, sc.c)
-            except (NonEstimableError, DegenerateKappaError):
+            except simulation._REDRAW_ERRORS:
                 continue
-            weight = multinomial_pmf(table, sc.pi)
-            estimable += weight
-            tally = [0] * len(entries)
-            simulation._score(entries, analysis, table, sc.c, config, None, None, tally, lengths)
-            for k, hit in enumerate(tally):
-                covered[k] += weight * hit
+            yield multinomial_pmf(table, sc.pi), table, analysis, None, 0
+
+    @classmethod
+    def exact_coverage(cls, sc, n: int, config, methods=CLOSED_FORM) -> list:
+        """The exact cp of each of ``methods`` at (sc, n), in method order."""
+        _, estimable, covered, _ = simulation._tally(
+            simulation._entries(sc, methods), cls.listed_tables(sc, n), sc.c, config)
         return [hits / estimable for hits in covered]
 
     @pytest.mark.parametrize("n, count", [(6, 1716), (8, 6435)])
