@@ -20,17 +20,14 @@ from .data_model import (
 )
 from .errors import DomainError, KappaCmpError
 from .inference import (
-    BAYES_STREAM,
-    BOOTSTRAP_STREAM,
     DEFAULT_CONFIG,
     METHODS,
     BetaPrior,
-    BootstrapTables,
     ConfidenceConfig,
     ConfidenceInterval,
-    PosteriorDraws,
     Priors,
     TestResult,
+    analysis_draws,
     # the interval functions run through METHODS; perfbench/run.py traces them here
     bayesian_ci,  # noqa: F401
     bloch_test,
@@ -51,7 +48,6 @@ from .kappa_core import (
     kappa_pair,
     render_curve,
 )
-from .numerics import RandomStream
 from .sample_size import SampleSizePlan, plan_iteration
 
 DEFAULT_OUT = "results_kappa.txt"
@@ -139,8 +135,7 @@ def build_analysis_report(counts: PairedCounts, cs=None, methods=None,
         cs.sort()
     # one bootstrap set and one posterior serve every c and target; both
     # draw nothing until a resampling method asks
-    tables = BootstrapTables(working, RandomStream(config.seed, BOOTSTRAP_STREAM))
-    draws = PosteriorDraws(working, config.priors, RandomStream(config.seed, BAYES_STREAM))
+    tables, draws = analysis_draws(working, config)
     rows = []
     for c in cs:
         kp = kappa_pair(accuracy, c)
@@ -178,11 +173,9 @@ def build_analysis_report(counts: PairedCounts, cs=None, methods=None,
                                 test_error=test_error, intervals=intervals,
                                 interval_errors=errors, inverse=inverse))
     for row in rows:
-        for method in methods:
-            error = row.interval_errors.get(method)
-            if error is not None:
-                name = "Fieller" if method == "fieller-ratio" else method
-                warnings.append(f"{name} interval invalid at c={row.c:g}: {error}")
+        for method, error in row.interval_errors.items():
+            name = "Fieller" if method == "fieller-ratio" else method
+            warnings.append(f"{name} interval invalid at c={row.c:g}: {error}")
 
     plan = None
     if precision is not None:

@@ -1,5 +1,21 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "KappaCmpError",
+    "DomainError",
+    "IngestionError",
+    "NonEstimableError",
+    "DegenerateKappaError",
+    "UndefinedRatioError",
+    "LogIntervalError",
+    "FiellerInvalidError",
+    "BootstrapFailedError",
+    "InversionUndefinedError",
+    "InfeasibleScenarioError",
+    "UnsupportedNominalError",
+    "DenormalsAreZeroError",
+]
+
 
 class KappaCmpError(Exception):
     """Base class for all package errors."""

@@ -70,6 +70,7 @@ __all__ = [
     "fieller_interval",
     "BootstrapTables",
     "PosteriorDraws",
+    "analysis_draws",
     "bootstrap_ci",
     "bayesian_ci",
     "METHODS",
@@ -77,8 +78,11 @@ __all__ = [
     "reciprocal_ratio_ci",
 ]
 
-# Substream tags so that analysis-level bootstrap and posterior draws never
-# collide with the per-replicate streams used by coverage studies.
+# Stream tags of analyze's bootstrap tables and posterior draws
+# (analysis_draws). They are not apart from a coverage study's streams:
+# replicate i reads streams 3i to 3i + 2, so 101 is replicate 33's posterior
+# stream and 102 replicate 34's sample stream. Results stay independent
+# because no computation reads both an analyze store and a coverage replicate.
 BOOTSTRAP_STREAM = 101
 BAYES_STREAM = 102
 
@@ -586,6 +590,8 @@ class BootstrapTables(_Resamples):
     def __init__(self, counts: PairedCounts, stream: RandomStream):
         if counts.n <= 0:
             raise NonEstimableError("cannot resample an empty table")
+        if counts.n == math.inf:
+            raise DomainError("cannot resample a table of infinite size")
         super().__init__(counts, stream)
         self.size = int(round(counts.n))
         self.probs = [cell / counts.n for cell in counts.cells()]
@@ -639,7 +645,7 @@ def _bootstrap(counts: PairedCounts, c: float, target: str, config: ConfidenceCo
     ratio = target == "ratio"
     point = pair.theta if ratio else pair.delta
     if tables is None:
-        tables = BootstrapTables(counts, RandomStream(config.seed, BOOTSTRAP_STREAM))
+        tables = analysis_draws(counts, config)[0]
     elif tables.counts != counts:
         raise DomainError("the bootstrap tables were drawn from another table")
     b = config.bootstrap_b
@@ -695,6 +701,19 @@ class PosteriorDraws(_Resamples):
         return zip(draws, draws, draws, draws, draws)
 
 
+def analysis_draws(counts: PairedCounts, config: ConfidenceConfig | None = None) -> tuple:
+    """(BootstrapTables, PosteriorDraws) of ``counts`` from (config.seed,
+    BOOTSTRAP_STREAM) and (config.seed, BAYES_STREAM), at config.priors.
+
+    One pair serves every c and target of the table; both draw nothing
+    until an interval asks. These are the draws of bootstrap_ci and
+    bayesian_ci when the caller passes none.
+    """
+    config = config or DEFAULT_CONFIG
+    return (BootstrapTables(counts, RandomStream(config.seed, BOOTSTRAP_STREAM)),
+            PosteriorDraws(counts, config.priors, RandomStream(config.seed, BAYES_STREAM)))
+
+
 def bayesian_ci(counts: PairedCounts, c: float, target: str,
                 config: ConfidenceConfig | None = None,
                 draws: PosteriorDraws | None = None) -> ConfidenceInterval:
@@ -721,7 +740,7 @@ def _bayesian(counts: PairedCounts, c: float, target: str, config: ConfidenceCon
     if counts.s <= 0 or counts.r <= 0:
         accuracy_from_counts(counts)  # raises NonEstimableError with details
     if draws is None:
-        draws = PosteriorDraws(counts, config.priors, RandomStream(config.seed, BAYES_STREAM))
+        draws = analysis_draws(counts, config)[1]
     elif (draws.counts, draws.priors) != (counts, config.priors):
         raise DomainError("the posterior draws were made for another table or prior")
     stats = draws.statistics(c, target == "ratio", config.bayes_m, config.bayes_m)

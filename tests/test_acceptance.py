@@ -10,7 +10,7 @@ import kappacmp as kc
 from conftest import random_accuracies
 from kappacmp.data_model import PairedCounts
 from kappacmp.errors import DegenerateKappaError
-from kappacmp.inference import BAYES_STREAM, BOOTSTRAP_STREAM, ConfidenceConfig
+from kappacmp.inference import ConfidenceConfig
 from kappacmp.kappa_core import AccuracyEstimates
 from kappacmp.numerics import RandomStream
 
@@ -117,8 +117,7 @@ def test_criterion_3_stochastic_intervals():
     for seed in range(41, 51):  # fixed decade of independent seeds
         config = ConfidenceConfig(seed=seed)
         # one bootstrap set and one posterior per seed, as analyze draws them
-        tables = kc.BootstrapTables(TABLE8, RandomStream(seed, BOOTSTRAP_STREAM))
-        draws = kc.PosteriorDraws(TABLE8, config.priors, RandomStream(seed, BAYES_STREAM))
+        tables, draws = kc.analysis_draws(TABLE8, config)
         for c, (boot_d, bayes_d, boot_r, bayes_r) in STOCHASTIC_CIS.items():
             intervals = (
                 (boot_d, lambda: kc.bootstrap_ci(TABLE8, c, "difference", config, tables)),

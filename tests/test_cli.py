@@ -248,6 +248,27 @@ class TestWarnings:
         assert "Fieller interval invalid" in out
         assert "invalid" in out
 
+    def test_every_interval_error_is_warned_inverse_ones_included(self, capsys, tmp_path):
+        # both resampled ratio intervals straddle zero here, so --inverse
+        # records their undefined reciprocals as inverse-* errors
+        machine = tmp_path / "m.txt"
+        code, out, _ = run(capsys, ["analyze", "10", "5", "8", "7", "6", "9", "5", "10",
+                                    "--c", "0.5", "--inverse", "--bootstrap-b", "200",
+                                    "--bayes-m", "1000", "--out", str(tmp_path / "r.txt"),
+                                    "--machine-out", str(machine)])
+        assert code == 0
+        values = parse_machine(machine)
+        errors = [(key.split(".")[3], value) for key, value in values.items()
+                  if key.startswith("row.0.ci.") and key.endswith(".error")]
+        assert [method for method, _ in errors][-2:] == ["inverse-boot-ratio",
+                                                         "inverse-bayes-ratio"]
+        names = {"fieller-ratio": "Fieller"}
+        warned = [value for key, value in values.items()
+                  if key.startswith("warning.") and " interval invalid at " in value]
+        assert warned == [f"{names.get(method, method)} interval invalid at c=0.5: {error}"
+                          for method, error in errors]
+        assert "inverse-bayes-ratio interval invalid at c=0.5: interval (" in out
+
 
 class TestCurve:
     def read_rows(self, path):

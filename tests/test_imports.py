@@ -2,10 +2,11 @@
 
 Every name a module imports is used there, exported or marked
 ``# noqa: F401``; every ``__all__`` entry is bound; and the package
-re-exports only names its modules list in ``__all__``, resolving
-simulate's names lazily so that no other command loads ``simulation`` or
-the process-pool modules. Only ``data_model.read_table`` opens a file to
-read, so the input formats share one reader, and only
+re-exports each eager module's ``__all__``, naming only simulate's names
+itself, which it resolves lazily so that no other command loads
+``simulation`` or the process-pool modules. Only
+``data_model.read_table`` opens a file to read, so the input formats
+share one reader, and only
 ``inference._Resamples.statistics`` reads ``inference._kappa_stats``, so
 the resample store is the one producer of interval statistics, and only
 the bootstrap and the Bayesian interval ask it, each for the first k
@@ -22,7 +23,8 @@ global, so no other call keeps state between calls. Every call of
 only ``numerics`` knows how a plan stores its CDF tables. In
 ``simulation`` only ``_tally`` builds an interval and only
 ``_sampled_tables`` plans and draws tables, so sampled and listed tables
-share one scorer.
+share one scorer. Only ``inference.analysis_draws`` reads the stream tags of
+``analyze``'s bootstrap tables and posterior draws.
 """
 
 import ast
@@ -95,22 +97,35 @@ SIMULATION_EXPORTS = {
 }
 
 
+# the modules the package imports on import; cli is the front end, and
+# simulation's names load on first access
+EAGER = [path.stem for path in MODULES if path.stem not in ("cli", "simulation")]
+
+
 def test_package_imports_only_exported_names():
+    # the package re-exports each eager module's __all__ and lists only the
+    # lazy names itself, so every public name is declared once, in its module
+    listed = {module: module_all((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+              for module in [*EAGER, "simulation"]}
+    eager = {name for module in EAGER for name in listed[module]}
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    unexported = []
-    served = set(kappacmp._LAZY)
+    starred = sorted(node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                     and [alias.name for alias in node.names] == ["*"])
+    assert starred == EAGER
+    assert kappacmp.__all__ == sorted(eager | set(kappacmp._LAZY))
+    assert set(kappacmp._LAZY) == set(listed["simulation"]) - eager
+    assert set(kappacmp._LAZY.values()) == {"simulation"} and "dependence_bounds" in eager
+    named = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
-            exported = module_all((PACKAGE / f"{node.module}.py").read_text(encoding="utf-8"))
-            served |= {alias.name for alias in node.names}
-            if exported:
-                unexported += [f"{node.module}.{alias.name}" for alias in node.names
-                               if alias.name not in exported]
-    unexported += [f"{module}.{name}" for name, module in kappacmp._LAZY.items()
-                   if name not in module_all((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))]
-    assert unexported == []
-    assert served == set(kappacmp.__all__) and SIMULATION_EXPORTS <= served
+        if isinstance(node, ast.Constant):
+            named.add(node.value)
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.alias):
+            named.add(node.asname or node.name)
+    assert named & set(kappacmp.__all__) == set(kappacmp._LAZY)
     assert [name for name in kappacmp.__all__ if not hasattr(kappacmp, name)] == []
+    assert SIMULATION_EXPORTS <= set(kappacmp.__all__)
 
 
 POOL_MODULES = ["kappacmp.simulation", "concurrent.futures.process", "multiprocessing"]
@@ -270,6 +285,15 @@ def test_one_scorer_for_every_table_source():
     samplers = {where for name in ("_multinomial_plan", "_head_streams")
                 for where, _ in calls(source, name)}
     assert samplers == {"_sampled_tables"}
+
+
+def test_only_analysis_draws_reads_the_analysis_streams():
+    # analyze's resample stores and the default draws of bootstrap_ci and
+    # bayesian_ci come from inference.analysis_draws alone
+    users = {(path.stem, where) for path in PACKAGE.glob("*.py")
+             for name in ("BOOTSTRAP_STREAM", "BAYES_STREAM")
+             for where, _ in references(path.read_text(encoding="utf-8"), name)}
+    assert users == {("inference", "<module>"), ("inference", "analysis_draws")}
 
 
 @pytest.mark.parametrize("name", ["_wald_diff", "_wald_ratio", "_log_ratio", "_fieller"])

@@ -470,6 +470,15 @@ class TestSharedDraws:
         assert shared == _interval_lines(counts)
         assert hashlib.sha256(shared.encode()).hexdigest() == RECORDED_DIGESTS[name]
 
+    def test_analysis_draws_read_the_analysis_streams(self, table8):
+        tables, draws = inference.analysis_draws(table8, SHARED_CONFIG)
+        assert (tables.counts, draws.counts, draws.priors) == (table8, table8, SHARED_CONFIG.priors)
+        seed = SHARED_CONFIG.seed
+        assert tables.coefficients(50) == BootstrapTables(
+            table8, RandomStream(seed, inference.BOOTSTRAP_STREAM)).coefficients(50)
+        assert draws.coefficients(50) == PosteriorDraws(
+            table8, SHARED_CONFIG.priors, RandomStream(seed, inference.BAYES_STREAM)).coefficients(50)
+
     def test_sparse_table_has_non_estimable_resamples(self):
         tables = BootstrapTables(SPARSE, RandomStream(SHARED_CONFIG.seed, inference.BOOTSTRAP_STREAM))
         rows = list(zip(*tables.coefficients(400)))[:400]
@@ -580,6 +589,17 @@ class TestSharedDraws:
     def test_empty_table_cannot_be_resampled(self):
         with pytest.raises(NonEstimableError):
             BootstrapTables(PairedCounts(0, 0, 0, 0, 0, 0, 0, 0), RandomStream(0, 1))
+
+    @pytest.mark.parametrize("cells", [(math.inf, 1, 1, 1, 1, 1, 1, 1),
+                                       (1e308, 1e308, 1, 1, 1, 1, 1, 1)])
+    def test_infinite_table_cannot_be_resampled(self, cells):
+        # n overflows to inf: a DomainError, not the OverflowError of int(inf),
+        # also from the Bayesian interval, whose default draws come with tables
+        counts = PairedCounts(*cells)
+        with pytest.raises(DomainError, match="infinite size"):
+            BootstrapTables(counts, RandomStream(0, 1))
+        with pytest.raises(DomainError):
+            bayesian_ci(counts, 0.5, "ratio", SHARED_CONFIG)
 
     def test_tables_of_another_table_rejected(self, table8):
         tables = BootstrapTables(SPARSE, RandomStream(0, 1))
