@@ -383,13 +383,13 @@ def _counts_from_args(parser: argparse.ArgumentParser, args) -> PairedCounts:
     values = []
     for text in args.counts:
         try:
-            value = int(text)
+            values.append(int(text))
         except ValueError:
             parser.error(f"counts must be non-negative integers, got {text!r}")
-        if value < 0:
-            parser.error(f"counts must be non-negative integers, got {text!r}")
-        values.append(value)
-    return PairedCounts(*values)
+    try:
+        return PairedCounts(*values)
+    except DomainError as exc:  # a negative cell, or a table too large
+        parser.error(str(exc))
 
 
 def _config_from_args(args) -> ConfidenceConfig:

@@ -16,6 +16,7 @@ from .errors import DomainError, IngestionError
 
 __all__ = [
     "PairedCounts",
+    "MAX_SUBJECTS",
     "counts_from_records",
     "apply_continuity_correction",
     "SMALL_SAMPLE",
@@ -31,14 +32,20 @@ MARGIN_NAMES = ("11", "10", "01", "00")
 
 RECORD_HEADER = "d,t1,t2"
 
+# The most subjects a table holds. Below it every sum of half-counts is
+# exact and every product of two cells is finite.
+MAX_SUBJECTS = 2 ** 51
+
 
 @dataclass(frozen=True)
 class PairedCounts:
     """The eight observed cell counts of the paired design.
 
-    Cells are stored as reals so that continuity-corrected counts (+0.5)
-    flow through every downstream formula unchanged; integer-ness is a
-    property of ingestion, not of the type.
+    Each cell is a count, or a count + 0.5 on a continuity-corrected
+    table, stored as a float so that both flow through every downstream
+    formula unchanged; a table holds at most MAX_SUBJECTS subjects. Any
+    other cell, or a larger total, is a DomainError; no estimator checks
+    the table again.
     """
 
     s11: float
@@ -53,9 +60,14 @@ class PairedCounts:
     def __post_init__(self):
         for name in CELL_NAMES:
             value = getattr(self, name)
-            if not value >= 0:
-                raise DomainError(f"cell {name} must be non-negative, got {value!r}")
+            # compared before float(), which overflows on a huge int
+            if not 0 <= value <= MAX_SUBJECTS or not (2.0 * float(value)).is_integer():
+                raise DomainError(f"cell {name} must be a count or a count + 0.5 "
+                                  f"in [0, 2**51], got {value!r}")
             object.__setattr__(self, name, float(value))
+        # a sum rounds only past 2**52, so a total past the cap never rounds below it
+        if self.n > MAX_SUBJECTS:
+            raise DomainError(f"a table holds at most 2**51 subjects, got {self.n!r}")
 
     @property
     def s(self) -> float:

@@ -308,9 +308,12 @@ def _analysis(cells, c: float) -> tuple:
     accuracy_from_counts, kappa_pair and kappa_covariance, and no objects
     are built. Where a check of theirs fails, the function that owns it
     runs and raises its error, so the errors and messages are theirs too,
-    in the same order. Integer cells up to numerics._MAX_SIZE give the
-    floats of the same cells as floats: their sums and products stay below
-    2**53, so both are exact.
+    in the same order. The cells must be those of a PairedCounts (counts
+    or counts + 0.5, data_model.MAX_SUBJECTS in all): then a non-empty
+    stratum leaves p in (0, 1) and every proportion in [0, 1], so only the
+    empty stratum, c and the kappa denominators are checked. Integer
+    cells up to numerics._MAX_SIZE give the floats of the same cells as
+    floats: their sums and products stay below 2**53, so both are exact.
     """
     s11, s10, s01, s00, r11, r10, r01, r00 = cells
     s = s11 + s10 + s01 + s00
@@ -325,15 +328,12 @@ def _analysis(cells, c: float) -> tuple:
     p = s / n
     accuracy = (se1, sp1, se2, sp2, p, (s11 * s00 - s10 * s01) / (s * s),
                 (r11 * r00 - r10 * r01) / (r * r))
-    if not 0.0 < p < 1.0:  # an infinite or overflowing cell
-        AccuracyEstimates(*accuracy)  # raises the DomainError that names the field
     q = 1.0 - p
     big_q1 = p * se1 + q * (1.0 - sp1)
     big_q2 = p * se2 + q * (1.0 - sp2)
     den1 = p * (1.0 - big_q1) * c + q * big_q1 * (1.0 - c)
     den2 = p * (1.0 - big_q2) * c + q * big_q2 * (1.0 - c)
-    if not (den1 > 0.0 and den2 > 0.0 and 0.0 <= c <= 1.0 and 0.0 <= se1 <= 1.0
-            and 0.0 <= sp1 <= 1.0 and 0.0 <= se2 <= 1.0 and 0.0 <= sp2 <= 1.0):
+    if not (den1 > 0.0 and den2 > 0.0 and 0.0 <= c <= 1.0):
         weighted_kappa(se1, sp1, p, c)  # raises the first error of the two kappas
         weighted_kappa(se2, sp2, p, c)
     kappa1 = p * q * (se1 + sp1 - 1.0) / den1
@@ -590,8 +590,6 @@ class BootstrapTables(_Resamples):
     def __init__(self, counts: PairedCounts, stream: RandomStream):
         if counts.n <= 0:
             raise NonEstimableError("cannot resample an empty table")
-        if counts.n == math.inf:
-            raise DomainError("cannot resample a table of infinite size")
         super().__init__(counts, stream)
         self.size = int(round(counts.n))
         self.probs = [cell / counts.n for cell in counts.cells()]

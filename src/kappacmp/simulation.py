@@ -76,7 +76,6 @@ from .numerics import (
 __all__ = [
     "Scenario",
     "CoverageResult",
-    "dependence_bounds",
     "scenario_probabilities",
     "build_scenario_from_kappas",
     "sample_counts",

@@ -9,7 +9,7 @@ import kappacmp.simulation as simulation
 from conftest import PAPER_GRID
 from kappacmp.cli import build_analysis_report, main
 from kappacmp.data_model import PairedCounts
-from kappacmp.errors import FiellerInvalidError
+from kappacmp.errors import FiellerInvalidError, KappaCmpError
 from kappacmp.inference import ConfidenceConfig, fieller_ratio_ci
 
 TABLE8 = ["41", "0", "40", "8", "5", "1", "24", "181"]
@@ -22,6 +22,16 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def usage_error(capsys, argv):
+    """stderr of a command that must stop with argparse's usage error (exit 2)."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: kappacmp"), err
+    return err
 
 
 def parse_machine(path):
@@ -141,6 +151,31 @@ class TestAnalyze:
         assert float(values["accuracy.se1"]) == report.accuracy.se1
         assert float(values["compare.c_prime"]) == report.c_prime
         assert values["compare.rule"] == "c3"
+
+    def test_machine_out_carries_the_plan(self, capsys, tmp_path):
+        machine = tmp_path / "machine.txt"
+        code, out, _ = run(capsys, ["analyze", *TABLE8, "--c", "0.5", "--precision", "0.1",
+                                    *DET_METHODS, "--out", "-", "--machine-out", str(machine)])
+        assert code == 0
+        plan = build_analysis_report(PairedCounts(41, 0, 40, 8, 5, 1, 24, 181), cs=[0.5],
+                                     methods=["wald-ratio"], precision=0.1).plan
+        values = {key: float(value) for key, value in parse_machine(machine).items()
+                  if key.startswith("plan.")}
+        assert values == {"plan.phi": 0.1, "plan.conf": 0.95, "plan.achieved": 0.0,
+                          "plan.pilot_n": 300.0, "plan.n_required": plan.n_required,
+                          "plan.add": plan.n_required - 300,
+                          "plan.ci.lower": plan.ci.lower, "plan.ci.upper": plan.ci.upper}
+        assert f"required n = {plan.n_required}" in out
+
+    def test_precision_already_reached(self, capsys):
+        code, out, _ = run(capsys, ["analyze", *TABLE8, "--c", "0.5", "--precision", "10",
+                                    *DET_METHODS, "--out", "-"])
+        assert code == 0
+        assert "  precision reached with the current n = 300\n" in out
+
+    def test_a_plan_over_several_indexes_is_refused(self, table8):
+        with pytest.raises(KappaCmpError, match="needs a single weighting index"):
+            build_analysis_report(table8, cs=[0.1, 0.5], precision=0.1)
 
     def test_default_grid_includes_crossover(self, capsys, tmp_path):
         code, out, _ = run(capsys, ["analyze", *TABLE8, *DET_METHODS,
@@ -599,6 +634,15 @@ class TestPlan:
         assert code == 0
         assert "[corrected]" in out
 
+    def test_indistinguishable_kappas_are_warned(self, capsys):
+        # n = 121 is not small, and the ratio interval (0.768, 1.232) contains 1
+        code, out, _ = run(capsys, ["plan", "30", "5", "5", "10", "5", "3", "3", "60",
+                                    "--c", "0.5", "--precision", "0.1"])
+        assert code == 0
+        assert out.endswith("\nwarning: the ratio interval contains 1 on a non-small pilot; "
+                            "the kappas are not distinguishable, so sizing the sample for "
+                            "their ratio may be moot\n")
+
     def test_empty_stratum_needs_an_explicit_correction(self, capsys):
         # the same rule as analyze: "auto" never corrects a table to make it estimable
         empty_healthy = ["5", "3", "2", "1", "0", "0", "0", "0", "--c", "0.5",
@@ -609,3 +653,46 @@ class TestPlan:
         code, out, _ = run(capsys, ["plan", *empty_healthy, "--correct"])
         assert code == 0
         assert "[corrected]" in out
+
+
+# cells past the cap whose product s11*s00 overflows, so the Wald intervals
+# and the z test would read nan
+OVERFLOWING = [str(k * 10**154) for k in (4, 1, 2, 5, 1, 2, 3, 6)]
+# 401 digits, past what float() converts
+HUGE_CELL = ["1" + "0" * 400, *["1"] * 7]
+REFUSED = "must be a count or a count + 0.5 in [0, 2**51], got"
+
+
+@pytest.mark.parametrize("counts,error", [
+    (OVERFLOWING, f"cell s11 {REFUSED} 4" + "0" * 154),
+    (HUGE_CELL, f"cell s11 {REFUSED} 1" + "0" * 400),
+    ([*TABLE8[:7], "-1"], f"cell r00 {REFUSED} -1"),
+], ids=["overflowing-products", "401-digits", "negative"])
+@pytest.mark.parametrize("command", [
+    ["analyze", "--c", "0.5", "--methods", "wald-diff,wald-ratio", "--out", "-"],
+    ["plan", "--c", "0.5", "--precision", "0.1"],
+    ["curve"],
+], ids=["analyze", "plan", "curve"])
+def test_a_table_outside_the_domain_is_a_usage_error(command, counts, error, capsys):
+    err = usage_error(capsys, [*command, *counts])
+    assert err.endswith(f"kappacmp: error: {error}\n")
+
+
+PARAMETERS = ["--se1", "0.8", "--sp1", "0.9", "--se2", "0.7", "--sp2", "0.95", "--p", "0.3"]
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["analyze", *TABLE8, "--records", "subjects.csv"],
+     "give either eight counts or --records, not both"),
+    (["analyze", *TABLE8, "--c", "1.5"], "--c must be in [0, 1], got 1.5"),
+    (["plan", *TABLE8, "--c", "1.5", "--precision", "0.1"], "--c must be in [0, 1], got 1.5"),
+    (["analyze", *TABLE8, "--precision", "0.1"],
+     "--precision needs a single weighting index; pass --c"),
+    (["curve", *PARAMETERS[:4]], "give all of --se1 --sp1 --se2 --sp2 --p"),
+    (["curve", *TABLE8, *PARAMETERS], "give either counts or accuracy parameters, not both"),
+    (["curve", *TABLE8, "--grid-points", "1"],
+     "--grid-points must be at least 2 (use --grid for explicit points)"),
+], ids=["counts-and-records", "analyze-c", "plan-c", "precision-without-c",
+        "some-parameters", "counts-and-parameters", "one-grid-point"])
+def test_conflicting_or_incomplete_options_are_usage_errors(argv, error, capsys):
+    assert usage_error(capsys, argv).endswith(f"kappacmp: error: {error}\n")

@@ -1,10 +1,13 @@
 import io
+import math
+import re
 
 import numpy as np
 import pytest
 
 from kappacmp.cli import build_analysis_report
 from kappacmp.data_model import (
+    CELL_NAMES,
     MARGIN_NAMES,
     PairedCounts,
     apply_continuity_correction,
@@ -34,9 +37,28 @@ class TestPairedCounts:
         assert table8.r == 211
         assert table8.n == 300
 
-    def test_negative_cell_rejected(self):
-        with pytest.raises(DomainError):
-            PairedCounts(1, 2, 3, -1, 0, 0, 0, 0)
+    @pytest.mark.parametrize("value,name", [
+        (-1, "s00"), (math.nan, "s11"), (math.inf, "r00"), (-math.inf, "s10"), (0.3, "r10"),
+        (1e-300, "s01"), (2.25, "r11"), (7.0000001, "r10"), (2**51 + 0.5, "r01"),
+        (10**400, "s11"),
+    ], ids=["-1", "nan", "inf", "-inf", "0.3", "1e-300", "2.25", "7.0000001", "2**51+0.5",
+            "401 digits"])
+    def test_cell_outside_the_domain_refused(self, value, name):
+        # the cap is compared before float(), so a huge int is no OverflowError
+        cells = dict.fromkeys(CELL_NAMES, 1)
+        cells[name] = value
+        error = f"cell {name} must be a count or a count + 0.5 in [0, 2**51], got {value!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(error)}$"):
+            PairedCounts(**cells)
+
+    def test_total_past_the_cap_refused(self):
+        # a table of 2**51 subjects is kept, half-counts included, and half a subject more is not
+        assert PairedCounts(2**51 - 3.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5).n == 2**51
+        with pytest.raises(DomainError, match=r"at most 2\*\*51 subjects, got 2251799813685248.5"):
+            PairedCounts(2**50, 0, 0, 0, 0, 0, 0.5, 2**50)
+        # 2**52 + 0.5 rounds to 2**52, which is still past the cap
+        with pytest.raises(DomainError, match=r"at most 2\*\*51 subjects, got 4503599627370496.0"):
+            PairedCounts(2**51, 2**51, 0.5, 0, 0, 0, 0, 0)
 
     def test_swap_tests_transposes(self, table8):
         swapped = table8.swap_tests()

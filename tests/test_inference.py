@@ -84,6 +84,12 @@ class TestKappaCovariance:
         assert float(f"{cov.se_delta:.3g}") == 0.0625
         assert cov.se_delta == pytest.approx(TABLE8_SE_DELTA, rel=2e-3)
 
+    @pytest.mark.parametrize("n", [0, -1.0])
+    def test_non_positive_sample_size_rejected(self, table8, n):
+        acc = accuracy_from_counts(table8)
+        with pytest.raises(DomainError, match="sample size must be positive"):
+            kappa_covariance(acc, kappa_pair(acc, 0.5), n)
+
     def test_conditional_independence_kills_cross_terms(self):
         counts = PairedCounts(8, 4, 2, 1, 1, 2, 4, 8)
         acc = accuracy_from_counts(counts)
@@ -216,6 +222,12 @@ class TestBlochTest:
         result = bloch_test(table8, 0.1902)
         assert abs(result.z_stat) < 0.01
         assert result.p_value > 0.99
+
+    def test_zero_standard_error_with_unequal_kappas_is_degenerate(self):
+        # test 1 is perfect on both strata and test 2 negative on the diseased:
+        # every variance is 0 and the kappas are 1 and 0
+        with pytest.raises(DegenerateKappaError, match="zero standard error"):
+            bloch_test(PairedCounts(0, 0, 5, 0, 3, 0, 0, 2), 0.5)
 
 
 class TestWaldDiff:
@@ -592,14 +604,12 @@ class TestSharedDraws:
 
     @pytest.mark.parametrize("cells", [(math.inf, 1, 1, 1, 1, 1, 1, 1),
                                        (1e308, 1e308, 1, 1, 1, 1, 1, 1)])
-    def test_infinite_table_cannot_be_resampled(self, cells):
-        # n overflows to inf: a DomainError, not the OverflowError of int(inf),
-        # also from the Bayesian interval, whose default draws come with tables
-        counts = PairedCounts(*cells)
-        with pytest.raises(DomainError, match="infinite size"):
-            BootstrapTables(counts, RandomStream(0, 1))
-        with pytest.raises(DomainError):
-            bayesian_ci(counts, 0.5, "ratio", SHARED_CONFIG)
+    def test_infinite_table_cannot_be_built(self, cells):
+        # refused as a table, so no resample store meets an n that
+        # overflows, and int(round(n)) never raises its OverflowError
+        with pytest.raises(DomainError,
+                           match=r"cell s11 must be a count or a count \+ 0\.5 in \[0, 2\*\*51\]"):
+            PairedCounts(*cells)
 
     def test_tables_of_another_table_rejected(self, table8):
         tables = BootstrapTables(SPARSE, RandomStream(0, 1))
@@ -1001,15 +1011,13 @@ class TestSharedAnalysis:
         assert [args[3] for args in covariance_calls] == [0.5, 0.5, 0.5, 0.6, 0.5]
 
     def test_float_analysis_matches_the_public_objects(self):
-        # bit for bit, or the same error and message, on tiny, sparse,
-        # corrected and non-finite tables
+        # bit for bit, or the same error and message, on tiny, sparse and
+        # corrected tables; c = 1.5 gives the DomainError
         rng = np.random.RandomState(31)
         tables = [PairedCounts(*rng.randint(0, high, size=8))
                   for high in (2, 4, 30, 400) for _ in range(40)]
         tables += [apply_continuity_correction(t) for t in tables[:40]]
-        tables += [YOUDEN_ZERO, PairedCounts(math.inf, 1, 1, 1, 1, 1, 1, 1),
-                   PairedCounts(1, 1, 1, 1, 1, 1, 1, math.inf),
-                   PairedCounts(1e300, 1e300, 1, 1, 1, 1, 1, 1)]
+        tables.append(YOUDEN_ZERO)
 
         def outcome(call):
             try:

@@ -54,6 +54,9 @@ class TestAccuracyFromCounts:
         assert round(acc.rtpf, 3) == 0.506
         assert round(acc.rfpf, 3) == 0.207
 
+    def test_relative_true_positive_fraction_of_two_zero_sensitivities_is_one(self):
+        assert AccuracyEstimates(0, 0.5, 0, 0.5, 0.5).rtpf == 1.0
+
     def test_non_estimable(self):
         with pytest.raises(NonEstimableError):
             accuracy_from_counts(PairedCounts(1, 2, 3, 4, 0, 0, 0, 0))

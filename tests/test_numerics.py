@@ -445,6 +445,11 @@ class TestEmpiricalQuantile:
 
 
 class TestStreams:
+    @pytest.mark.parametrize("shape", [0.0, -1.0])
+    def test_gamma_shape_must_be_positive(self, shape):
+        with pytest.raises(DomainError, match="gamma shape must be positive"):
+            RandomStream(0).gamma(shape)
+
     def test_reproducible(self):
         a = [RandomStream(42, 7).uniform() for _ in range(1)]
         run1 = RandomStream(42, 7)

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from kappacmp.cli import build_analysis_report
-from kappacmp.data_model import PairedCounts, apply_continuity_correction
+from kappacmp.data_model import MAX_SUBJECTS, PairedCounts, apply_continuity_correction
 from kappacmp.errors import DegenerateKappaError, DomainError, KappaCmpError
 from kappacmp.inference import (
     BAYES_STREAM,
@@ -22,6 +22,7 @@ from kappacmp.inference import (
     PosteriorDraws,
     Priors,
     bayesian_ci,
+    bloch_test,
     bootstrap_ci,
     fieller_ratio_ci,
     log_ratio_ci,
@@ -114,6 +115,69 @@ def test_resampling_intervals_are_finite_or_raise_package_errors():
                 outcomes.append(_outcome(lambda: bootstrap_ci(counts, c, target, CONFIG, tables)))
                 outcomes.append(_outcome(lambda: bayesian_ci(counts, c, target, CONFIG, draws)))
     assert outcomes.count("ok") > 100 and outcomes.count("raised") > 100
+
+
+# cells at the edges of the table domain: small counts and half-counts, large
+# cells two of which fit under the cap, one cell at about the cap; and cells
+# the domain refuses: negative, non-finite, neither a count nor a count + 0.5,
+# or past the cap
+SMALL_CELLS = (0, 0, 0.5, 1, 3)
+LARGE_CELLS = (2**20 + 0.5, 2**48, 2**50 - 0.5, 2**50, 2**51 - 8)
+REFUSED_CELLS = (-1, math.nan, math.inf, 0.3, 1e-300, 2**51 + 0.5, 10**400, 4 * 10**154)
+
+
+def test_edge_tables_are_refused_when_built_or_give_finite_bounds():
+    rng = random.Random(FUZZ_SEED)
+    outcomes = []
+    refusals = 0
+    for _ in range(400):
+        cells = [rng.choice(SMALL_CELLS) for _ in range(8)]
+        for index in rng.sample(range(8), rng.randint(0, 2)):
+            cells[index] = rng.choice(LARGE_CELLS)
+        if rng.random() < 0.2:
+            cells[rng.randrange(8)] = rng.choice(REFUSED_CELLS)
+        try:
+            counts = PairedCounts(*cells)
+        except DomainError:
+            refusals += 1
+            continue
+        assert counts.n <= MAX_SUBJECTS
+        for c in CLOSED_FORM_CS:
+            for method in (wald_diff_ci, wald_ratio_ci, log_ratio_ci, fieller_ratio_ci):
+                outcomes.append(_outcome(lambda: method(counts, c, CONFIG)))
+            try:
+                test = bloch_test(counts, c)
+            except KappaCmpError:
+                continue
+            assert math.isfinite(test.z_stat) and 0.0 <= test.p_value <= 1.0, test
+            outcomes.append(_size_outcome(
+                lambda: plan_iteration(counts, c, 0.1, config=CONFIG).n_required))
+    # the fuzz reaches every side
+    assert refusals > 100
+    assert outcomes.count("ok") > 3000 and outcomes.count("raised") > 3000
+
+
+# the DomainError of a cell outside the table domain (PairedCounts)
+REFUSED = r"must be a count or a count \+ 0\.5 in \[0, 2\*\*51\], got"
+
+
+def test_products_that_underflow_are_refused_when_the_table_is_built():
+    # on 1e-300 cells p*p*q*q*y1*y2 underflows to 0, a ZeroDivisionError in
+    # every closed-form interval at every c
+    with pytest.raises(DomainError, match=rf"cell s11 {REFUSED} 1e-300"):
+        wald_diff_ci(PairedCounts(1e-300, 0, 0, 1e-300, 5, 1, 1, 5), 0.5)
+
+
+def test_an_infinite_pilot_is_refused_when_the_table_is_built():
+    # plan_iteration takes int(round(n)), an OverflowError at n = inf
+    with pytest.raises(DomainError, match=rf"cell s11 {REFUSED} inf"):
+        plan_iteration(PairedCounts(math.inf, 1, 1, 1, 1, 1, 1, 1), 0.5, 0.1)
+
+
+def test_an_infinite_cell_is_named_not_a_nan_proportion():
+    # the estimators would see se1 = inf/inf = nan, far from the cause
+    with pytest.raises(DomainError, match=rf"cell r00 {REFUSED} inf"):
+        accuracy_from_counts(PairedCounts(1, 1, 1, 1, 1, 1, 1, math.inf))
 
 
 def _size_outcome(call):

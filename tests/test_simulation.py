@@ -896,6 +896,11 @@ class TestEvaluateFailure:
     def test_fraction_boundary_consistency(self):
         assert evaluate_failure(1860 / 2000, 0.95)  # exactly 0.93
 
+    @pytest.mark.parametrize("cp", [1.5, -0.1, math.nan])
+    def test_coverage_outside_the_unit_interval_rejected(self, cp):
+        with pytest.raises(DomainError, match="coverage probability must be in"):
+            evaluate_failure(cp)
+
 
 class TestRecommendMethod:
     def test_small_sample(self):
