@@ -60,8 +60,13 @@ class PairedCounts:
     def __post_init__(self):
         for name in CELL_NAMES:
             value = getattr(self, name)
-            # compared before float(), which overflows on a huge int
-            if not 0 <= value <= MAX_SUBJECTS or not (2.0 * float(value)).is_integer():
+            # compared before float(), which overflows on a huge int; a value
+            # that is not a number fails the comparison or float()
+            try:
+                is_count = 0 <= value <= MAX_SUBJECTS and (2.0 * float(value)).is_integer()
+            except (TypeError, ValueError, ArithmeticError):
+                is_count = False
+            if not is_count:
                 raise DomainError(f"cell {name} must be a count or a count + 0.5 "
                                   f"in [0, 2**51], got {value!r}")
             object.__setattr__(self, name, float(value))

@@ -78,13 +78,15 @@ __all__ = [
     "reciprocal_ratio_ci",
 ]
 
-# Stream tags of analyze's bootstrap tables and posterior draws
-# (analysis_draws). They are not apart from a coverage study's streams:
-# replicate i reads streams 3i to 3i + 2, so 101 is replicate 33's posterior
-# stream and 102 replicate 34's sample stream. Results stay independent
-# because no computation reads both an analyze store and a coverage replicate.
-BOOTSTRAP_STREAM = 101
-BAYES_STREAM = 102
+# The stream base of analyze's bootstrap tables and posterior draws: they
+# read streams base + 1 and base + 2 (analysis_draws). These are not apart
+# from a coverage study's streams: replicate i has base 3i, so 101 is
+# replicate 33's posterior stream and 102 replicate 34's sample stream.
+# Results stay independent because no computation reads both an analyze
+# store and a coverage replicate.
+ANALYZE_BASE = 100
+BOOTSTRAP_STREAM = ANALYZE_BASE + 1
+BAYES_STREAM = ANALYZE_BASE + 2
 
 _BOOTSTRAP_DRAW_FACTOR = 10  # total draw budget = factor * B before giving up
 
@@ -699,17 +701,19 @@ class PosteriorDraws(_Resamples):
         return zip(draws, draws, draws, draws, draws)
 
 
-def analysis_draws(counts: PairedCounts, config: ConfidenceConfig | None = None) -> tuple:
+def analysis_draws(counts: PairedCounts, config: ConfidenceConfig | None = None,
+                   base: int = ANALYZE_BASE) -> tuple:
     """(BootstrapTables, PosteriorDraws) of ``counts`` from (config.seed,
-    BOOTSTRAP_STREAM) and (config.seed, BAYES_STREAM), at config.priors.
+    base + 1) and (config.seed, base + 2), at config.priors.
 
     One pair serves every c and target of the table; both draw nothing
-    until an interval asks. These are the draws of bootstrap_ci and
-    bayesian_ci when the caller passes none.
+    until an interval asks. At ANALYZE_BASE these are analyze's draws and
+    those of bootstrap_ci and bayesian_ci when the caller passes none; a
+    coverage study's replicate i passes base 3i.
     """
     config = config or DEFAULT_CONFIG
-    return (BootstrapTables(counts, RandomStream(config.seed, BOOTSTRAP_STREAM)),
-            PosteriorDraws(counts, config.priors, RandomStream(config.seed, BAYES_STREAM)))
+    return (BootstrapTables(counts, RandomStream(config.seed, base + 1)),
+            PosteriorDraws(counts, config.priors, RandomStream(config.seed, base + 2)))
 
 
 def bayesian_ci(counts: PairedCounts, c: float, target: str,

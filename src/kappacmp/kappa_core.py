@@ -198,8 +198,8 @@ def accuracy_values(s11: float, s10: float, s01: float, s00: float,
 
     The fields of accuracy_from_counts, without building the object: it
     raises NonEstimableError on an empty stratum and the DomainError of
-    AccuracyEstimates when the values are out of range. On non-negative
-    cells that happens only when p is not in (0, 1), so p alone is checked.
+    AccuracyEstimates when a proportion is out of range, p on an infinite
+    or overflowing cell and a sensitivity or specificity on a negative one.
     """
     s = s11 + s10 + s01 + s00
     r = r11 + r10 + r01 + r00
@@ -209,7 +209,9 @@ def accuracy_values(s11: float, s10: float, s01: float, s00: float,
     values = ((s11 + s10) / s, (r01 + r00) / r, (s11 + s01) / s, (r10 + r00) / r,
               s / (s + r), (s11 * s00 - s10 * s01) / (s * s),
               (r11 * r00 - r10 * r01) / (r * r))
-    if not 0.0 < values[4] < 1.0:  # an infinite or overflowing cell
+    se1, sp1, se2, sp2, p = values[:5]
+    if not (0.0 <= se1 <= 1.0 and 0.0 <= sp1 <= 1.0 and 0.0 <= se2 <= 1.0
+            and 0.0 <= sp2 <= 1.0 and 0.0 < p < 1.0):
         AccuracyEstimates(*values)  # raises the DomainError that names the field
     return values
 

@@ -97,7 +97,7 @@ class RandomStream:
 
     def gamma(self, shape: float) -> float:
         """Gamma(shape, 1) draw via Marsaglia-Tsang squeeze rejection."""
-        if shape <= 0.0:
+        if not shape > 0.0:  # NaN too
             raise DomainError(f"gamma shape must be positive, got {shape}")
         if shape < 1.0:
             # boost: G(a) = G(a+1) * U^(1/a)

@@ -41,10 +41,9 @@ from .errors import (
 from .inference import (
     METHODS,
     DEFAULT_CONFIG,
-    BootstrapTables,
     ConfidenceConfig,
-    PosteriorDraws,
     _analysis,
+    analysis_draws,
     # the interval functions run through METHODS; perfbench/run.py traces them here
     bayesian_ci,  # noqa: F401
     bootstrap_ci,  # noqa: F401
@@ -230,7 +229,7 @@ def _check_cell(n, n_replicates) -> tuple[int, int]:
     return size, n_replicates
 
 
-# substream roles per replicate index i: 3i sample, 3i+1 bootstrap, 3i+2 posterior
+# replicate i samples from stream 3i and passes 3i to analysis_draws as its base
 _STREAMS_PER_REPLICATE = 3
 _MAX_SAMPLE_ATTEMPTS = 10_000
 
@@ -283,9 +282,8 @@ def _tally(entries: tuple, tables, c: float, config: ConfidenceConfig) -> tuple:
     weighted by their probability. ``analysis`` is the table's _analysis at
     ``c``, which a closed-form entry's bound reads at config.z; any other
     entry builds its interval on a PairedCounts of the cells with the
-    table's bootstrap set and posterior, drawn from the streams base + 1 and
-    base + 2 and shared by the difference and the ratio. The base is read
-    only when an entry reads shared draws.
+    table's analysis_draws at the stream base, shared by the difference and
+    the ratio. The base is read only when an entry has no bound.
 
     ``covered[k]`` sums the weights of the tables whose interval of
     ``entries[k]`` contains its true value, and ``lengths[k]`` holds the
@@ -294,7 +292,7 @@ def _tally(entries: tuple, tables, c: float, config: ConfidenceConfig) -> tuple:
     Scores the bounds as ConfidenceInterval.contains and .length score
     them, and raises its DomainError when they are out of order.
     """
-    shared = {method.draw for _, _, method in entries} - {None}  # the draws they read
+    resampled = any(bound is None for _, bound, _ in entries)
     z = config.z
     redraws = total = 0
     covered = [0] * len(entries)
@@ -302,18 +300,15 @@ def _tally(entries: tuple, tables, c: float, config: ConfidenceConfig) -> tuple:
     for weight, cells, analysis, base, redrawn in tables:
         redraws += redrawn
         total += weight
-        # the table and its shared draws, built only when a method reads them
-        counts = PairedCounts(*cells) if shared else None
-        boot = draws = None
-        if "tables" in shared:
-            boot = BootstrapTables(counts, RandomStream(config.seed, base + 1))
-        if "draws" in shared:
-            draws = PosteriorDraws(counts, config.priors, RandomStream(config.seed, base + 2))
+        # the table and its resample draws, built only when a method resamples
+        if resampled:
+            counts = PairedCounts(*cells)
+            draws = analysis_draws(counts, config, base)
         k = 0
         for true_value, bound, method in entries:
             try:
                 if bound is None:
-                    ci = method.interval(counts, c, config, boot, draws)
+                    ci = method.interval(counts, c, config, *draws)
                     lower, upper = ci.lower, ci.upper
                 else:
                     lower, upper, _ = bound(analysis, z)

@@ -1,6 +1,8 @@
 import io
 import math
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,16 +42,23 @@ class TestPairedCounts:
     @pytest.mark.parametrize("value,name", [
         (-1, "s00"), (math.nan, "s11"), (math.inf, "r00"), (-math.inf, "s10"), (0.3, "r10"),
         (1e-300, "s01"), (2.25, "r11"), (7.0000001, "r10"), (2**51 + 0.5, "r01"),
-        (10**400, "s11"),
+        (10**400, "s11"), ("1", "s11"), (None, "s10"), ([1], "r11"), (b"1", "r00"),
+        (1 + 0j, "s01"), (Decimal("NaN"), "r01"),
     ], ids=["-1", "nan", "inf", "-inf", "0.3", "1e-300", "2.25", "7.0000001", "2**51+0.5",
-            "401 digits"])
+            "401 digits", "str", "None", "list", "bytes", "complex", "Decimal NaN"])
     def test_cell_outside_the_domain_refused(self, value, name):
-        # the cap is compared before float(), so a huge int is no OverflowError
+        # the cap is compared before float(), so a huge int is no OverflowError,
+        # and a value that is not a number is refused as any other
         cells = dict.fromkeys(CELL_NAMES, 1)
         cells[name] = value
         error = f"cell {name} must be a count or a count + 0.5 in [0, 2**51], got {value!r}"
         with pytest.raises(DomainError, match=f"^{re.escape(error)}$"):
             PairedCounts(**cells)
+
+    def test_cells_of_other_number_types_accepted(self):
+        counts = PairedCounts(np.int64(3), Fraction(1, 2), Decimal("2"), 1, 1, 1, 1, 1)
+        assert counts.cells() == (3.0, 0.5, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+        assert all(type(cell) is float for cell in counts.cells())
 
     def test_total_past_the_cap_refused(self):
         # a table of 2**51 subjects is kept, half-counts included, and half a subject more is not

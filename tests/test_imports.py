@@ -23,8 +23,10 @@ global, so no other call keeps state between calls. Every call of
 only ``numerics`` knows how a plan stores its CDF tables. In
 ``simulation`` only ``_tally`` builds an interval and only
 ``_sampled_tables`` plans and draws tables, so sampled and listed tables
-share one scorer. Only ``inference.analysis_draws`` reads the stream tags of
-``analyze``'s bootstrap tables and posterior draws.
+share one scorer. Only ``inference.analysis_draws`` builds a random stream,
+bootstrap tables or posterior draws, so ``analyze`` and every coverage
+replicate lay out their resample streams in one place, and only
+``inference.Method.interval`` reads which of them a method resamples.
 """
 
 import ast
@@ -289,13 +291,19 @@ def test_one_scorer_for_every_table_source():
     assert samplers == {"_sampled_tables"}
 
 
-def test_only_analysis_draws_reads_the_analysis_streams():
-    # analyze's resample stores and the default draws of bootstrap_ci and
-    # bayesian_ci come from inference.analysis_draws alone
-    users = {(path.stem, where) for path in PACKAGE.glob("*.py")
-             for name in ("BOOTSTRAP_STREAM", "BAYES_STREAM")
-             for where, _ in references(path.read_text(encoding="utf-8"), name)}
-    assert users == {("inference", "<module>"), ("inference", "analysis_draws")}
+def test_only_analysis_draws_builds_a_stream_or_a_resample_store():
+    # analyze's resample stores, the default draws of bootstrap_ci and
+    # bayesian_ci and each coverage replicate's stores come from
+    # inference.analysis_draws alone; only Method.interval reads which store
+    # a method resamples
+    builders = {(path.stem, where) for path in PACKAGE.glob("*.py")
+                for name in ("RandomStream", "BootstrapTables", "PosteriorDraws")
+                for where, _ in calls(path.read_text(encoding="utf-8"), name)}
+    assert builders == {("inference", "analysis_draws")}
+    readers = {(path.stem, where) for path in PACKAGE.glob("*.py")
+               for where, node in located(path.read_text(encoding="utf-8"))
+               if isinstance(node, ast.Attribute) and node.attr == "draw"}
+    assert readers == {("inference", "Method.interval")}
 
 
 @pytest.mark.parametrize("name", ["_wald_diff", "_wald_ratio", "_log_ratio", "_fieller"])

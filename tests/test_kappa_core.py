@@ -13,6 +13,7 @@ from kappacmp.kappa_core import (
     AccuracyEstimates,
     accuracy_from_counts,
     accuracy_from_kappa_pair,
+    accuracy_values,
     compare_over_range,
     crossover_index,
     kappa_curve,
@@ -62,6 +63,13 @@ class TestAccuracyFromCounts:
             accuracy_from_counts(PairedCounts(1, 2, 3, 4, 0, 0, 0, 0))
         with pytest.raises(NonEstimableError):
             accuracy_from_counts(PairedCounts(0, 0, 0, 0, 1, 2, 3, 4))
+
+    def test_accuracy_values_refuses_a_proportion_out_of_range(self):
+        # a negative cell puts se1 = 2.0 and se2 = -1.0 while p stays in (0, 1)
+        with pytest.raises(DomainError, match=r"^se1 must be in \[0, 1\], got 2.0$"):
+            accuracy_values(1, 3, -3, 1, 1, 0, 0, 1)
+        with pytest.raises(DomainError, match=r"^sp2 must be in \[0, 1\], got -0.5$"):
+            accuracy_values(1, 0, 0, 1, 2, -1, 1, 0)
 
     def test_eps_flags(self, table8):
         acc = accuracy_from_counts(table8)

@@ -6,6 +6,7 @@ import pytest
 
 from kappacmp import cli, inference, simulation
 from kappacmp.cli import _config_from_args, build_analysis_report, build_parser, main, render_report
+from kappacmp.data_model import PairedCounts
 from kappacmp.errors import DomainError, KappaCmpError
 from kappacmp.inference import (
     BAYES_STREAM,
@@ -31,7 +32,7 @@ def scenario():
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("a shared draw no requested method reads was built")
+    raise AssertionError("a resample store no requested method reads was built")
 
 
 class TestRegistry:
@@ -174,30 +175,62 @@ class TestUnknownMethods:
 
 
 class TestSharedDrawsPerReplicate:
-    def test_closed_form_methods_build_no_shared_draw(self, scenario, monkeypatch):
-        monkeypatch.setattr(simulation, "BootstrapTables", _refuse)
-        monkeypatch.setattr(simulation, "PosteriorDraws", _refuse)
+    # a replicate resamples only what a requested method asks for: its stores
+    # (analysis_draws) are built only when a method resamples, and a store
+    # that no requested method reads draws no row
+
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        """The store of each _draw call, by store class."""
+        drawn = {BootstrapTables: [], PosteriorDraws: []}
+        for cls in drawn:
+            def counted(store, k, original=cls._draw, stores=drawn[cls]):
+                stores.append(store)
+                return original(store, k)
+
+            monkeypatch.setattr(cls, "_draw", counted)
+        return drawn
+
+    def test_closed_form_methods_build_no_shared_draw(self, scenario, monkeypatch, drawn):
+        monkeypatch.setattr(simulation, "analysis_draws", _refuse)
         rows = coverage_study(scenario, 100, 100, CLOSED, FAST)
         assert [r.method for r in rows] == list(CLOSED)
+        assert drawn == {BootstrapTables: [], PosteriorDraws: []}
 
-    def test_bootstrap_methods_build_tables_once_and_no_posterior(self, scenario, monkeypatch):
-        built = []
-
-        class Counted(BootstrapTables):
-            __slots__ = ()
-
-            def __init__(self, *args):
-                built.append(args[0])
-                super().__init__(*args)
-
-        monkeypatch.setattr(simulation, "BootstrapTables", Counted)
-        monkeypatch.setattr(simulation, "PosteriorDraws", _refuse)
+    def test_bootstrap_methods_draw_one_store_per_replicate_and_no_posterior(
+            self, scenario, drawn):
         coverage_study(scenario, 100, 100, ("boot-diff", "boot-ratio"), FAST)
-        assert len(built) == 100
+        assert len({id(store) for store in drawn[BootstrapTables]}) == 100
+        assert drawn[PosteriorDraws] == []
 
-    def test_bayesian_methods_build_no_bootstrap_tables(self, scenario, monkeypatch):
-        monkeypatch.setattr(simulation, "BootstrapTables", _refuse)
+    def test_bayesian_methods_build_no_bootstrap_tables(self, scenario, drawn):
         coverage_study(scenario, 100, 100, ("bayes-ratio",), FAST)
+        assert len({id(store) for store in drawn[PosteriorDraws]}) == 100
+        assert drawn[BootstrapTables] == []
+
+    def test_replicate_i_reads_the_analysis_draws_at_base_3i(self, scenario, monkeypatch):
+        # each resampled interval of replicate i is that of the Method on the
+        # replicate's table and its analysis_draws at stream base 3i
+        methods = ("boot-diff", "bayes-ratio")
+        scored = []
+        original = inference.Method.interval
+
+        def recorded(method, counts, c, config=None, tables=None, draws=None):
+            scored.append((method, counts, original(method, counts, c, config, tables, draws)))
+            return scored[-1][2]
+
+        monkeypatch.setattr(inference.Method, "interval", recorded)
+        coverage_study(scenario, 40, 100, methods, FAST)
+        monkeypatch.undo()
+        tables = simulation._sampled_tables(scenario, 40, FAST, 0, 100, False)
+        expected = []
+        for i, (_, cells, _, _, _) in enumerate(tables):
+            counts = PairedCounts(*cells)
+            stores = inference.analysis_draws(counts, FAST, 3 * i)
+            for method in (METHODS[tag] for tag in methods):
+                expected.append((method, counts,
+                                 method.interval(counts, scenario.c, FAST, *stores)))
+        assert scored == expected
 
 
 class TestReportOrder:

@@ -445,7 +445,7 @@ class TestEmpiricalQuantile:
 
 
 class TestStreams:
-    @pytest.mark.parametrize("shape", [0.0, -1.0])
+    @pytest.mark.parametrize("shape", [0.0, -1.0, math.nan])
     def test_gamma_shape_must_be_positive(self, shape):
         with pytest.raises(DomainError, match="gamma shape must be positive"):
             RandomStream(0).gamma(shape)
